@@ -15,6 +15,16 @@ using nonlinear conjugate gradient with Hestenes-Stiefel updates and a
 strong-Wolfe line search.  The analytic gradient below is the exact gradient
 of Q as written (including the factors of 2 from the squared norms), so it
 matches finite differences of :func:`acmtf_objective` coordinate-wise.
+
+The solver evaluates Q and its gradient on the flat parameter vector
+directly (see :class:`_Evaluator`), sharing intermediates the way CMTF-OPT
+does (Acar, Kolda & Dunlavy 2011, "All-at-once optimization for coupled
+matrix and tensor factorizations"): the tensor residual is formed once, in
+mode-1 unfolded form, and one GEMM of it with ``A diag(zeta)`` serves the
+mode-2 and mode-3 MTTKRPs (matricized tensor times Khatri-Rao products).
+Inputs are validated at the boundary, by :class:`CoupledSample` and the
+public functions; the CG loop raises :class:`NumericalError` on a
+non-finite objective or gradient, and nothing inside it checks further.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import KruskalTensor, fold, khatri_rao, unfold
+from .tensor_core import KruskalTensor, _khatri_rao
 
 # Guard for the Hestenes-Stiefel denominator; below this the direction
 # update is replaced by steepest descent.
@@ -213,81 +223,98 @@ def unpack(x: np.ndarray, dims: tuple[int, int, int, int], rank: int):
     return (*blocks, parts[5], parts[6])
 
 
-def _norm_penalty_grad(F: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    # d/dF sum_k (||f_k|| - 1)^2 = 2 (F - Fbar), Fbar column-normalized.
-    safe = np.where(norms > 0, norms, 1.0)
-    # Zero columns sit at a non-differentiable point; use the 0 subgradient.
-    unit = np.where(norms > 0, F / safe, 0.0)
-    return 2.0 * (F - unit)
-
-
 class _Evaluator:
-    """Objective/gradient evaluation for one sample, sharing intermediates.
+    """Objective and gradient of Q at a flat parameter vector, for one sample.
 
-    The tensor data-fit residual is kept in mode-1 unfolded form; the mode-1
-    Khatri-Rao product is reused between the reconstruction, the first
-    factor's gradient, and the weight gradient.
+    The five factor blocks are consecutive C-ordered ``(rows, r)`` slices of
+    ``x``, so ``x[:nf].reshape(-1, r)`` is the stacked factor matrix F.  All
+    ten column norms come from one ``np.add.reduceat`` of F*F over the block
+    offsets, and the five unit-norm penalty gradients from one expression
+    written straight into the gradient vector; the two weight vectors share
+    one smoothed-l1 expression the same way.
+
+    The tensor residual exists only in mode-1 unfolded form,
+    ``E1 = (A zeta) (C kr B)^T - X1_(1)``.  ``E1 (C kr B)`` gives the A-block
+    and zeta gradients.  One more GEMM, ``T = (A zeta)^T E1`` reshaped to
+    (r, I2, I3), is shared by the other two tensor modes: the mode-2 and
+    mode-3 MTTKRPs are its small contractions with C and with B.  No fold,
+    no further unfolding and no other Khatri-Rao product is formed.
+
+    The sample is validated once, by :class:`CoupledSample`; a call checks
+    nothing, so the caller tests the result for finiteness.
     """
 
     def __init__(self, sample: CoupledSample, h: AcmtfHyperParams):
+        i1, i2, i3, i4 = sample.dims
+        r = h.rank
         self.h = h
-        self.tshape = sample.tensor.shape
-        self.x1_unf = unfold(sample.tensor, 1)
+        self.dims = sample.dims
+        self.rank = r
+        rows = (i1, i2, i3, i4, i3)
+        bounds = np.cumsum((0,) + rows)
+        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.rows = rows
+        self.offsets = bounds[:-1]
+        self.nf = int(bounds[-1]) * r
+        self.size = self.nf + 2 * r
+        self.x1_unf = sample.tensor.reshape(i1, -1, order="F")  # mode-1 unfolding
         self.x2 = sample.matrix
 
-    def __call__(self, blocks, need_grad: bool = True):
-        A, B, C, U, V, zeta, sigma = blocks
-        h = self.h
-        kr_cb = khatri_rao(C, B)
-        e1 = (A * zeta) @ kr_cb.T - self.x1_unf
-        f2 = (U * sigma) @ V.T - self.x2
+    def __call__(self, x: np.ndarray, need_grad: bool = True):
+        h, r, nf = self.h, self.rank, self.nf
+        _, i2, i3, _ = self.dims
+        F = x[:nf].reshape(-1, r)
+        A, B, C, U, V = (F[b] for b in self.blocks)
+        w = x[nf:]  # (zeta, sigma)
+        zeta, sigma = w[:r], w[r:]
+        kr_cb = _khatri_rao(C, B)
+        az = A * zeta
+        e1 = az @ kr_cb.T
+        e1 -= self.x1_unf
+        us = U * sigma
+        f2 = us @ V.T
+        f2 -= self.x2
         cv = C - V
-        norms = [np.linalg.norm(F, axis=0) for F in (A, B, C, U, V)]
-        root_z = np.sqrt(zeta**2 + h.epsilon)
-        root_s = np.sqrt(sigma**2 + h.epsilon)
-        q = h.gamma * (np.sum(e1 * e1) + np.sum(f2 * f2))
-        q += h.xi * np.sum(cv * cv)
-        q += h.beta * (root_z.sum() + root_s.sum())
-        q += h.theta * sum(np.sum((n - 1.0) ** 2) for n in norms)
+        norms = np.sqrt(np.add.reduceat(F * F, self.offsets, axis=0))
+        dn = norms - 1.0
+        root_w = np.sqrt(w * w + h.epsilon)
+        q = h.gamma * (np.vdot(e1, e1) + np.vdot(f2, f2))
+        q += h.xi * np.vdot(cv, cv)
+        q += h.beta * root_w.sum()
+        q += h.theta * np.vdot(dn, dn)
         if not need_grad:
             return float(q), None
 
+        g = np.empty(x.size)
+        gF = g[:nf].reshape(-1, r)
+        gA, gB, gC, gU, gV = (gF[b] for b in self.blocks)
+        # d/dF theta (||f_k|| - 1)^2 = 2 theta (F - Fbar), Fbar column-
+        # normalized.  Zero columns sit at a non-differentiable point and
+        # take the 0 subgradient: dividing them by 1 keeps Fbar = F = 0.
+        safe = np.where(norms > 0, norms, 1.0)
+        np.subtract(F, F / np.repeat(safe, self.rows, axis=0), out=gF)
+        gF *= 2.0 * h.theta
         g2 = 2.0 * h.gamma
-        err = fold(e1, 1, self.tshape)
         core1 = e1 @ kr_cb  # shared by the A-block and zeta gradients
-        grad_a = g2 * core1 * zeta + h.theta * _norm_penalty_grad(A, norms[0])
-        grad_zeta = g2 * np.sum(A * core1, axis=0) + h.beta * zeta / root_z
-        grad_b = g2 * unfold(err, 2) @ (khatri_rao(C, A) * zeta)
-        grad_b += h.theta * _norm_penalty_grad(B, norms[1])
-        grad_c = g2 * unfold(err, 3) @ (khatri_rao(B, A) * zeta)
-        grad_c += 2.0 * h.xi * cv + h.theta * _norm_penalty_grad(C, norms[2])
+        gA += g2 * core1 * zeta
+        T = (az.T @ e1).reshape(r, i2, i3, order="F")
+        gB += g2 * np.einsum("rjk,kr->jr", T, C)
+        gC += g2 * np.einsum("rjk,jr->kr", T, B)
+        gC += (2.0 * h.xi) * cv
         core2 = f2 @ V  # shared by the U-block and sigma gradients
-        grad_u = g2 * core2 * sigma + h.theta * _norm_penalty_grad(U, norms[3])
-        grad_sigma = g2 * np.sum(U * core2, axis=0) + h.beta * sigma / root_s
-        grad_v = g2 * f2.T @ (U * sigma)
-        grad_v += -2.0 * h.xi * cv + h.theta * _norm_penalty_grad(V, norms[4])
-        grad = pack((grad_a, grad_b, grad_c, grad_u, grad_v, grad_zeta, grad_sigma))
-        return float(q), grad
+        gU += g2 * core2 * sigma
+        gV += g2 * (f2.T @ us)
+        gV -= (2.0 * h.xi) * cv
+        gw = g[nf:]
+        gw[:r] = (A * core1).sum(axis=0)
+        gw[r:] = (U * core2).sum(axis=0)
+        gw *= g2
+        gw += h.beta * w / root_w
+        return float(q), g
 
 
-def _raw_objective(sample, A, B, C, U, V, zeta, sigma, h: AcmtfHyperParams) -> float:
-    return _Evaluator(sample, h)((A, B, C, U, V, zeta, sigma), need_grad=False)[0]
-
-
-def _raw_gradient(sample, A, B, C, U, V, zeta, sigma, h: AcmtfHyperParams):
-    return _Evaluator(sample, h)((A, B, C, U, V, zeta, sigma))[1]
-
-
-def _factors_to_blocks(f: AcmtfFactors):
-    return (
-        f.u1.factors[0],
-        f.u1.factors[1],
-        f.u1.factors[2],
-        f.u2.factors[0],
-        f.u2.factors[1],
-        f.u1.weights,
-        f.u2.weights,
-    )
+def _factors_to_vector(f: AcmtfFactors) -> np.ndarray:
+    return pack((*f.u1.factors, *f.u2.factors, f.u1.weights, f.u2.weights))
 
 
 def _check_compat(s: CoupledSample, f: AcmtfFactors):
@@ -298,13 +325,13 @@ def _check_compat(s: CoupledSample, f: AcmtfFactors):
 def acmtf_objective(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> float:
     """Value of the unconstrained coupled-factorization objective Q."""
     _check_compat(s, f)
-    return _raw_objective(s, *_factors_to_blocks(f), h)
+    return _Evaluator(s, h)(_factors_to_vector(f), need_grad=False)[0]
 
 
 def acmtf_gradient(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> np.ndarray:
     """Exact gradient of Q, flattened as (A, B, C, U, V, zeta, sigma)."""
     _check_compat(s, f)
-    return _raw_gradient(s, *_factors_to_blocks(f), h)
+    return _Evaluator(s, h)(_factors_to_vector(f))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +359,12 @@ def _wolfe_search(
 ) -> LineSearchResult:
     """Strong-Wolfe line search (bracket + zoom).
 
-    ``fg(x)`` returns (value, gradient).  If no Wolfe point is found within
-    ``max_evals`` evaluations, the best simple-decrease step seen is
-    returned with ``wolfe_satisfied=False``.
+    ``fg(x)`` returns (value, gradient).  A trial point whose value or
+    slope is not finite fails the sufficient-decrease test, so the search
+    zooms or backs off from it, and it is never returned.  If no Wolfe point
+    is found within ``max_evals`` evaluations, the best simple-decrease step
+    seen is returned with ``wolfe_satisfied=False``; if no finite trial
+    point was seen at all, the zero step at ``(f0, g0)``.
     """
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0:
@@ -347,9 +377,12 @@ def _wolfe_search(
         nonlocal evals, best
         evals += 1
         val, grad = fg(x + a * direction)
+        slope = float(grad @ direction)
+        if not (np.isfinite(val) and np.isfinite(slope)):
+            return np.inf, slope, grad
         if best is None or val < best[1]:
             best = (a, val, grad)
-        return val, float(grad @ direction), grad
+        return val, slope, grad
 
     def fallback() -> LineSearchResult:
         # Backtrack from the smallest bracketing point for plain decrease.
@@ -358,6 +391,8 @@ def _wolfe_search(
         while val > f0 and a > 1e-16:
             a *= 0.5
             val, _, grad = phi(a)
+        if best is None:
+            return LineSearchResult(0.0, f0, g0, False)
         step, value, gradient = best
         return LineSearchResult(step, value, gradient, False)
 
@@ -414,12 +449,10 @@ def line_search(
     ``x`` is a flat parameter vector as produced by :func:`pack`.  Requires
     a descent direction; callers restart with steepest descent otherwise.
     """
-    evaluate = _Evaluator(s, h)
-    dims = s.dims
-
-    def fg(v):
-        return evaluate(unpack(v, dims, h.rank))
-
+    fg = _Evaluator(s, h)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (fg.size,):
+        raise ValueError(f"parameter vector has shape {x.shape}, expected ({fg.size},)")
     f0, g0 = fg(x)
     return _wolfe_search(fg, x, direction, f0, g0)
 
@@ -465,11 +498,7 @@ def acmtf_decompose(
             s = CoupledSample(s.tensor / scale_t, s.matrix / scale_m, s.label)
     dims = s.dims
     rank = h.rank
-    evaluate = _Evaluator(s, h)
-
-    def fg(v):
-        return evaluate(unpack(v, dims, rank))
-
+    fg = _Evaluator(s, h)
     x = _initial_point(dims, rank, seed)
     f_val, grad = fg(x)
     if not np.isfinite(f_val):

@@ -22,6 +22,7 @@ Text blocks are a u32 byte length followed by UTF-8 data.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import BinaryIO
@@ -94,17 +95,23 @@ def _write_array(fh: BinaryIO, arr: np.ndarray):
     fh.write(a.tobytes(order="F"))
 
 
+def _read_sized(fh: BinaryIO, n: int, what: str) -> bytes:
+    # Bound a length taken from the file by the bytes left in it before
+    # reading, so a corrupt header cannot make the reader allocate more
+    # than the file holds.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise FormatError(f"{what} needs {n} bytes, only {left} remain")
+    return _read_exact(fh, n)
+
+
 def _read_array(fh: BinaryIO) -> np.ndarray:
     order = _read_u32(fh)
     if order == 0 or order > 32:
         raise FormatError(f"implausible array order {order}")
     dims = tuple(_read_u64(fh) for _ in range(order))
-    count = 1
-    for d in dims:
-        count *= int(d)
-        if count > 1_000_000_000:
-            raise FormatError(f"implausible array dims {dims}")
-    raw = _read_exact(fh, 8 * count)
+    count = math.prod(dims)
+    raw = _read_sized(fh, 8 * count, f"array of dims {dims}")
     flat = np.frombuffer(raw, dtype="<f8", count=count)
     return flat.reshape(dims, order="F").copy(order="C")
 
@@ -117,7 +124,7 @@ def _write_text(fh: BinaryIO, text: str):
 
 def _read_text(fh: BinaryIO) -> str:
     n = _read_u32(fh)
-    return _read_exact(fh, n).decode("utf-8")
+    return _read_sized(fh, n, "text block").decode("utf-8")
 
 
 def _write_header(fh: BinaryIO):
@@ -268,6 +275,13 @@ def read_model(path) -> tuple[StmModel, AcmtfHyperParams, float]:
         alpha = _read_array(fh)
         labels = _read_array(fh)
         n = _read_u32(fh)
+        if alpha.shape != (n,) or labels.shape != (n,):
+            raise FormatError(
+                f"{path}: {n} training factor sets but alpha of shape "
+                f"{alpha.shape} and labels of shape {labels.shape}"
+            )
+        if not np.all(np.abs(labels) == 1.0):
+            raise FormatError(f"{path}: labels must be +1 or -1")
         factors = tuple(_read_factors_body(fh, path) for _ in range(n))
     model = StmModel(alpha, labels, factors, spec, lam, bias)
     return model, params, prune_rel

@@ -59,6 +59,11 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
         )
+    return _khatri_rao(a, b)
+
+
+def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Unchecked core of khatri_rao, for float64 matrices of equal width.
     return (a[:, None, :] * b[None, :, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1]
     )
@@ -70,7 +75,11 @@ def normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(unit, weights)`` where ``weights[k]`` is the original norm of
     column k.  Zero columns are returned unchanged with weight 0.
     """
-    m = _as_float_array(m, "matrix")
+    return _normalize_columns(_as_float_array(m, "matrix"))
+
+
+def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Unchecked core of normalize_columns, for a float64 matrix.
     norms = np.linalg.norm(m, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
     return m / safe, norms
@@ -115,9 +124,7 @@ class KruskalTensor:
 
     def full(self) -> np.ndarray:
         """Reconstruct the dense tensor."""
-        letters = "ijklmnop"[: self.order]
-        spec = "r," + ",".join(f"{c}r" for c in letters) + "->" + letters
-        return np.einsum(spec, self.weights, *self.factors)
+        return _full(self.weights, self.factors)
 
     def normalized(self) -> "KruskalTensor":
         """Fold column norms and a deterministic sign choice into the weights.
@@ -136,6 +143,13 @@ class KruskalTensor:
             w = w * signs
             out.append(unit)
         return KruskalTensor(w, tuple(out))
+
+
+def _full(weights: np.ndarray, factors) -> np.ndarray:
+    # Dense tensor of weights and factor matrices, unchecked.
+    letters = "ijklmnop"[: len(factors)]
+    spec = "r," + ",".join(f"{c}r" for c in letters) + "->" + letters
+    return np.einsum(spec, weights, *factors)
 
 
 def kruskal_to_full(k: KruskalTensor) -> np.ndarray:
@@ -160,7 +174,8 @@ def cp_als(
     than ``tol`` between sweeps, or after ``max_iter`` sweeps.
 
     Returns a column-normalized :class:`KruskalTensor`; with
-    ``return_history=True``, also the per-sweep relative errors.
+    ``return_history=True``, also the per-sweep relative errors.  The
+    tensor is validated once, here; the sweeps use unchecked helpers.
     """
     t = _as_float_array(tensor, "tensor")
     if rank < 1:
@@ -170,14 +185,14 @@ def cp_als(
     dims = t.shape
     n_modes = t.ndim
     rng = np.random.default_rng(seed)
-    factors = [normalize_columns(rng.standard_normal((d, rank)))[0] for d in dims]
+    factors = [_normalize_columns(rng.standard_normal((d, rank)))[0] for d in dims]
     weights = np.ones(rank)
     unfoldings = [unfold(t, m + 1) for m in range(n_modes)]
     norm_x = np.linalg.norm(t)
     eye = np.eye(rank)
 
     def current_error() -> float:
-        approx = KruskalTensor(weights, tuple(factors)).full()
+        approx = _full(weights, factors)
         err = np.linalg.norm(t - approx)
         return err / norm_x if norm_x > 0 else err
 
@@ -186,14 +201,14 @@ def cp_als(
     for _ in range(max_iter):
         for n in range(n_modes):
             others = [factors[j] for j in range(n_modes - 1, -1, -1) if j != n]
-            kr = reduce(khatri_rao, others)
+            kr = reduce(_khatri_rao, others)
             gram = np.ones((rank, rank))
             for j in range(n_modes):
                 if j != n:
                     gram *= factors[j].T @ factors[j]
             rhs = unfoldings[n] @ kr
             sol = np.linalg.solve(gram + ALS_RIDGE * eye, rhs.T).T
-            factors[n], weights = normalize_columns(sol)
+            factors[n], weights = _normalize_columns(sol)
             # Zero columns keep weight 0; reuse them as-is.
         err = current_error()
         history.append(err)

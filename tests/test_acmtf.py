@@ -8,6 +8,7 @@ from cstm.acmtf import (
     AcmtfHyperParams,
     CoupledSample,
     LineSearchResult,
+    _Evaluator,
     _wolfe_search,
     acmtf_decompose,
     acmtf_gradient,
@@ -17,7 +18,7 @@ from cstm.acmtf import (
     shared_factor,
     unpack,
 )
-from cstm.tensor_core import KruskalTensor
+from cstm.tensor_core import KruskalTensor, fold, khatri_rao, unfold
 
 DIMS = (4, 3, 5, 6)  # (I1, I2, I3, I4)
 
@@ -62,6 +63,48 @@ def random_instance(rng, rank=2, dims=DIMS, beta=0.004):
         tuple(rng.standard_normal((d, rank)) for d in (i4, i3)),
     )
     return sample, AcmtfFactors.from_kruskals(u1, u2), h
+
+
+def reference_evaluation(sample, blocks, h):
+    """Objective and gradient by explicit unfoldings and Khatri-Rao products.
+
+    The straightforward form of the evaluation: the residual is folded back
+    into a tensor and unfolded along each mode for the three MTTKRPs, and
+    every penalty term has its own pass.
+    """
+    A, B, C, U, V, zeta, sigma = blocks
+    kr_cb = khatri_rao(C, B)
+    e1 = (A * zeta) @ kr_cb.T - unfold(sample.tensor, 1)
+    f2 = (U * sigma) @ V.T - sample.matrix
+    cv = C - V
+    norms = [np.linalg.norm(F, axis=0) for F in (A, B, C, U, V)]
+    root_z = np.sqrt(zeta**2 + h.epsilon)
+    root_s = np.sqrt(sigma**2 + h.epsilon)
+    q = h.gamma * (np.sum(e1 * e1) + np.sum(f2 * f2))
+    q += h.xi * np.sum(cv * cv)
+    q += h.beta * (root_z.sum() + root_s.sum())
+    q += h.theta * sum(np.sum((n - 1.0) ** 2) for n in norms)
+
+    def penalty_grad(F, n):
+        unit = np.where(n > 0, F / np.where(n > 0, n, 1.0), 0.0)
+        return 2.0 * (F - unit)
+
+    g2 = 2.0 * h.gamma
+    err = fold(e1, 1, sample.tensor.shape)
+    core1 = e1 @ kr_cb
+    grad_a = g2 * core1 * zeta + h.theta * penalty_grad(A, norms[0])
+    grad_zeta = g2 * np.sum(A * core1, axis=0) + h.beta * zeta / root_z
+    grad_b = g2 * unfold(err, 2) @ (khatri_rao(C, A) * zeta)
+    grad_b += h.theta * penalty_grad(B, norms[1])
+    grad_c = g2 * unfold(err, 3) @ (khatri_rao(B, A) * zeta)
+    grad_c += 2.0 * h.xi * cv + h.theta * penalty_grad(C, norms[2])
+    core2 = f2 @ V
+    grad_u = g2 * core2 * sigma + h.theta * penalty_grad(U, norms[3])
+    grad_sigma = g2 * np.sum(U * core2, axis=0) + h.beta * sigma / root_s
+    grad_v = g2 * f2.T @ (U * sigma)
+    grad_v += -2.0 * h.xi * cv + h.theta * penalty_grad(V, norms[4])
+    grad = pack((grad_a, grad_b, grad_c, grad_u, grad_v, grad_zeta, grad_sigma))
+    return float(q), grad
 
 
 def exact_fit_instance(rng, rank=1, dims=DIMS):
@@ -219,6 +262,52 @@ class TestGradient:
         assert not np.allclose(g1[start + r:], g0[start + r:])
 
 
+class TestEvaluatorAgainstReference:
+    """The evaluator on the flat vector against the unfolding form."""
+
+    @staticmethod
+    def check(sample, x, h):
+        want_q, want_g = reference_evaluation(sample, unpack(x, sample.dims, h.rank), h)
+        got_q, got_g = _Evaluator(sample, h)(x)
+        assert abs(got_q - want_q) <= 1e-12 * max(1.0, abs(want_q))
+        tol = 1e-12 * np.maximum(1.0, np.abs(want_g))
+        assert np.all(np.abs(got_g - want_g) <= tol)
+        assert _Evaluator(sample, h)(x, need_grad=False) == (got_q, None)
+
+    @staticmethod
+    def point(factors):
+        return pack((*factors.u1.factors, *factors.u2.factors,
+                     factors.u1.weights, factors.u2.weights))
+
+    @pytest.mark.parametrize("rank", [1, 5])
+    def test_random_instances(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        for dims in (DIMS, (7, 2, 3, 9)):  # I3 != I4 in both
+            for _ in range(4):
+                sample, factors, h = random_instance(rng, rank=rank, dims=dims)
+                self.check(sample, self.point(factors), h)
+
+    def test_zero_factor_column(self):
+        # A zero column sits where the unit-norm penalty is not
+        # differentiable; both forms take the 0 subgradient there.
+        rng = np.random.default_rng(46)
+        sample, factors, h = random_instance(rng, rank=3)
+        x = self.point(factors)
+        blocks = unpack(x, DIMS, 3)
+        blocks[1][:, 2] = 0.0  # B's last column
+        blocks[4][:, 0] = 0.0  # V's first column
+        self.check(sample, x, h)
+        g = _Evaluator(sample, h)(x)[1]
+        assert np.all(np.isfinite(g))
+
+    def test_zero_weights(self):
+        rng = np.random.default_rng(47)
+        sample, factors, h = random_instance(rng, rank=4, beta=0.5)
+        x = self.point(factors)
+        x[-8:] = 0.0  # zeta and sigma
+        self.check(sample, x, h)
+
+
 class TestLineSearch:
     def test_quadratic_minimizer(self):
         def fg(x):
@@ -273,6 +362,32 @@ class TestLineSearch:
 
     def test_result_type(self):
         assert LineSearchResult(1.0, 0.0, np.zeros(1), True).wolfe_satisfied
+
+    def test_non_finite_trial_is_rejected(self):
+        # (x - 1)^2 below x = 3 and NaN above it; the first trial step of 8
+        # lands in the NaN region, so the search must back off from it.
+        def fg(x):
+            if x[0] > 3.0:
+                return float("nan"), np.array([float("nan")])
+            return float((x[0] - 1.0) ** 2), np.array([2.0 * (x[0] - 1.0)])
+
+        x0 = np.zeros(1)
+        f0, g0 = fg(x0)
+        res = _wolfe_search(fg, x0, np.ones(1), f0, g0, init_step=8.0)
+        assert np.isfinite(res.value) and np.all(np.isfinite(res.gradient))
+        assert res.step <= 3.0
+        assert res.value < f0
+
+    def test_no_finite_trial_returns_zero_step(self):
+        def fg(x):
+            if x[0] > 0.0:
+                return float("inf"), np.array([float("nan")])
+            return float(-x[0]), np.array([-1.0])
+
+        x0 = np.zeros(1)
+        f0, g0 = fg(x0)
+        res = _wolfe_search(fg, x0, np.ones(1), f0, g0)
+        assert res.step == 0.0 and res.value == f0 and not res.wolfe_satisfied
 
 
 class TestDecompose:

@@ -90,6 +90,24 @@ class TestTensorFile:
         with pytest.raises(FormatError, match="truncated"):
             read_tensor(path)
 
+    def test_hostile_dims_allocate_nothing(self, tmp_path):
+        # The header claims 1e8 elements (800 MB) in a file of a few bytes.
+        import tracemalloc
+
+        path = tmp_path / "huge.cstm"
+        path.write_bytes(
+            b"CSTM" + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", 1) + struct.pack("<Q", 10**8) + b"\0" * 16
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="remain"):
+                read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestSampleAndFactors:
     def test_sample_round_trip(self, tmp_path):
@@ -169,6 +187,40 @@ class TestModelFile:
         np.testing.assert_array_equal(
             decision_many(back, tests), decision_many(model, tests)
         )
+
+    @staticmethod
+    def model_with(alpha, labels, n_factors):
+        rng = np.random.default_rng(6)
+        spec = CoupledKernelSpec(
+            KernelSpec("linear"), KernelSpec("linear"), KernelSpec("linear"),
+            KernelSpec("linear"), (0.5, 0.25, 0.25),
+        )
+        factors = tuple(random_factors(rng) for _ in range(n_factors))
+        return StmModel(np.asarray(alpha, dtype=float), np.asarray(labels, dtype=float),
+                        factors, spec, lam=0.1)
+
+    def test_alpha_labels_must_match_factor_count(self, tmp_path):
+        path = tmp_path / "m.cstm"
+        write_model(path, self.model_with([0.1, 0.2, 0.3], [1, -1, 1], 2),
+                    AcmtfHyperParams(rank=2))
+        with pytest.raises(FormatError, match="2 training factor sets"):
+            read_model(path)
+
+    def test_labels_must_be_plus_minus_one(self, tmp_path):
+        path = tmp_path / "m.cstm"
+        write_model(path, self.model_with([0.1, 0.2], [1, 7], 2),
+                    AcmtfHyperParams(rank=2))
+        with pytest.raises(FormatError, match="labels"):
+            read_model(path)
+
+    def test_hostile_text_length_rejected(self, tmp_path):
+        path = tmp_path / "m.cstm"
+        path.write_bytes(
+            b"CSTM" + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 102)
+            + struct.pack("<3d", 0.1, 0.0, 0.0) + struct.pack("<I", 2**32 - 1)
+        )
+        with pytest.raises(FormatError, match="text block"):
+            read_model(path)
 
     def test_manifest_write(self, tmp_path):
         path = tmp_path / "manifest.txt"
