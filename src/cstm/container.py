@@ -124,7 +124,10 @@ def _write_text(fh: BinaryIO, text: str):
 
 def _read_text(fh: BinaryIO) -> str:
     n = _read_u32(fh)
-    return _read_sized(fh, n, "text block").decode("utf-8")
+    try:
+        return _read_sized(fh, n, "text block").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"text block is not UTF-8: {exc}") from exc
 
 
 def _write_header(fh: BinaryIO):
@@ -220,12 +223,15 @@ def _read_factors_body(fh: BinaryIO, path) -> AcmtfFactors:
     sigma = _read_array(fh)
     m_factors = tuple(_read_array(fh) for _ in range(2))
     shared = _read_array(fh)
-    u1 = KruskalTensor(zeta, t_factors)
-    u2 = KruskalTensor(sigma, m_factors)
-    expected = (u1.factors[2] + u2.factors[1]) / 2
-    if not np.array_equal(shared, expected):
+    try:
+        f = AcmtfFactors.from_kruskals(
+            KruskalTensor(zeta, t_factors), KruskalTensor(sigma, m_factors)
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid factors: {exc}") from exc
+    if not np.array_equal(shared, f.shared):
         raise FormatError(f"{path}: stored shared factor is inconsistent")
-    return AcmtfFactors(u1, u2, shared)
+    return f
 
 
 def write_factors(path, f: AcmtfFactors):

@@ -379,38 +379,14 @@ def _tune_cstm(train_factors, y_tr, cfg: ExperimentConfig, cv_seed: int):
         if sum(w) == 0:
             continue
         gram = w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2]
-        lam = stm.select_lambda(
-            gram, y_tr, cfg.lambda_grid, k=cfg.cv_folds, seed=cv_seed
+        lam, acc = stm._cv_lambda(
+            gram, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed
         )
-        acc = _cv_accuracy(gram, y_tr, lam, cfg.cv_folds, cv_seed)
         if best is None or acc > best[0]:
             best = (acc, w, gram, lam)
     _, w, gram, lam = best
     spec = CoupledKernelSpec(base.k1_mode1, base.k1_mode2, base.k2, base.k3, w)
     return w, spec, gram, lam
-
-
-def _cv_accuracy(gram, y, lam, k, seed) -> float:
-    rng = np.random.default_rng(seed)
-    k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
-    if k < 2:
-        return 0.0
-    folds = stm._stratified_folds(y, k, rng)
-    correct = total = 0
-    for te in folds:
-        tr = np.setdiff1d(np.arange(y.size), te)
-        y_tr = y[tr]
-        if not (np.any(y_tr > 0) and np.any(y_tr < 0)):
-            continue
-        sub = gram[np.ix_(tr, tr)]
-        problem = stm.QpProblem(sub, y_tr, lam)
-        sol = stm.solve_qp(problem)
-        bias = stm.recover_bias(sub, y_tr, sol.alpha, problem.box)
-        scores = (sol.alpha * y_tr) @ gram[np.ix_(tr, te)] + bias
-        pred = np.where(scores >= 0, 1.0, -1.0)
-        correct += int(np.sum(pred == y[te]))
-        total += te.size
-    return correct / total if total else 0.0
 
 
 def run_experiment(

@@ -7,6 +7,14 @@ product kernel on the tensor's individual factors, a kernel on the averaged
 shared factor, and a kernel on the matrix's individual factor.  All kernels
 ignore the component weights; they operate on the (normalized) factor
 columns themselves.
+
+One engine, :func:`_gram`, computes every kernel value here.  A Gram is a
+weighted sum over roles (coupled: the tensor's two individual modes, the
+shared factor, the matrix factor; CP: all modes as one role), each role the
+product over its modes of :func:`kernel_matrix` on the stacked factor
+columns of all samples, segment-summed to sample pairs by per-sample
+component offsets, so uniform and mixed ranks take the same path.  The six
+public kernel and Gram functions only choose roles and delegate.
 """
 
 from __future__ import annotations
@@ -96,6 +104,86 @@ def vector_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     return float(kernel_matrix(x, y, spec)[0, 0])
 
 
+def _check_dims(a: Sequence, b: Sequence, dims) -> None:
+    if len(a) == 0 or len(b) == 0:
+        raise ValueError("factor lists must be nonempty")
+    ref = dims(a[0])
+    for name, seq in (("a", a), ("b", b)):
+        for i, x in enumerate(seq):
+            if dims(x) != ref:
+                raise ValueError(
+                    f"factor dims differ: {name}[{i}] has {dims(x)}, a[0] has {ref}"
+                )
+
+
+def _columns(samples: Sequence, modes) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-sample ranks and, per mode, every sample's factor columns side by side."""
+    ranks = np.array([x.rank for x in samples], dtype=np.intp)
+    return ranks, [np.concatenate(m, axis=1) for m in zip(*map(modes, samples))]
+
+
+def _slots(ranks: np.ndarray) -> tuple[np.ndarray, int]:
+    """Where each stacked component goes when every sample gets
+    ``max(ranks)`` consecutive slots, and that slot count."""
+    width = int(ranks.max(initial=0))
+    sample = np.repeat(np.arange(ranks.size), ranks)
+    within = np.arange(sample.size) - (np.cumsum(ranks) - ranks)[sample]
+    return sample * width + within, width
+
+
+def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np.ndarray:
+    """K[i, j] = sum over roles of weight * sum over component pairs of the
+    product of per-mode kernel values between a[i] and b[j].
+
+    ``modes(x)`` gives a sample's factor matrices; a role is ``(weight,
+    ((mode, spec), ...))``.  Each role's kernel matrix is computed once on
+    the stacked columns of all samples, then segment-summed to sample
+    pairs: the components are placed into ``max(rank)`` zero-padded slots
+    per sample and each (slots x slots) block is summed.  Any mix of ranks,
+    rank 0 included, takes this one path; at uniform rank the padding is
+    empty.  The symmetric form (``b`` is ``a``) mirrors the lower triangle,
+    so the result is exactly symmetric.
+    """
+    ra, xa = _columns(a, modes)
+    rb, xb = (ra, xa) if symmetric else _columns(b, modes)
+    (sa, wa), (sb, wb) = _slots(ra), _slots(rb)
+    out = np.zeros((ra.size, rb.size))
+    padded = np.zeros((ra.size * wa, rb.size * wb))
+    for weight, terms in roles:
+        if weight > 0:
+            prod = 1.0
+            for mode, spec in terms:
+                prod = prod * kernel_matrix(xa[mode], xb[mode], spec)
+            padded[np.ix_(sa, sb)] = prod
+            out += weight * padded.reshape(ra.size, wa, rb.size, wb).sum(axis=(1, 3))
+    if symmetric:
+        return np.tril(out) + np.tril(out, -1).T
+    return out
+
+
+def _coupled_modes(f: AcmtfFactors) -> tuple[np.ndarray, ...]:
+    return (f.u1.factors[0], f.u1.factors[1], f.shared, f.u2.factors[0])
+
+
+def _coupled_gram(a, b, spec: CoupledKernelSpec, symmetric: bool = False) -> np.ndarray:
+    _check_dims(a, b, lambda f: f.dims)
+    w1, w2, w3 = spec.weights
+    roles = (
+        (w1, ((0, spec.k1_mode1), (1, spec.k1_mode2))),
+        (w2, ((2, spec.k2),)),
+        (w3, ((3, spec.k3),)),
+    )
+    return _gram(a, b, _coupled_modes, roles, symmetric)
+
+
+def _cp_gram(a, b, specs: Sequence[KernelSpec], symmetric: bool = False) -> np.ndarray:
+    _check_dims(a, b, lambda t: t.shape)
+    if len(specs) != a[0].order:
+        raise ValueError(f"need {a[0].order} kernel specs, got {len(specs)}")
+    roles = ((1.0, tuple(enumerate(specs))),)
+    return _gram(a, b, lambda t: t.factors, roles, symmetric)
+
+
 def cp_kernel(
     a: KruskalTensor, b: KruskalTensor, specs: Sequence[KernelSpec]
 ) -> float:
@@ -104,56 +192,14 @@ def cp_kernel(
     The inputs must have the same order and per-mode dimensions; ranks may
     differ.  Component weights are ignored.
     """
-    if a.order != b.order:
-        raise ValueError(f"orders differ: {a.order} vs {b.order}")
-    if a.shape != b.shape:
-        raise ValueError(f"mode dimensions differ: {a.shape} vs {b.shape}")
-    if len(specs) != a.order:
-        raise ValueError(f"need {a.order} kernel specs, got {len(specs)}")
-    prod = np.ones((a.rank, b.rank))
-    for fa, fb, spec in zip(a.factors, b.factors, specs):
-        prod *= kernel_matrix(fa, fb, spec)
-    return float(prod.sum())
+    return float(_cp_gram([a], [b], specs)[0, 0])
 
 
 def coupled_kernel(
     fa: AcmtfFactors, fb: AcmtfFactors, spec: CoupledKernelSpec
 ) -> float:
     """Three-part similarity between two joint factorizations."""
-    if fa.dims != fb.dims:
-        raise ValueError(f"factor dims differ: {fa.dims} vs {fb.dims}")
-    w1, w2, w3 = spec.weights
-    total = 0.0
-    if w1 > 0:
-        m1 = kernel_matrix(fa.u1.factors[0], fb.u1.factors[0], spec.k1_mode1)
-        m2 = kernel_matrix(fa.u1.factors[1], fb.u1.factors[1], spec.k1_mode2)
-        total += w1 * float((m1 * m2).sum())
-    if w2 > 0:
-        total += w2 * float(kernel_matrix(fa.shared, fb.shared, spec.k2).sum())
-    if w3 > 0:
-        total += w3 * float(
-            kernel_matrix(fa.u2.factors[0], fb.u2.factors[0], spec.k3).sum()
-        )
-    return total
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays, axis=1)
-
-
-def _block_sum(big: np.ndarray, n_a: int, r_a: int, n_b: int, r_b: int) -> np.ndarray:
-    return big.reshape(n_a, r_a, n_b, r_b).sum(axis=(1, 3))
-
-
-def _check_same_dims(a: Sequence[AcmtfFactors], b: Sequence[AcmtfFactors]):
-    ref = a[0].dims
-    for name, seq in (("a", a), ("b", b)):
-        for i, f in enumerate(seq):
-            if f.dims != ref:
-                raise ValueError(
-                    f"factor dims differ: {name}[{i}] has {f.dims}, "
-                    f"a[0] has {ref}"
-                )
+    return float(_coupled_gram([fa], [fb], spec)[0, 0])
 
 
 def gram_cross(
@@ -162,99 +208,21 @@ def gram_cross(
     spec: CoupledKernelSpec,
 ) -> np.ndarray:
     """Matrix of coupled-kernel values K[i, j] = K(a[i], b[j])."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("factor lists must be nonempty")
-    _check_same_dims(a, b)
-    ranks = {f.rank for f in a} | {f.rank for f in b}
-    if len(ranks) > 1:
-        # Mixed ranks (e.g. after pruning): plain pairwise loop.
-        out = np.empty((len(a), len(b)))
-        for i, fi in enumerate(a):
-            for j, fj in enumerate(b):
-                try:
-                    out[i, j] = coupled_kernel(fi, fj, spec)
-                except ValueError as exc:
-                    raise ValueError(f"kernel failed at pair ({i}, {j}): {exc}") from exc
-        return out
-    r = ranks.pop()
-    w1, w2, w3 = spec.weights
-    out = np.zeros((len(a), len(b)))
-    if w1 > 0:
-        m1 = kernel_matrix(
-            _stack([f.u1.factors[0] for f in a]),
-            _stack([f.u1.factors[0] for f in b]),
-            spec.k1_mode1,
-        )
-        m2 = kernel_matrix(
-            _stack([f.u1.factors[1] for f in a]),
-            _stack([f.u1.factors[1] for f in b]),
-            spec.k1_mode2,
-        )
-        out += w1 * _block_sum(m1 * m2, len(a), r, len(b), r)
-    if w2 > 0:
-        ms = kernel_matrix(
-            _stack([f.shared for f in a]), _stack([f.shared for f in b]), spec.k2
-        )
-        out += w2 * _block_sum(ms, len(a), r, len(b), r)
-    if w3 > 0:
-        mu = kernel_matrix(
-            _stack([f.u2.factors[0] for f in a]),
-            _stack([f.u2.factors[0] for f in b]),
-            spec.k3,
-        )
-        out += w3 * _block_sum(mu, len(a), r, len(b), r)
-    return out
+    return _coupled_gram(a, b, spec)
 
 
 def gram_matrix(
     factors: Sequence[AcmtfFactors], spec: CoupledKernelSpec
 ) -> np.ndarray:
-    """Symmetric Gram matrix of pairwise coupled-kernel values.
-
-    The lower triangle is mirrored onto the upper one, so the result is
-    exactly symmetric.
-    """
-    if len(factors) == 0:
-        raise ValueError("factor list must be nonempty")
-    try:
-        full = gram_cross(factors, factors, spec)
-    except ValueError as exc:
-        raise ValueError(f"gram assembly failed: {exc}") from exc
-    lower = np.tril(full)
-    return lower + np.tril(full, -1).T
+    """Symmetric Gram matrix of pairwise coupled-kernel values."""
+    return _coupled_gram(factors, factors, spec, symmetric=True)
 
 
 def cp_gram(
     tensors: Sequence[KruskalTensor], specs: Sequence[KernelSpec]
 ) -> np.ndarray:
     """Symmetric Gram matrix of pairwise CP tensor-kernel values."""
-    if len(tensors) == 0:
-        raise ValueError("tensor list must be nonempty")
-    for i, t in enumerate(tensors):
-        if t.shape != tensors[0].shape:
-            raise ValueError(
-                f"factor dims differ: tensors[{i}] has {t.shape}, "
-                f"tensors[0] has {tensors[0].shape}"
-            )
-    ranks = {t.rank for t in tensors}
-    n = len(tensors)
-    if len(ranks) > 1:
-        full = np.empty((n, n))
-        for i in range(n):
-            for j in range(i + 1):
-                try:
-                    full[i, j] = cp_kernel(tensors[i], tensors[j], specs)
-                except ValueError as exc:
-                    raise ValueError(f"kernel failed at pair ({i}, {j}): {exc}") from exc
-    else:
-        r = ranks.pop()
-        prod = np.ones((n * r, n * r))
-        for mode, spec in enumerate(specs):
-            stacked = _stack([t.factors[mode] for t in tensors])
-            prod *= kernel_matrix(stacked, stacked, spec)
-        full = _block_sum(prod, n, r, n, r)
-    lower = np.tril(full)
-    return lower + np.tril(full, -1).T
+    return _cp_gram(tensors, tensors, specs, symmetric=True)
 
 
 def cp_gram_cross(
@@ -263,34 +231,7 @@ def cp_gram_cross(
     specs: Sequence[KernelSpec],
 ) -> np.ndarray:
     """Matrix of CP tensor-kernel values K[i, j] = K(a[i], b[j])."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("tensor lists must be nonempty")
-    for name, seq in (("a", a), ("b", b)):
-        for i, t in enumerate(seq):
-            if t.shape != a[0].shape:
-                raise ValueError(
-                    f"factor dims differ: {name}[{i}] has {t.shape}, "
-                    f"a[0] has {a[0].shape}"
-                )
-    ranks = {t.rank for t in a} | {t.rank for t in b}
-    if len(ranks) > 1:
-        out = np.empty((len(a), len(b)))
-        for i, ti in enumerate(a):
-            for j, tj in enumerate(b):
-                try:
-                    out[i, j] = cp_kernel(ti, tj, specs)
-                except ValueError as exc:
-                    raise ValueError(f"kernel failed at pair ({i}, {j}): {exc}") from exc
-        return out
-    r = ranks.pop()
-    prod = np.ones((len(a) * r, len(b) * r))
-    for mode, spec in enumerate(specs):
-        prod *= kernel_matrix(
-            _stack([t.factors[mode] for t in a]),
-            _stack([t.factors[mode] for t in b]),
-            spec,
-        )
-    return _block_sum(prod, len(a), r, len(b), r)
+    return _cp_gram(a, b, specs)
 
 
 def median_bandwidth(columns: np.ndarray, fallback: float = 1.0) -> float:
@@ -320,12 +261,7 @@ def default_coupled_spec(
     """Rbf kernels with median-heuristic bandwidths fit on training factors."""
     if len(factors) == 0:
         raise ValueError("factor list must be nonempty")
-    roles = (
-        _stack([f.u1.factors[0] for f in factors]),
-        _stack([f.u1.factors[1] for f in factors]),
-        _stack([f.shared for f in factors]),
-        _stack([f.u2.factors[0] for f in factors]),
-    )
+    _, roles = _columns(factors, _coupled_modes)
     k1, k2, ks, km = (KernelSpec("rbf", median_bandwidth(r)) for r in roles)
     return CoupledKernelSpec(k1, k2, ks, km, weights)
 
@@ -334,9 +270,5 @@ def default_cp_specs(tensors: Sequence[KruskalTensor]) -> tuple[KernelSpec, ...]
     """Per-mode rbf kernels with median-heuristic bandwidths."""
     if len(tensors) == 0:
         raise ValueError("tensor list must be nonempty")
-    order = tensors[0].order
-    specs = []
-    for mode in range(order):
-        stacked = _stack([t.factors[mode] for t in tensors])
-        specs.append(KernelSpec("rbf", median_bandwidth(stacked)))
-    return tuple(specs)
+    _, modes = _columns(tensors, lambda t: t.factors)
+    return tuple(KernelSpec("rbf", median_bandwidth(m)) for m in modes)

@@ -105,23 +105,32 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
     n = y.size
     c = p.box
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective at alpha
     feas = 1e-12 * max(c, 1.0)
+    hi = c - feas
+    pos = y > 0
+    # -y * gradient of the dual objective; the gradient starts at -1.  An
+    # update adds delta * y * (k_i - k_j) to the gradient, and since y is
+    # +-1 that is exactly delta * (k_i - k_j) taken off this vector.
+    minus_yg = y.copy()
+    # Candidates to move up (alpha_i += y_i d) and down (alpha_j -= y_j d)
+    # inside the box, as additive masks: 0 for a candidate, -inf/+inf for
+    # an index at its bound.  Only the two updated entries change per step.
+    below, above = alpha < hi, alpha > feas
+    up = np.where(np.where(pos, below, above), 0.0, -np.inf)
+    low = np.where(np.where(pos, above, below), 0.0, np.inf)
 
     updates = 0
     budget = max_passes * n
     converged = False
     gap = np.inf
     while updates < budget:
-        minus_yg = -y * grad
-        up = ((y > 0) & (alpha < c - feas)) | ((y < 0) & (alpha > feas))
-        low = ((y < 0) & (alpha < c - feas)) | ((y > 0) & (alpha > feas))
-        if not up.any() or not low.any():
+        i = int((minus_yg + up).argmax())
+        j = int((minus_yg + low).argmin())
+        if up[i] or low[j]:
+            # The best pick is at a bound: one side has no candidate.
             converged = True
             gap = 0.0
             break
-        i = int(np.flatnonzero(up)[np.argmax(minus_yg[up])])
-        j = int(np.flatnonzero(low)[np.argmin(minus_yg[low])])
         gap = minus_yg[i] - minus_yg[j]
         if gap <= tol:
             converged = True
@@ -129,15 +138,21 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
         quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
         delta = gap / quad if quad > 1e-12 else np.inf
         # Box caps along the feasible direction (alpha_i += y_i d, alpha_j -= y_j d).
-        cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+        cap_i = (c - alpha[i]) if pos[i] else alpha[i]
+        cap_j = alpha[j] if pos[j] else (c - alpha[j])
         delta = min(delta, cap_i, cap_j)
         if delta <= 0:
             converged = True
             break
         alpha[i] += y[i] * delta
         alpha[j] -= y[j] * delta
-        grad += delta * y * (k[:, i] - k[:, j])
+        minus_yg -= delta * (k[:, i] - k[:, j])
+        for t in (i, j):
+            below, above = alpha[t] < hi, alpha[t] > feas
+            if not pos[t]:
+                below, above = above, below
+            up[t] = 0.0 if below else -np.inf
+            low[t] = 0.0 if above else np.inf
         updates += 1
     else:
         converged = False
@@ -337,6 +352,44 @@ def _stratified_folds(labels: np.ndarray, k: int, rng) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
+def _cv_lambda(
+    gram: np.ndarray, labels, grid: Sequence[float], k: int, seed: int
+) -> tuple[float, float]:
+    """Fold loop behind :func:`select_lambda`: the chosen lambda and its CV
+    accuracy, which is -1 when no fold keeps both classes in training."""
+    y = np.asarray(labels, dtype=np.float64)
+    _check_two_classes(y)
+    grid = tuple(grid)
+    if any(g <= 0 for g in grid):
+        raise ValueError("lambda grid values must be > 0")
+    rng = np.random.default_rng(seed)
+    k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
+    if k < 2:
+        return grid[0], -1.0
+    splits = []
+    for te in _stratified_folds(y, k, rng):
+        tr = np.setdiff1d(np.arange(y.size), te)
+        y_tr = y[tr]
+        if np.any(y_tr > 0) and np.any(y_tr < 0):
+            splits.append((gram[np.ix_(tr, tr)], y_tr, gram[np.ix_(tr, te)], y[te]))
+    best_lam, best_acc = grid[0], -1.0
+    for lam in grid:
+        correct = 0
+        total = 0
+        for sub, y_tr, cross, y_te in splits:
+            problem = QpProblem(sub, y_tr, lam)
+            sol = solve_qp(problem)
+            bias = recover_bias(sub, y_tr, sol.alpha, problem.box)
+            scores = (sol.alpha * y_tr) @ cross + bias
+            pred = np.where(scores >= 0, 1.0, -1.0)
+            correct += int(np.sum(pred == y_te))
+            total += y_te.size
+        acc = correct / total if total else -1.0
+        if acc > best_acc:
+            best_acc, best_lam = acc, lam
+    return best_lam, best_acc
+
+
 def select_lambda(
     gram: np.ndarray,
     labels,
@@ -349,34 +402,4 @@ def select_lambda(
     Folds that lose a class are skipped; ties keep the first (smallest)
     grid value.  The Gram matrix covers the training samples only.
     """
-    y = np.asarray(labels, dtype=np.float64)
-    _check_two_classes(y)
-    grid = tuple(grid)
-    if any(g <= 0 for g in grid):
-        raise ValueError("lambda grid values must be > 0")
-    rng = np.random.default_rng(seed)
-    k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
-    if k < 2:
-        return grid[0]
-    folds = _stratified_folds(y, k, rng)
-    best_lam, best_acc = grid[0], -1.0
-    for lam in grid:
-        correct = 0
-        total = 0
-        for te in folds:
-            tr = np.setdiff1d(np.arange(y.size), te)
-            y_tr = y[tr]
-            if not (np.any(y_tr > 0) and np.any(y_tr < 0)):
-                continue
-            sub = gram[np.ix_(tr, tr)]
-            problem = QpProblem(sub, y_tr, lam)
-            sol = solve_qp(problem)
-            bias = recover_bias(sub, y_tr, sol.alpha, problem.box)
-            scores = (sol.alpha * y_tr) @ gram[np.ix_(tr, te)] + bias
-            pred = np.where(scores >= 0, 1.0, -1.0)
-            correct += int(np.sum(pred == y[te]))
-            total += te.size
-        acc = correct / total if total else -1.0
-        if acc > best_acc:
-            best_acc, best_lam = acc, lam
-    return best_lam
+    return _cv_lambda(gram, labels, grid, k, seed)[0]

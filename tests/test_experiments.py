@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from cstm.acmtf import AcmtfHyperParams
+from cstm.acmtf import AcmtfFactors, AcmtfHyperParams
 from cstm.experiments import (
     MATRIX_DIMS,
     SIM_CASES,
     TENSOR_DIMS,
     ExperimentConfig,
+    _tune_cstm,
     compute_metrics,
     gen_case,
     run_experiment,
     stratified_split,
 )
-from cstm.tensor_core import unfold
+from cstm.kernels import gram_matrix
+from cstm.tensor_core import KruskalTensor, unfold
 
 
 class TestCaseTable:
@@ -277,6 +279,30 @@ class TestRunExperiment:
         w = s.weights["cstm"][0]
         assert len(w) == 3
         assert abs(sum(w) - 1.0) < 1e-9
+
+    def test_weight_tuning_pick_is_pinned(self):
+        # One CV pass per weight candidate picks what the former separate
+        # select_lambda + accuracy passes picked on this input.
+        rng = np.random.default_rng(2024)
+        y = np.array([-1.0, 1.0] * 10)
+        fs = []
+        for lab in y:
+            rank = int(rng.integers(2, 5))
+            cols = [rng.standard_normal((d, rank)) for d in (6, 5, 4, 7)]
+            cols[0] += 0.5 * (lab > 0)
+            cols[2] += 0.15 * (lab > 0)
+            u1 = KruskalTensor(np.ones(rank), tuple(cols[:3])).normalized()
+            u2 = KruskalTensor(np.ones(rank), (cols[3], cols[2])).normalized()
+            fs.append(AcmtfFactors.from_kruskals(u1, u2))
+        cfg = ExperimentConfig(
+            case=3, tune_weights=True, cv_folds=4,
+            lambda_grid=(1e-3, 1e-2, 1e-1, 1.0),
+        )
+        w, spec, gram, lam = _tune_cstm(fs, y, cfg, cv_seed=11)
+        assert np.allclose(w, (0.6, 0.2, 0.2), atol=1e-12)
+        assert lam == 0.1
+        assert spec.weights == w
+        np.testing.assert_allclose(gram, gram_matrix(fs, spec), rtol=1e-12, atol=1e-12)
 
     def test_stage_timings_recorded(self):
         cfg = tiny_config(methods=("cstm",), repetitions=1)

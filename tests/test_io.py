@@ -140,6 +140,25 @@ class TestSampleAndFactors:
         with pytest.raises(FormatError, match="expected a sample"):
             read_sample(path)
 
+    def test_factor_width_mismatch_is_format_error(self, tmp_path):
+        # Hand-written factors file: rank-3 weights but 2-column factors.
+        def array(a):
+            return (struct.pack("<I", a.ndim)
+                    + b"".join(struct.pack("<Q", d) for d in a.shape)
+                    + a.tobytes(order="F"))
+
+        body = array(np.ones(3))
+        body += b"".join(array(np.ones((d, 2))) for d in (4, 3, 5))
+        body += array(np.ones(3))
+        body += b"".join(array(np.ones((d, 2))) for d in (6, 5))
+        body += array(np.ones((5, 2)))
+        path = tmp_path / "f.cstm"
+        path.write_bytes(
+            b"CSTM" + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 101) + body
+        )
+        with pytest.raises(FormatError, match="incompatible with rank 3"):
+            read_factors(path)
+
     def test_inspect(self, tmp_path):
         rng = np.random.default_rng(4)
         s = CoupledSample(rng.standard_normal((4, 3, 5)), rng.standard_normal((6, 5)), 1)
@@ -220,6 +239,15 @@ class TestModelFile:
             + struct.pack("<3d", 0.1, 0.0, 0.0) + struct.pack("<I", 2**32 - 1)
         )
         with pytest.raises(FormatError, match="text block"):
+            read_model(path)
+
+    def test_non_utf8_text_is_format_error(self, tmp_path):
+        path = tmp_path / "m.cstm"
+        path.write_bytes(
+            b"CSTM" + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 102)
+            + struct.pack("<3d", 0.1, 0.0, 0.0) + struct.pack("<I", 2) + b"\xff\xfe"
+        )
+        with pytest.raises(FormatError, match="UTF-8"):
             read_model(path)
 
     def test_manifest_write(self, tmp_path):

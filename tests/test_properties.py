@@ -1,0 +1,224 @@
+"""Property tests: the Gram engine against a pairwise reference, and the SMO
+solver against a reference copy of its plain masked-index loop."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from cstm.acmtf import AcmtfFactors  # noqa: E402
+from cstm.kernels import (  # noqa: E402
+    CoupledKernelSpec,
+    KernelSpec,
+    coupled_kernel,
+    cp_gram,
+    cp_gram_cross,
+    cp_kernel,
+    gram_cross,
+    gram_matrix,
+    kernel_matrix,
+)
+from cstm.stm import QpProblem, solve_qp  # noqa: E402
+from cstm.tensor_core import KruskalTensor  # noqa: E402
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+DIMS = (4, 3, 5, 6)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise reference: one kernel_matrix per sample pair and mode
+# ---------------------------------------------------------------------------
+
+def ref_cp_kernel(a, b, specs):
+    prod = np.ones((a.rank, b.rank))
+    for fa, fb, spec in zip(a.factors, b.factors, specs):
+        prod *= kernel_matrix(fa, fb, spec)
+    return float(prod.sum())
+
+
+def ref_coupled_kernel(fa, fb, spec):
+    w1, w2, w3 = spec.weights
+    m1 = kernel_matrix(fa.u1.factors[0], fb.u1.factors[0], spec.k1_mode1)
+    m2 = kernel_matrix(fa.u1.factors[1], fb.u1.factors[1], spec.k1_mode2)
+    ms = kernel_matrix(fa.shared, fb.shared, spec.k2)
+    mu = kernel_matrix(fa.u2.factors[0], fb.u2.factors[0], spec.k3)
+    return (w1 * float((m1 * m2).sum()) + w2 * float(ms.sum())
+            + w3 * float(mu.sum()))
+
+
+def ref_gram(a, b, kernel):
+    return np.array([[kernel(x, z) for z in b] for x in a])
+
+
+def close(got, ref):
+    return np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def assert_symmetric_psd(g):
+    assert np.array_equal(g, g.T)
+    scale = float(np.max(np.abs(g)))
+    assert np.linalg.eigvalsh(g)[0] >= -1e-9 * g.shape[0] * scale
+
+
+def unit_columns(rng, rows, rank):
+    m = rng.standard_normal((rows, rank))
+    return m / np.linalg.norm(m, axis=0)
+
+
+def coupled_factors(rng, rank):
+    i1, i2, i3, i4 = DIMS
+    u1 = KruskalTensor(np.ones(rank), tuple(unit_columns(rng, d, rank) for d in (i1, i2, i3)))
+    u2 = KruskalTensor(np.ones(rank), (unit_columns(rng, i4, rank), unit_columns(rng, i3, rank)))
+    return AcmtfFactors.from_kruskals(u1, u2)
+
+
+kernel_specs = st.one_of(
+    st.builds(KernelSpec, st.just("rbf"), st.floats(0.3, 3.0)),
+    st.just(KernelSpec("linear")),
+    st.builds(
+        lambda d, o: KernelSpec("polynomial", degree=d, offset=o),
+        st.integers(1, 3), st.floats(0.0, 1.0),
+    ),
+)
+weights = st.tuples(*[st.sampled_from((0.0, 0.25, 1.0))] * 3).filter(any)
+rank_lists = st.lists(st.integers(1, 5), min_size=1, max_size=6)
+
+
+@st.composite
+def factor_sets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = [coupled_factors(rng, r) for r in draw(rank_lists)]
+    b = [coupled_factors(rng, r) for r in draw(rank_lists)]
+    return a, b
+
+
+class TestGramEngine:
+    @PROPS
+    @given(factor_sets(), st.tuples(*[kernel_specs] * 4), weights)
+    def test_coupled_matches_pairwise(self, sets, ks, w):
+        a, b = sets
+        spec = CoupledKernelSpec(*ks, w)
+        kern = lambda x, z: ref_coupled_kernel(x, z, spec)  # noqa: E731
+        assert close(gram_cross(a, b, spec), ref_gram(a, b, kern))
+        g = gram_matrix(a, spec)
+        assert close(g, ref_gram(a, a, kern))
+        assert_symmetric_psd(g)
+        assert close(coupled_kernel(a[0], b[0], spec), kern(a[0], b[0]))
+
+    @PROPS
+    @given(factor_sets(), st.tuples(*[kernel_specs] * 3))
+    def test_cp_matches_pairwise(self, sets, specs):
+        for part, s in ((lambda f: f.u1, specs), (lambda f: f.u2, specs[:2])):
+            a = [part(f) for f in sets[0]]
+            b = [part(f) for f in sets[1]]
+            kern = lambda x, z: ref_cp_kernel(x, z, s)  # noqa: E731
+            assert close(cp_gram_cross(a, b, s), ref_gram(a, b, kern))
+            g = cp_gram(a, s)
+            assert close(g, ref_gram(a, a, kern))
+            assert_symmetric_psd(g)
+            assert close(cp_kernel(a[0], b[0], s), kern(a[0], b[0]))
+
+
+def test_rank_zero_sample_scores_zero():
+    rng = np.random.default_rng(0)
+    fs = [coupled_factors(rng, 2), coupled_factors(rng, 0), coupled_factors(rng, 3),
+          coupled_factors(rng, 0)]
+    spec = CoupledKernelSpec(weights=(0.4, 0.3, 0.3))
+    kern = lambda x, z: ref_coupled_kernel(x, z, spec)  # noqa: E731
+    g = gram_matrix(fs, spec)
+    assert close(g, ref_gram(fs, fs, kern))
+    assert not g[[1, 3]].any() and not g[:, [1, 3]].any()
+    assert gram_cross(fs[1:2], fs[3:], spec).tolist() == [[0.0]]
+
+
+def test_spec_count_must_match_order():
+    rng = np.random.default_rng(1)
+    t = coupled_factors(rng, 2).u1
+    with pytest.raises(ValueError, match="kernel specs"):
+        cp_gram([t, t], (KernelSpec("linear"),) * 2)
+
+
+# ---------------------------------------------------------------------------
+# SMO: reference copy of the loop that recomputes masks every step
+# ---------------------------------------------------------------------------
+
+def ref_solve_qp(p, tol=1e-6, max_passes=1000):
+    k = p.gram
+    y = p.labels
+    n = y.size
+    c = p.box
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    feas = 1e-12 * max(c, 1.0)
+    updates = 0
+    budget = max_passes * n
+    converged = False
+    gap = np.inf
+    while updates < budget:
+        minus_yg = -y * grad
+        up = ((y > 0) & (alpha < c - feas)) | ((y < 0) & (alpha > feas))
+        low = ((y < 0) & (alpha < c - feas)) | ((y > 0) & (alpha > feas))
+        if not up.any() or not low.any():
+            converged = True
+            gap = 0.0
+            break
+        i = int(np.flatnonzero(up)[np.argmax(minus_yg[up])])
+        j = int(np.flatnonzero(low)[np.argmin(minus_yg[low])])
+        gap = minus_yg[i] - minus_yg[j]
+        if gap <= tol:
+            converged = True
+            break
+        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        delta = gap / quad if quad > 1e-12 else np.inf
+        cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
+        cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+        delta = min(delta, cap_i, cap_j)
+        if delta <= 0:
+            converged = True
+            break
+        alpha[i] += y[i] * delta
+        alpha[j] -= y[j] * delta
+        grad += delta * y * (k[:, i] - k[:, j])
+        updates += 1
+    else:
+        converged = False
+    np.clip(alpha, 0.0, c, out=alpha)
+    return alpha, converged, max(gap, 0.0), updates
+
+
+@st.composite
+def qp_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    x = rng.standard_normal((n, draw(st.integers(1, 6))))
+    kind = draw(st.sampled_from(("rbf", "linear", "polynomial")))
+    gram = kernel_matrix(x.T, x.T, KernelSpec(kind, 1.0, 2, 1.0))
+    gram = np.tril(gram) + np.tril(gram, -1).T
+    labels = draw(st.sampled_from(("mixed", "one class", "one minority")))
+    y = rng.choice([-1.0, 1.0], n)
+    if labels == "one class":
+        y[:] = y[0]
+    elif labels == "one minority":
+        y[:] = 1.0
+        y[0] = -1.0
+    # Small lambdas leave the box loose; large ones put the minority class
+    # (or every index) at the bound, and 1e13 makes the box narrower than
+    # the feasibility margin.
+    lam = draw(st.sampled_from((1e-6, 1e-3, 1e-1, 1.0, 1e3, 1e13)))
+    max_passes = draw(st.sampled_from((1, 1000)))
+    return QpProblem(gram, y, lam), max_passes
+
+
+class TestSolveQp:
+    @settings(PROPS, max_examples=150)
+    @given(qp_problems())
+    def test_matches_reference_bit_for_bit(self, case):
+        p, max_passes = case
+        sol = solve_qp(p, max_passes=max_passes)
+        alpha, converged, kkt, updates = ref_solve_qp(p, max_passes=max_passes)
+        assert sol.alpha.tobytes() == alpha.tobytes()
+        assert sol.n_updates == updates
+        assert sol.converged == converged
+        assert sol.kkt_violation == kkt
