@@ -13,6 +13,7 @@ from .acmtf import (
     CoupledSample,
     NumericalError,
     acmtf_decompose,
+    acmtf_decompose_many,
     acmtf_gradient,
     acmtf_objective,
     line_search,

@@ -17,7 +17,12 @@ import time
 import numpy as np
 
 from . import container, experiments, stm
-from .acmtf import AcmtfHyperParams, NumericalError, acmtf_decompose
+from .acmtf import (
+    AcmtfHyperParams,
+    NumericalError,
+    acmtf_decompose,
+    acmtf_decompose_many,
+)
 from .config import (
     ConfigError,
     config_hash,
@@ -110,9 +115,10 @@ def cmd_fit(args) -> int:
         bad = paths[int(np.flatnonzero(labels == 0)[0])]
         raise ConfigError(f"unlabeled training sample: {bad}")
     t0 = time.perf_counter()
+    seeds = [derive_seed(cfg.seed, 1, i) for i in range(len(samples))]
     factors = [
-        acmtf_decompose(s, cfg.acmtf, derive_seed(cfg.seed, 1, i)).pruned(cfg.prune_rel)
-        for i, s in enumerate(samples)
+        f.pruned(cfg.prune_rel)
+        for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)
     ]
     t_decompose = time.perf_counter() - t0
     spec = experiments._coupled_spec_for(cfg, factors, cfg.kernel_weights)
@@ -150,9 +156,9 @@ def cmd_predict(args) -> int:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
+    seeds = [derive_seed(args.seed, 1, i) for i in range(len(samples))]
     factors = [
-        acmtf_decompose(s, params, seed=derive_seed(args.seed, 1, i)).pruned(prune_rel)
-        for i, s in enumerate(samples)
+        f.pruned(prune_rel) for f in acmtf_decompose_many(samples, params, seeds)
     ]
     scores = stm.decision_many(model, factors)
     with open(args.out, "w", newline="") as fh:
@@ -180,9 +186,12 @@ def cmd_benchmark(args) -> int:
     cfg = parse_config_file(args.config)
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, threads=args.threads)
+    samples = None
+    if cfg.dataset is not None:
+        samples = [container.read_sample(p) for p in _sample_paths(cfg.dataset)]
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
-    summary = experiments.run_experiment(cfg)
+    summary = experiments.run_experiment(cfg, samples)
     elapsed = time.perf_counter() - t0
     summary.write_results_csv(os.path.join(args.out, "results.csv"))
     summary.write_summary_csv(os.path.join(args.out, "summary.csv"))

@@ -113,7 +113,10 @@ def _read_array(fh: BinaryIO) -> np.ndarray:
     count = math.prod(dims)
     raw = _read_sized(fh, 8 * count, f"array of dims {dims}")
     flat = np.frombuffer(raw, dtype="<f8", count=count)
-    return flat.reshape(dims, order="F").copy(order="C")
+    try:
+        return flat.reshape(dims, order="F").copy(order="C")
+    except (ValueError, OverflowError) as exc:  # an empty array with a huge dim
+        raise FormatError(f"array of dims {dims}: {exc}") from exc
 
 
 def _write_text(fh: BinaryIO, text: str):
@@ -204,7 +207,10 @@ def read_sample(path) -> CoupledSample:
         label = _read_i64(fh)
         tensor = _read_array(fh)
         matrix = _read_array(fh)
-    return CoupledSample(tensor, matrix, label)
+    try:
+        return CoupledSample(tensor, matrix, label)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid sample: {exc}") from exc
 
 
 def _write_factors_body(fh: BinaryIO, f: AcmtfFactors):
@@ -276,8 +282,14 @@ def read_model(path) -> tuple[StmModel, AcmtfHyperParams, float]:
         lam = _read_f64(fh)
         bias = _read_f64(fh)
         prune_rel = _read_f64(fh)
-        spec = parse_coupled_spec(_read_text(fh))
-        params = parse_acmtf_params(_read_text(fh))
+        if not 0 <= prune_rel < 1:
+            raise FormatError(f"{path}: pruning threshold {prune_rel!r} is not in [0, 1)")
+        spec_text, params_text = _read_text(fh), _read_text(fh)
+        try:
+            spec = parse_coupled_spec(spec_text)
+            params = parse_acmtf_params(params_text)
+        except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
+            raise FormatError(f"{path}: invalid settings text: {exc!r}") from exc
         alpha = _read_array(fh)
         labels = _read_array(fh)
         n = _read_u32(fh)

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stm
-from .acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample, acmtf_decompose
+from .acmtf import (  # noqa: F401 - acmtf_decompose is re-exported
+    AcmtfFactors,
+    AcmtfHyperParams,
+    CoupledSample,
+    acmtf_decompose,
+    acmtf_decompose_many,
+)
 from .kernels import (
     CoupledKernelSpec,
     KernelSpec,
@@ -304,9 +310,9 @@ class MetricsSummary:
                     )
 
 
-def _decompose_one(args) -> AcmtfFactors:
-    sample, params, seed = args
-    return acmtf_decompose(sample, params, seed)
+def _decompose_batch(args) -> list[AcmtfFactors]:
+    samples, params, seeds = args
+    return acmtf_decompose_many(samples, params, seeds)
 
 
 def _cp_one(args) -> KruskalTensor:
@@ -413,11 +419,15 @@ def run_experiment(
     t0 = time.perf_counter()
     mean_final = float("nan")
     if "cstm" in cfg.methods:
+        # One batch per worker, of contiguous samples; a sample's factors
+        # do not depend on its batch.
+        seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
+        cuts = [len(samples) * k // cfg.threads for k in range(cfg.threads + 1)]
         jobs = [
-            (s, cfg.acmtf, derive_seed(cfg.seed, _ROLE_DECOMPOSE, i))
-            for i, s in enumerate(samples)
+            (samples[a:b], cfg.acmtf, seeds[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:]) if b > a
         ]
-        raw = _map(_decompose_one, jobs, cfg.threads)
+        raw = [f for batch in _map(_decompose_batch, jobs, cfg.threads) for f in batch]
         mean_final = float(np.mean([f.objective_history[-1] for f in raw]))
         coupled = [f.pruned(cfg.prune_rel) for f in raw]
     if "cpstm_tensor" in cfg.methods:

@@ -290,6 +290,7 @@ def _spearman(x, y):
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
+@pytest.mark.slow
 def test_criterion_5_simulation_orderings():
     start = time.perf_counter()
     acc = {}

@@ -263,16 +263,22 @@ class TestGradient:
 
 
 class TestEvaluatorAgainstReference:
-    """The evaluator on the flat vector against the unfolding form."""
+    """The batched evaluator on flat vectors against the unfolding form."""
 
     @staticmethod
-    def check(sample, x, h):
-        want_q, want_g = reference_evaluation(sample, unpack(x, sample.dims, h.rank), h)
-        got_q, got_g = _Evaluator(sample, h)(x)
-        assert abs(got_q - want_q) <= 1e-12 * max(1.0, abs(want_q))
-        tol = 1e-12 * np.maximum(1.0, np.abs(want_g))
-        assert np.all(np.abs(got_g - want_g) <= tol)
-        assert _Evaluator(sample, h)(x, need_grad=False) == (got_q, None)
+    def check(samples, xs, h):
+        # One call for the whole batch; every row within 1e-12 of the
+        # reference, and the objective-only call equal to the gradient
+        # call's objectives.
+        got_q, got_g = _Evaluator(samples, h)(np.stack(xs))
+        assert got_q.shape == (len(xs),) and got_g.shape == (len(xs), xs[0].size)
+        for sample, x, q, g in zip(samples, xs, got_q, got_g):
+            want_q, want_g = reference_evaluation(sample, unpack(x, sample.dims, h.rank), h)
+            assert abs(q - want_q) <= 1e-12 * max(1.0, abs(want_q))
+            tol = 1e-12 * np.maximum(1.0, np.abs(want_g))
+            assert np.all(np.abs(g - want_g) <= tol)
+        q_only, g_none = _Evaluator(samples, h)(np.stack(xs), need_grad=False)
+        assert g_none is None and np.array_equal(q_only, got_q)
 
     @staticmethod
     def point(factors):
@@ -283,9 +289,13 @@ class TestEvaluatorAgainstReference:
     def test_random_instances(self, rank):
         rng = np.random.default_rng(40 + rank)
         for dims in (DIMS, (7, 2, 3, 9)):  # I3 != I4 in both
-            for _ in range(4):
-                sample, factors, h = random_instance(rng, rank=rank, dims=dims)
-                self.check(sample, self.point(factors), h)
+            batch = [random_instance(rng, rank=rank, dims=dims) for _ in range(4)]
+            # Each instance under its own hyperparameter draw, then all
+            # four in one batch (which shares one set of hyperparameters).
+            for sample, factors, h in batch:
+                self.check([sample], [self.point(factors)], h)
+            self.check([s for s, _, _ in batch], [self.point(f) for _, f, _ in batch],
+                       batch[0][2])
 
     def test_zero_factor_column(self):
         # A zero column sits where the unit-norm penalty is not
@@ -296,8 +306,8 @@ class TestEvaluatorAgainstReference:
         blocks = unpack(x, DIMS, 3)
         blocks[1][:, 2] = 0.0  # B's last column
         blocks[4][:, 0] = 0.0  # V's first column
-        self.check(sample, x, h)
-        g = _Evaluator(sample, h)(x)[1]
+        self.check([sample], [x], h)
+        g = _Evaluator([sample], h)(x[None])[1]
         assert np.all(np.isfinite(g))
 
     def test_zero_weights(self):
@@ -305,7 +315,7 @@ class TestEvaluatorAgainstReference:
         sample, factors, h = random_instance(rng, rank=4, beta=0.5)
         x = self.point(factors)
         x[-8:] = 0.0  # zeta and sigma
-        self.check(sample, x, h)
+        self.check([sample], [x], h)
 
 
 class TestLineSearch:
@@ -511,6 +521,14 @@ class TestNormalizationAndPruning:
         rng = np.random.default_rng(34)
         _, factors, _ = random_instance(rng)
         assert factors.pruned(0.0) is factors
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -0.1, 1.0, 1.5])
+    def test_pruned_rejects_threshold_outside_unit_interval(self, rel_tol):
+        # At 1.5 or NaN no component would pass, against "at least one kept".
+        rng = np.random.default_rng(35)
+        _, factors, _ = random_instance(rng)
+        with pytest.raises(ValueError, match="rel_tol"):
+            factors.pruned(rel_tol)
 
     def test_non_finite_objective_raises(self):
         big = np.full((3, 3, 3), 1e200)

@@ -183,6 +183,26 @@ class TestBenchmark:
         assert (out1 / "summary.csv").exists()
         assert (out1 / "manifest.txt").exists()
 
+    def test_dataset_directory_runs_like_its_case(self, tmp_path):
+        # `cstm simulate` writes gen_case(1, 4, 5), which is what the
+        # config's case, n_per_class and seed generate in memory.
+        data = tmp_path / "data"
+        assert main(["simulate", "--case", "1", "--n-per-class", "4",
+                     "--seed", "5", "--out", str(data)]) == 0
+        by_case, by_dir = tmp_path / "case.cfg", tmp_path / "dir.cfg"
+        by_case.write_text(CONFIG_SMALL)
+        by_dir.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {data}"))
+        for cfg in (by_case, by_dir):
+            assert main(["benchmark", "--config", str(cfg),
+                         "--out", str(tmp_path / cfg.stem)]) == 0
+        assert ((tmp_path / "dir" / "results.csv").read_bytes()
+                == (tmp_path / "case" / "results.csv").read_bytes())
+        missing = tmp_path / "missing.cfg"
+        missing.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {tmp_path / 'no'}"))
+        assert main(["benchmark", "--config", str(missing),
+                     "--out", str(tmp_path / "none")]) == 2
+        assert not (tmp_path / "none").exists()
+
     def test_invalid_config_exit1_no_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("[acmtf]\nbeta = -1\n")

@@ -108,6 +108,16 @@ class TestTensorFile:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_empty_array_with_huge_dim_is_format_error(self, tmp_path):
+        # Zero elements pass the size bound, but numpy cannot shape them.
+        path = tmp_path / "empty.cstm"
+        path.write_bytes(
+            b"CSTM" + struct.pack("<I", FORMAT_VERSION)
+            + struct.pack("<I", 2) + struct.pack("<QQ", 2**64 - 1, 0)
+        )
+        with pytest.raises(FormatError, match="dims"):
+            read_tensor(path)
+
 
 class TestSampleAndFactors:
     def test_sample_round_trip(self, tmp_path):
@@ -248,6 +258,41 @@ class TestModelFile:
             + struct.pack("<3d", 0.1, 0.0, 0.0) + struct.pack("<I", 2) + b"\xff\xfe"
         )
         with pytest.raises(FormatError, match="UTF-8"):
+            read_model(path)
+
+    @staticmethod
+    def model_head(prune_rel=0.0, texts=()):
+        # Header, kind, lambda, bias and pruning threshold, then text blocks.
+        out = (b"CSTM" + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 102)
+               + struct.pack("<3d", 0.1, 0.0, prune_rel))
+        for text in texts:
+            data = text.encode()
+            out += struct.pack("<I", len(data)) + data
+        return out
+
+    @pytest.mark.parametrize("block", [0, 1])
+    @pytest.mark.parametrize("text", ["hello", "w1 = 0.5"])
+    def test_settings_text_that_is_not_config_is_format_error(self, tmp_path, block, text):
+        # "hello" is not config text at all; "w1 = 0.5" lacks required keys.
+        from cstm.cli import main
+
+        texts = [serialize_coupled_spec(self.model_with([0.1], [1], 1).kernel),
+                 serialize_acmtf_params(AcmtfHyperParams(rank=2))]
+        texts[block] = text
+        path = tmp_path / "m.cstm"
+        path.write_bytes(self.model_head(texts=texts))
+        with pytest.raises(FormatError, match="settings text"):
+            read_model(path)
+        assert main(["predict", "--model", str(path), "--in", str(tmp_path),
+                     "--out", str(tmp_path / "p.csv")]) == 4
+
+    @pytest.mark.parametrize("prune_rel", [float("nan"), float("inf"), -0.1, 1.0, 1.5])
+    def test_pruning_threshold_outside_unit_interval_is_format_error(
+        self, tmp_path, prune_rel
+    ):
+        path = tmp_path / "m.cstm"
+        path.write_bytes(self.model_head(prune_rel))
+        with pytest.raises(FormatError, match="pruning threshold"):
             read_model(path)
 
     def test_manifest_write(self, tmp_path):

@@ -1,5 +1,10 @@
-"""Property tests: the Gram engine against a pairwise reference, and the SMO
-solver against a reference copy of its plain masked-index loop."""
+"""Property tests: the Gram engine against a pairwise reference, the SMO
+solver against a reference copy of its plain masked-index loop, batched
+ACMTF decomposition against single-sample runs, and container readers on
+corrupted files."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +13,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cstm.acmtf import AcmtfFactors  # noqa: E402
+from cstm import container  # noqa: E402
+from cstm.acmtf import (  # noqa: E402
+    AcmtfFactors,
+    AcmtfHyperParams,
+    CoupledSample,
+    acmtf_decompose,
+    acmtf_decompose_many,
+)
+from cstm.container import FormatError  # noqa: E402
 from cstm.kernels import (  # noqa: E402
     CoupledKernelSpec,
     KernelSpec,
@@ -20,7 +33,7 @@ from cstm.kernels import (  # noqa: E402
     gram_matrix,
     kernel_matrix,
 )
-from cstm.stm import QpProblem, solve_qp  # noqa: E402
+from cstm.stm import QpProblem, StmModel, solve_qp  # noqa: E402
 from cstm.tensor_core import KruskalTensor  # noqa: E402
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -222,3 +235,130 @@ class TestSolveQp:
         assert sol.n_updates == updates
         assert sol.converged == converged
         assert sol.kkt_violation == kkt
+
+
+# ---------------------------------------------------------------------------
+# Batched decomposition: a sample's result does not depend on its batch
+# ---------------------------------------------------------------------------
+
+def factor_arrays(f):
+    return (f.u1.weights, f.u2.weights, *f.u1.factors, *f.u2.factors)
+
+
+def same_factors(a, b):
+    return (a.objective_history == b.objective_history and a.converged == b.converged
+            and all(x.tobytes() == y.tobytes()
+                    for x, y in zip(factor_arrays(a), factor_arrays(b))))
+
+
+@st.composite
+def decompose_batches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    samples = []
+    for _ in range(n):
+        # Exact low-rank data stops early on cg_tol; noisy data runs on, so
+        # the samples leave the batch after different iteration counts.
+        cols = [rng.standard_normal((d, 2)) for d in DIMS]
+        tensor = np.einsum("ir,jr,kr->ijk", cols[0], cols[1], cols[2])
+        matrix = cols[3] @ cols[2].T
+        noise = draw(st.sampled_from((0.0, 0.0, 0.3)))
+        samples.append(CoupledSample(
+            tensor + noise * rng.standard_normal(tensor.shape),
+            matrix + noise * rng.standard_normal(matrix.shape), 1,
+        ))
+    h = AcmtfHyperParams(rank=draw(st.integers(1, 3)), cg_tol=1e-6,
+                         max_iters=draw(st.integers(5, 60)))
+    seeds = [int(v) for v in rng.integers(0, 2**31, n)]
+    return samples, h, seeds, draw(st.integers(1, n - 1))
+
+
+@settings(PROPS, max_examples=25)
+@given(decompose_batches())
+def test_decomposition_does_not_depend_on_the_batch(case):
+    samples, h, seeds, cut = case
+    alone = [acmtf_decompose(s, h, seed) for s, seed in zip(samples, seeds)]
+    halves = (acmtf_decompose_many(samples[:cut], h, seeds[:cut])
+              + acmtf_decompose_many(samples[cut:], h, seeds[cut:]))
+    full = acmtf_decompose_many(samples, h, seeds)
+    for a, b, c in zip(alone, halves, full):
+        assert same_factors(a, b) and same_factors(a, c)
+
+
+def test_batches_mix_iteration_counts():
+    # The batch property above is only telling if samples leave a batch at
+    # different times; check that its inputs make them do so.
+    rng = np.random.default_rng(0)
+    cols = [rng.standard_normal((d, 2)) for d in DIMS]
+    exact = CoupledSample(np.einsum("ir,jr,kr->ijk", *cols[:3]), cols[3] @ cols[2].T, 1)
+    noisy = CoupledSample(exact.tensor + 0.3 * rng.standard_normal(exact.tensor.shape),
+                          exact.matrix + 0.3 * rng.standard_normal(exact.matrix.shape), 1)
+    h = AcmtfHyperParams(rank=2, cg_tol=1e-6, max_iters=60)
+    fs = acmtf_decompose_many([exact, noisy], h, [1, 2])
+    iters = [len(f.objective_history) - 1 for f in fs]
+    assert iters[0] != iters[1], iters
+
+
+# ---------------------------------------------------------------------------
+# Container readers on truncated and byte-flipped files
+# ---------------------------------------------------------------------------
+
+def pristine_files():
+    """Small valid files of every container kind, as bytes."""
+    rng = np.random.default_rng(7)
+    factors = [coupled_factors(rng, r) for r in (2, 1)]
+    k = KernelSpec("rbf", 0.7)
+    model = StmModel(np.array([0.3, 0.6]), np.array([1.0, -1.0]), tuple(factors),
+                     CoupledKernelSpec(k, k, k, KernelSpec("linear"), (0.5, 0.25, 0.25)), 0.1, 0.2)
+    sample = CoupledSample(rng.standard_normal((2, 3, 2)), rng.standard_normal((3, 2)), -1)
+    writers = {
+        "tensor": lambda p: container.write_tensor(p, rng.standard_normal((2, 3, 2))),
+        "sample": lambda p: container.write_sample(p, sample),
+        "factors": lambda p: container.write_factors(p, factors[0]),
+        "model": lambda p: container.write_model(p, model, AcmtfHyperParams(rank=2), 0.05),
+    }
+    out = {}
+    with tempfile.TemporaryDirectory() as d:
+        for kind, write in writers.items():
+            path = os.path.join(d, kind)
+            write(path)
+            with open(path, "rb") as fh:
+                out[kind] = fh.read()
+    return out
+
+
+PRISTINE = pristine_files()
+READERS = {
+    "tensor": container.read_tensor,
+    "sample": container.read_sample,
+    "factors": container.read_factors,
+    "model": container.read_model,
+}
+
+
+@st.composite
+def corrupted_files(draw):
+    kind = draw(st.sampled_from(sorted(PRISTINE)))
+    data = bytearray(PRISTINE[kind])
+    for _ in range(draw(st.integers(0, 4))):
+        # Half the flips land in the first 64 bytes, where the headers,
+        # lengths and dims are.
+        pos = draw(st.one_of(st.integers(0, 63), st.integers(0, len(data) - 1)))
+        data[pos] ^= draw(st.integers(1, 255))
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return kind, bytes(data)
+
+
+@settings(PROPS, max_examples=400)
+@given(corrupted_files())
+def test_corrupt_files_raise_only_format_error(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.cstm")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            READERS[kind](path)
+        except FormatError:
+            pass
