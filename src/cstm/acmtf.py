@@ -23,12 +23,14 @@ scalable optimization approach for fitting canonical tensor
 decompositions"; Acar, Kolda & Dunlavy 2011, "All-at-once optimization for
 coupled matrix and tensor factorizations"): the data enter only through
 MTTKRPs (matricized tensor times Khatri-Rao products), the model through
-r x r Grams.  The line search and the CG loop are generators that yield
-each point they need evaluated, so :func:`acmtf_decompose_many` advances
-every unfinished sample of a batch by one evaluator call per round, and
-:func:`acmtf_decompose` is that on a batch of one.  Inputs are validated
-at the boundary, by :class:`CoupledSample` and the public functions; the
-CG loop raises :class:`NumericalError` on a non-finite objective or
+r x r Grams.  The CG loop (:func:`_conjugate_gradient`) and its line
+search (:class:`_LineSearch`) hold a whole batch's state as arrays, one
+row or column per sample, so :func:`acmtf_decompose_many` advances every
+unfinished sample by one evaluator call and one pass of masked array
+operations per round.  :func:`acmtf_decompose` and :func:`line_search`
+run the same code on a batch of one.  Inputs are validated at the
+boundary, by :class:`CoupledSample` and the public functions; the CG loop
+raises :class:`NumericalError` on a non-finite starting objective or
 gradient, and nothing inside it checks further.
 """
 
@@ -421,97 +423,164 @@ class LineSearchResult:
     wolfe_satisfied: bool
 
 
-def _wolfe_steps(
-    x: np.ndarray,
-    direction: np.ndarray,
-    f0: float,
-    g0: np.ndarray,
-    c1: float = 1e-4,
-    c2: float = 0.1,
-    max_evals: int = 50,
-    init_step: float = 1.0,
-):
-    """Strong-Wolfe line search (bracket + zoom), as a generator.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two C-contiguous ``(b, n)`` blocks.
 
-    Yields each trial point and takes its ``(value, gradient)`` back through
-    ``send``; the search's :class:`LineSearchResult` is the generator's
-    return value.  A trial point whose value or slope is not finite fails
-    the sufficient-decrease test, so the search zooms or backs off from it,
-    and it is never returned.  If no Wolfe point is found within
-    ``max_evals`` evaluations, the best simple-decrease step seen is
-    returned with ``wolfe_satisfied=False``; if no finite trial point was
-    seen at all, the zero step at ``(f0, g0)``.
+    The stacked ``matmul`` of 1 x n by n x 1 blocks takes each row's dot
+    product with the BLAS routine that ``a[k] @ b[k]`` uses, so a row's
+    value is that of its own 1-D product, whatever else is in the block.
     """
-    dphi0 = float(g0 @ direction)
-    if dphi0 >= 0:
-        raise ValueError("direction is not a descent direction")
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    evals = 0
-    best = None  # (step, value, gradient) with the lowest value seen
 
-    def phi(a: float):
-        nonlocal evals, best
-        evals += 1
-        val, grad = yield x + a * direction
-        slope = float(grad @ direction)
-        if not (np.isfinite(val) and np.isfinite(slope)):
-            return np.inf, slope, grad
-        if best is None or val < best[1]:
-            best = (a, val, grad)
-        return val, slope, grad
+# Phase of one column's line search.
+_BRACKET, _ZOOM, _FALLBACK = 0, 1, 2
 
-    def fallback():
-        # Backtrack from the smallest bracketing point for plain decrease.
-        a = best[0] if best is not None and best[1] < f0 else 1.0
-        val, _, grad = yield from phi(a)
-        while val > f0 and a > 1e-16:
-            a *= 0.5
-            val, _, grad = yield from phi(a)
-        if best is None:
-            return LineSearchResult(0.0, f0, g0, False)
-        step, value, gradient = best
-        return LineSearchResult(step, value, gradient, False)
 
-    def zoom(a_lo, f_lo, d_lo, a_hi, f_hi):
-        while evals < max_evals:
-            # Quadratic interpolation with bisection safeguard.
-            denom = 2.0 * (f_hi - f_lo - d_lo * (a_hi - a_lo))
-            if denom != 0:
-                a = a_lo - d_lo * (a_hi - a_lo) ** 2 / denom
-            else:
-                a = 0.5 * (a_lo + a_hi)
-            lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
-            width = hi - lo
-            if not (lo + 0.1 * width <= a <= hi - 0.1 * width):
-                a = 0.5 * (a_lo + a_hi)
-            f_a, d_a, g_a = yield from phi(a)
-            if f_a > f0 + c1 * a * dphi0 or f_a >= f_lo:
-                a_hi, f_hi = a, f_a
-            else:
-                if abs(d_a) <= -c2 * dphi0:
-                    return LineSearchResult(a, f_a, g_a, True)
-                if d_a * (a_hi - a_lo) >= 0:
-                    a_hi, f_hi = a_lo, f_lo
-                a_lo, f_lo, d_lo = a, f_a, d_a
-            if abs(a_hi - a_lo) < 1e-16:
-                break
-        return (yield from fallback())
+class _LineSearch:
+    """Strong-Wolfe line searches (bracket + zoom), one per column of a batch.
 
-    a_prev, f_prev, d_prev = 0.0, f0, dphi0
-    a = init_step if np.isfinite(init_step) and init_step > 0 else 1.0
-    first = True
-    while evals < max_evals:
-        f_a, d_a, g_a = yield from phi(a)
-        if f_a > f0 + c1 * a * dphi0 or (not first and f_a >= f_prev):
-            return (yield from zoom(a_prev, f_prev, d_prev, a, f_a))
-        if abs(d_a) <= -c2 * dphi0:
-            return LineSearchResult(a, f_a, g_a, True)
-        if d_a >= 0:
-            return (yield from zoom(a, f_a, d_a, a_prev, f_prev))
-        a_prev, f_prev, d_prev = a, f_a, d_a
-        a *= 2.0
-        first = False
-    return (yield from fallback())
+    Each search runs from its own point along its own direction; its state
+    is one column of every array here, so one :meth:`advance` moves all of
+    them by one trial point with masked array operations.  A search
+    brackets by doubling the step, zooms by quadratic interpolation with a
+    bisection safeguard, and after ``max_evals`` evaluations, or once the
+    bracket is narrower than 1e-16, falls back to backtracking for plain
+    decrease.  A trial point whose value or slope is not finite fails
+    sufficient decrease, so the search zooms or backs off from it and never
+    returns it.
+    """
+
+    def __init__(self, b: int, c1=1e-4, c2=0.1, max_evals=50):
+        self.c1, self.c2, self.max_evals = c1, c2, max_evals
+        self.phase = np.full(b, _BRACKET, dtype=np.int8)
+        self.evals = np.zeros(b, dtype=np.int64)
+        # (step, value, slope) at the trial step under evaluation and at lo,
+        # the bracket end of lower value (while bracketing, the previous
+        # step); (step, value) at the other end, hi, whose step is +inf
+        # while bracketing, and at the best point: the lowest finite value
+        # seen, and the result once done.
+        self.trial, self.lo = np.zeros((3, b)), np.zeros((3, b))
+        self.hi, self.best = np.zeros((2, b)), np.zeros((2, b))
+        # Value and slope at step 0, and the curvature bound -c2 * slope.
+        self.origin = np.zeros((3, b))
+
+    def keep(self, rows):
+        """Drop every search but those at ``rows``."""
+        for name in ("phase", "evals", "trial", "lo", "hi", "best", "origin"):
+            setattr(self, name, getattr(self, name)[..., rows])
+
+    def start(self, rows, f0, dphi0, init):
+        """Begin searching in ``rows`` from value ``f0`` and slope ``dphi0``.
+
+        The first trial step is ``init``, or 1 where ``init`` is not finite
+        and positive.
+        """
+        self.phase[rows] = _BRACKET
+        self.evals[rows] = 0
+        self.origin[0, rows] = self.lo[1, rows] = f0
+        self.origin[1, rows] = self.lo[2, rows] = dphi0
+        self.origin[2, rows] = -self.c2 * dphi0
+        self.lo[0, rows] = 0.0
+        self.hi[0, rows] = self.best[1, rows] = np.inf
+        self.trial[0, rows] = np.where(np.isfinite(init) & (init > 0), init, 1.0)
+
+    # While bracketing, hi is at +inf: a zero slope times +inf, and the
+    # quadratic step of searches not zooming, make NaNs that no result uses.
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def advance(self, q, slope):
+        """Take the value ``q`` and slope at every trial step.
+
+        Returns the mask of searches that are done.  A done search's step
+        and value are in ``best``, and its step meets the strong Wolfe
+        conditions unless its phase is ``_FALLBACK``.  If that value is
+        below the starting value, the step is the trial step just
+        evaluated: a fallback that starts from an earlier step evaluates it
+        again and stops there.  A search that saw no finite trial point
+        returns the zero step at its starting value.  Every other search
+        has its next trial step in ``trial[0]``.
+        """
+        t, lo, hi, best, origin = self.trial, self.lo, self.hi, self.best, self.origin
+        a, fa, f0 = t[0], t[1], origin[0]
+        phase = self.phase
+        self.evals += 1
+        t[1] = np.where(np.isfinite(q) & np.isfinite(slope), q, np.inf)
+        t[2] = slope
+        fallback = phase == _FALLBACK
+        falling = np.count_nonzero(fallback)
+        better = fa < best[1]
+        # Sufficient decrease fails, or (past the first bracket step) the
+        # value does not improve on lo: the trial step becomes hi.
+        high = (fa > f0 + self.c1 * a * origin[1]) | ((fa >= lo[1]) & (self.evals > 1))
+        if falling:
+            high &= ~fallback
+            low = ~(high | fallback)
+        else:
+            low = ~high
+        wolfe = low & (np.abs(slope) <= origin[2])
+        low ^= wolfe
+        # A low step whose slope points back past lo, towards hi (while
+        # bracketing, a slope >= 0): lo becomes hi.
+        flip = low & ~(slope * (hi[0] - lo[0]) < 0)
+        np.copyto(hi, lo[:2], where=flip)
+        np.copyto(hi, t[:2], where=high)
+        np.copyto(lo, t, where=low)
+        grow = low & (hi[0] == np.inf)  # bracketing goes on at twice the step
+        zooming = ~(wolfe | grow)
+        done = wolfe
+        if falling:
+            back = fallback & (fa > f0) & (a > 1e-16)  # backtrack further
+            settled = fallback ^ back
+            done = wolfe | settled
+            zooming &= ~fallback
+        np.copyto(best, t[:2], where=better | wolfe)
+        a = a * np.where(grow, 2.0, 1.0)
+        if falling:
+            unfound = settled & (best[1] == np.inf)
+            best[0, unfound] = 0.0
+            best[1, unfound] = f0[unfound]
+            a[back] *= 0.5
+        # Out of evaluations, or a zoom whose bracket has shrunk below
+        # 1e-16 (both rare: test for any first).
+        narrow = np.abs(hi[0] - lo[0]) < 1e-16
+        if np.count_nonzero(narrow) or self.evals.max() >= self.max_evals:
+            to_fallback = (high | low) & (self.evals >= self.max_evals)
+            to_fallback |= zooming & (phase == _ZOOM) & narrow
+            zooming &= ~to_fallback
+            phase[to_fallback] = _FALLBACK
+            # Backtrack from the best step seen if it decreased, else from 1.
+            a = np.where(to_fallback, np.where(best[1] < f0, best[0], 1.0), a)
+        if np.count_nonzero(zooming):
+            phase[zooming] = _ZOOM
+            a = np.where(zooming, self._zoom_step(), a)
+        t[0] = a
+        return done
+
+    def _zoom_step(self) -> np.ndarray:
+        """Minimizer of the quadratic through lo (value, slope) and hi (value).
+
+        Bisects where that is undefined or outside the middle 80 % of the
+        bracket.
+        """
+        lo, hi = self.lo, self.hi
+        lo_a, hi_a, lo_d = lo[0], hi[0], lo[2]
+        width = hi_a - lo_a
+        denom = hi[1] - lo[1]
+        denom -= lo_d * width
+        denom *= 2.0
+        # Where the denominator is zero the step is not finite, so it fails
+        # the test below too.  float_power squares as Python's ** does.
+        a = np.float_power(width, 2)
+        a *= lo_d
+        a /= denom
+        a = lo_a - a
+        mid = lo_a + hi_a
+        mid *= 0.5
+        tenth = np.abs(width)
+        tenth *= 0.1
+        inside = np.minimum(lo_a, hi_a) + tenth <= a
+        inside &= a <= np.maximum(lo_a, hi_a) - tenth
+        return np.where(inside, a, mid)
 
 
 def _wolfe_search(
@@ -525,15 +594,30 @@ def _wolfe_search(
     max_evals: int = 50,
     init_step: float = 1.0,
 ) -> LineSearchResult:
-    """:func:`_wolfe_steps` with every trial point evaluated by
-    ``fg(x) -> (value, gradient)``."""
-    steps = _wolfe_steps(x, direction, f0, g0, c1, c2, max_evals, init_step)
-    try:
-        point = next(steps)
-        while True:
-            point = steps.send(fg(point))
-    except StopIteration as done:
-        return done.value
+    """One strong-Wolfe line search: a :class:`_LineSearch` of one row.
+
+    Every trial point is evaluated by ``fg(x) -> (value, gradient)``.  If
+    no Wolfe point is found within ``max_evals`` evaluations, the best
+    simple-decrease step seen is returned with ``wolfe_satisfied=False``;
+    if no finite trial point was seen at all, the zero step at
+    ``(f0, g0)``.
+    """
+    d = direction[None]
+    dphi0 = _row_dot(g0[None], d)
+    if dphi0[0] >= 0:
+        raise ValueError("direction is not a descent direction")
+    ls = _LineSearch(1, c1, c2, max_evals)
+    ls.start(0, f0, dphi0[0], init_step)
+    done = False
+    while not done:
+        value, grad = fg(x + ls.trial[0, 0] * direction)
+        (done,) = ls.advance(np.array([value]), _row_dot(np.asarray(grad)[None], d))
+    step, value = ls.best[:, 0].tolist()
+    if step == 0.0:  # no finite trial point
+        return LineSearchResult(0.0, f0, g0, False)
+    if value >= f0 and step != ls.trial[0, 0]:  # no decrease: an earlier step
+        grad = fg(x + step * direction)[1]
+    return LineSearchResult(step, value, grad, bool(ls.phase[0] != _FALLBACK))
 
 
 def line_search(
@@ -569,69 +653,140 @@ def _initial_point(dims, rank: int, seed: int) -> np.ndarray:
     return pack(blocks)
 
 
-def _cg_steps(x: np.ndarray, h: AcmtfHyperParams):
-    """The Hestenes-Stiefel CG loop from ``x``, as a generator.
+def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
+    """The Hestenes-Stiefel CG loop from every row of ``x``, as one batch.
 
-    Yields each point to evaluate and takes its ``(value, gradient)`` back
-    through ``send``, like :func:`_wolfe_steps`; returns
-    ``(x, objective history, converged)``.
+    Row k runs from ``x[k]`` on sample k of ``ev``.  Its point, direction
+    and gradient are rows of ``(b, n)`` arrays and its scalars entries of
+    ``(b,)`` arrays; its line search is a column of one :class:`_LineSearch`.
+    Each round evaluates every row's trial point, written into one
+    preallocated block, in one ``ev`` call and advances every row with
+    masked array operations.  A row that stops leaves the batch, and ``ev``
+    with it.
+
+    An iteration takes steepest descent on its first step and whenever the
+    direction is not a descent direction.  When the line search finds no
+    decrease along a CG direction, it is retried once along steepest
+    descent.  The next direction is the Hestenes-Stiefel update, or
+    steepest descent when its denominator is below ``HS_DENOM_GUARD``.  A
+    row stops when the objective changes by less than ``h.cg_tol``, the
+    gradient is zero, no descent is found, or after ``h.max_iters``
+    iterations; only the last does not count as converged.
+
+    Returns ``(x, objective history, converged)`` per row.  Raises
+    :class:`NumericalError` if a starting objective or gradient is not
+    finite; later points are finite, because the line search accepts only
+    points of finite value and slope, and a finite slope needs a finite
+    gradient.
     """
-    f_val, grad = yield x
-    if not np.isfinite(f_val):
-        raise NumericalError("non-finite objective at initialization", 0)
-    history = [f_val]
+    b, n = x.shape
+    f, G = ev(x)
+    bad = ~(np.isfinite(f) & np.isfinite(G).all(axis=1))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(f[k]):
+            raise NumericalError("non-finite objective at initialization", 0)
+        raise NumericalError("non-finite objective or gradient", 0)
+    history = np.empty((b, h.max_iters + 1))
+    history[:, 0] = f
+    results = [None] * b
+    ids = np.arange(b)  # each row's position in x
+    it = np.zeros(b, dtype=np.int64)  # iteration number = steps taken
+    X, D, P = x.copy(), -G, np.empty_like(x)
+    converged = np.zeros(b, dtype=bool)
+    stop = np.zeros(b, dtype=bool)
+    ls = _LineSearch(b)
 
-    delta = -grad  # negated gradient
-    direction = delta
-    converged = False
-    prev_step = None
-    prev_dphi = None
-    for it in range(h.max_iters):
-        if not np.isfinite(f_val) or not np.all(np.isfinite(grad)):
-            raise NumericalError("non-finite objective or gradient", it)
-        grad_norm = np.linalg.norm(grad)
-        if grad_norm == 0.0:
-            converged = True
-            break
-        if float(grad @ direction) >= 0:
-            direction = -grad  # restart on a non-descent direction
-        # First-order initial step guess: keep the directional decrease of
-        # the previous accepted step.
-        dphi = float(grad @ direction)
-        if prev_step is None:
-            init = 1.0 / grad_norm
-        else:
-            init = prev_step * prev_dphi / dphi if dphi != 0 else 1.0
-        ls = yield from _wolfe_steps(x, direction, f_val, grad, init_step=init)
-        if ls.value >= f_val and not np.array_equal(direction, -grad):
-            # Stagnant CG direction: retry once along steepest descent.
-            direction = -grad
-            dphi = float(grad @ direction)
-            ls = yield from _wolfe_steps(x, direction, f_val, grad)
-        if ls.value >= f_val:
-            converged = True  # no descent possible within line-search accuracy
-            break
-        x = x + ls.step * direction
-        prev_step, prev_dphi = ls.step, dphi
-        f_new, grad_new = ls.value, ls.gradient
-        if not np.isfinite(f_new):
-            raise NumericalError("non-finite objective after step", it)
-        history.append(f_new)
-        if abs(f_new - f_val) < h.cg_tol:
-            f_val, grad = f_new, grad_new
-            converged = True
-            break
-        delta_new = -grad_new
-        y = delta_new - delta
-        denom = float(-direction @ y)
-        if abs(denom) < HS_DENOM_GUARD:
-            direction = delta_new
-        else:
-            beta_hs = float(delta_new @ y) / denom
-            direction = delta_new + beta_hs * direction
-        delta = delta_new
-        f_val, grad = f_new, grad_new
-    return x, history, converged
+    def begin(rows, g_rows, d_rows, decrease=None):
+        # Start iteration it[rows], whose gradients and directions are
+        # g_rows and d_rows: zero-gradient stop, descent check, and the
+        # initial step guess.  That is 1/||g|| on the first iteration and
+        # later keeps the directional decrease step * dphi of the previous
+        # accepted step (dphi < 0 here).
+        grad_norm = np.sqrt(_row_dot(g_rows, g_rows))
+        dphi = _row_dot(g_rows, d_rows)
+        if np.count_nonzero(grad_norm) < rows.size:
+            zero = grad_norm == 0.0
+            stop[rows[zero]] = converged[rows[zero]] = True
+            on = ~zero
+            rows, grad_norm, dphi = rows[on], grad_norm[on], dphi[on]
+            decrease = None if decrease is None else decrease[on]
+        reset = dphi >= 0
+        if np.count_nonzero(reset):  # restart on a non-descent direction
+            r = rows[reset]
+            D[r] = -G[r]
+            dphi[reset] = _row_dot(G[r], D[r])
+        init = 1.0 / grad_norm if decrease is None else decrease / dphi
+        ls.start(rows, f[rows], dphi, init)
+
+    begin(ids, G, D)
+    while True:
+        if np.count_nonzero(stop):
+            for k in stop.nonzero()[0]:
+                results[ids[k]] = (
+                    X[k].copy(), tuple(history[ids[k], : it[k] + 1].tolist()),
+                    bool(converged[k]),
+                )
+            rows = (~stop).nonzero()[0]
+            if not rows.size:
+                return results
+            X, D, G, f, it, ids, converged, stop = (
+                v[rows] for v in (X, D, G, f, it, ids, converged, stop)
+            )
+            P = np.empty_like(X)
+            ls.keep(rows)
+            ev.keep(rows)
+
+        np.einsum("ij,i->ij", D, ls.trial[0], out=P)  # x + a d, a the trial step
+        P += X
+        q, g = ev(P)
+        done = ls.advance(q, _row_dot(g, D))
+        rows = done.nonzero()[0]
+        if not rows.size:
+            continue
+        step, value, f_old = ls.best[0, rows], ls.best[1, rows], f[rows]
+        move = value < f_old
+        if not move.all():
+            fail = rows[~move]
+            steepest = (D[fail] == -G[fail]).all(axis=1)
+            stop[fail[steepest]] = converged[fail[steepest]] = True  # no descent
+            fail = fail[~steepest]
+            if fail.size:  # stagnant CG direction: retry along steepest descent
+                D[fail] = -G[fail]
+                ls.start(fail, f[fail], _row_dot(G[fail], D[fail]), 1.0)
+            rows, step, value, f_old = rows[move], step[move], value[move], f_old[move]
+            if not rows.size:
+                continue
+
+        # The rows that move, gathered.  A step that decreases the objective
+        # is the trial step just evaluated, so P and g hold the new x and
+        # gradient.
+        X[rows] = P[rows]
+        g_new, d_new = g[rows], D[rows]
+        it_new = it[rows] + 1
+        it[rows] = it_new
+        history[ids[rows], it_new] = value
+        tol = np.abs(value - f_old) < h.cg_tol
+        # Hestenes-Stiefel: with y = g_new - g, beta = g_new.y / d.y and
+        # d_new = beta d - g_new, or steepest descent at a small d.y.
+        y = g_new - G[rows]
+        denom = _row_dot(d_new, y)
+        guard = np.abs(denom) < HS_DENOM_GUARD
+        beta = np.divide(_row_dot(g_new, y), denom, out=np.zeros_like(denom),
+                         where=~guard)
+        d_new *= beta[:, None]
+        d_new -= g_new
+        if np.count_nonzero(guard):
+            d_new[guard] = -g_new[guard]
+        D[rows], G[rows], f[rows] = d_new, g_new, value
+        decrease = step * ls.origin[1, rows]
+        ended = tol | (it_new == h.max_iters)
+        if np.count_nonzero(ended):
+            stop[rows[ended]] = True
+            converged[rows[tol]] = True
+            on = ~ended
+            rows, g_new, d_new, decrease = rows[on], g_new[on], d_new[on], decrease[on]
+        begin(rows, g_new, d_new, decrease)
 
 
 def acmtf_decompose(
@@ -657,16 +812,34 @@ def acmtf_decompose(
     return acmtf_decompose_many([s], h, [seed], normalize)[0]
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``, also where the sum of squares overflows.
+
+    ``inf`` only if the norm itself is beyond the float64 range.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+        if np.isinf(norm):
+            peak = np.abs(a).max()
+            norm = peak * np.linalg.norm(a / peak)
+    return float(norm)
+
+
 def acmtf_decompose_many(
     samples, h: AcmtfHyperParams, seeds, normalize: bool = True
 ) -> list[AcmtfFactors]:
     """:func:`acmtf_decompose` of each sample, with the samples in one batch.
 
-    The samples must share dims.  Each sample runs its own CG loop; every
-    round, the points all unfinished samples wait on go through one
-    evaluator call, and a sample leaves the batch when its loop stops.
-    Entry k equals ``acmtf_decompose(samples[k], h, seeds[k], normalize)``
-    bit for bit, whatever other samples share the batch.
+    The samples must share dims.  One :func:`_conjugate_gradient` run holds
+    every sample's CG and line-search state as rows of arrays: each round,
+    the trial points of all unfinished samples go through one evaluator
+    call, and a sample leaves the batch when its loop stops.  Entry k
+    equals ``acmtf_decompose(samples[k], h, seeds[k], normalize)`` bit for
+    bit, whatever other samples share the batch.
+
+    Under ``normalize``, a sample whose tensor or matrix has a Frobenius
+    norm beyond the float64 range raises :class:`NumericalError` before any
+    iteration.
     """
     samples, seeds = list(samples), list(seeds)
     if len(seeds) != len(samples):
@@ -679,35 +852,24 @@ def acmtf_decompose_many(
             raise ValueError(f"samples differ in dims: {s.dims} and {dims}")
     scales = [(1.0, 1.0)] * len(samples)
     if normalize:
-        scales = [
-            tuple(n if n > 0 else 1.0 for n in map(np.linalg.norm, (s.tensor, s.matrix)))
-            for s in samples
-        ]
+        scales = []
+        for k, s in enumerate(samples):
+            norms = (_frobenius(s.tensor), _frobenius(s.matrix))
+            if np.isinf(norms).any():
+                raise NumericalError(
+                    f"sample {k}: Frobenius norm exceeds the float64 range", 0
+                )
+            scales.append(tuple(n if n > 0 else 1.0 for n in norms))
     ev = _Evaluator(samples, h, scales)
-    runs = [_cg_steps(_initial_point(dims, h.rank, seed), h) for seed in seeds]
-    pending = [next(run) for run in runs]
-    live = list(range(len(runs)))
-    results = [None] * len(runs)
-    while live:
-        values, grads = ev(np.stack(pending))
-        kept, pending = [], []
-        for pos, k in enumerate(live):
-            try:
-                # A copy, not a view: a view would keep the whole (b, n)
-                # gradient block alive while the loop holds this gradient.
-                pending.append(runs[k].send((float(values[pos]), grads[pos].copy())))
-                kept.append(pos)
-            except StopIteration as done:
-                results[k] = done.value
-        if len(kept) < len(live):
-            live = [live[pos] for pos in kept]
-            ev.keep(kept)
+    x = np.stack([_initial_point(dims, h.rank, seed) for seed in seeds])
     out = []
-    for (x, history, converged), (scale_t, scale_m) in zip(results, scales):
+    for (x, history, converged), (scale_t, scale_m) in zip(
+        _conjugate_gradient(ev, x, h), scales
+    ):
         A, B, C, U, V, zeta, sigma = unpack(x, dims, h.rank)
         u1 = KruskalTensor(zeta * scale_t, (A, B, C)).normalized()
         u2 = KruskalTensor(sigma * scale_m, (U, V)).normalized()
         out.append(AcmtfFactors.from_kruskals(
-            u1, u2, objective_history=tuple(history), converged=converged
+            u1, u2, objective_history=history, converged=converged
         ))
     return out

@@ -30,7 +30,7 @@ from .config import (
     serialize_acmtf_params,
 )
 from .container import FormatError
-from .experiments import derive_seed
+from .experiments import _ROLE_CV, _ROLE_DECOMPOSE, derive_seed
 from .kernels import default_coupled_spec, gram_matrix
 
 EXIT_OK = 0
@@ -115,7 +115,7 @@ def cmd_fit(args) -> int:
         bad = paths[int(np.flatnonzero(labels == 0)[0])]
         raise ConfigError(f"unlabeled training sample: {bad}")
     t0 = time.perf_counter()
-    seeds = [derive_seed(cfg.seed, 1, i) for i in range(len(samples))]
+    seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
     factors = [
         f.pruned(cfg.prune_rel)
         for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)
@@ -124,7 +124,7 @@ def cmd_fit(args) -> int:
     spec = experiments._coupled_spec_for(cfg, factors, cfg.kernel_weights)
     gram = gram_matrix(factors, spec)
     lam = stm.select_lambda(gram, labels, cfg.lambda_grid, k=cfg.cv_folds,
-                            seed=derive_seed(cfg.seed, 4, 0))
+                            seed=derive_seed(cfg.seed, _ROLE_CV, 0))
     model = stm.fit(factors, labels, spec, lam, gram=gram)
     t_total = time.perf_counter() - t0
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
@@ -156,7 +156,7 @@ def cmd_predict(args) -> int:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
-    seeds = [derive_seed(args.seed, 1, i) for i in range(len(samples))]
+    seeds = [derive_seed(args.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
     factors = [
         f.pruned(prune_rel) for f in acmtf_decompose_many(samples, params, seeds)
     ]

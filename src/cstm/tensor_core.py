@@ -176,6 +176,9 @@ def cp_als(
     Returns a column-normalized :class:`KruskalTensor`; with
     ``return_history=True``, also the per-sweep relative errors.  The
     tensor is validated once, here; the sweeps use unchecked helpers.
+    The error after a sweep is that of the last mode's unfolding,
+    ``||X_(N) - (F_N w) kr^T||`` with the Khatri-Rao product ``kr`` that
+    mode's update just used, so no dense reconstruction is formed.
     """
     t = _as_float_array(tensor, "tensor")
     if rank < 1:
@@ -190,12 +193,6 @@ def cp_als(
     unfoldings = [unfold(t, m + 1) for m in range(n_modes)]
     norm_x = np.linalg.norm(t)
     eye = np.eye(rank)
-
-    def current_error() -> float:
-        approx = _full(weights, factors)
-        err = np.linalg.norm(t - approx)
-        return err / norm_x if norm_x > 0 else err
-
     history: list[float] = []
     prev_err = np.inf
     for _ in range(max_iter):
@@ -210,7 +207,9 @@ def cp_als(
             sol = np.linalg.solve(gram + ALS_RIDGE * eye, rhs.T).T
             factors[n], weights = _normalize_columns(sol)
             # Zero columns keep weight 0; reuse them as-is.
-        err = current_error()
+        err = np.linalg.norm(unfoldings[-1] - (factors[-1] * weights) @ kr.T)
+        if norm_x > 0:
+            err /= norm_x
         history.append(err)
         if prev_err - err < tol:
             break

@@ -8,7 +8,9 @@ from cstm.acmtf import (
     AcmtfHyperParams,
     CoupledSample,
     LineSearchResult,
+    NumericalError,
     _Evaluator,
+    _frobenius,
     _wolfe_search,
     acmtf_decompose,
     acmtf_gradient,
@@ -168,10 +170,13 @@ class TestTypes:
 
 class TestObjective:
     def test_exact_fit_zero_penalties(self):
+        # The residual-free tensor term is accurate to about 1e-16 ||X1||^2
+        # and may read slightly below zero at an exact fit.
         rng = np.random.default_rng(2)
         sample, factors, _ = exact_fit_instance(rng)
         h = AcmtfHyperParams(beta=0.0, rank=1)
-        assert acmtf_objective(sample, factors, h) < 1e-20
+        q = acmtf_objective(sample, factors, h)
+        assert abs(q) <= 1e-14 * np.linalg.norm(sample.tensor) ** 2
 
     def test_all_zero_closed_form(self):
         # Zero data and all-zero factors, beta=1, eps=1e-8, r=2:
@@ -529,6 +534,32 @@ class TestNormalizationAndPruning:
         _, factors, _ = random_instance(rng)
         with pytest.raises(ValueError, match="rel_tol"):
             factors.pruned(rel_tol)
+
+    def test_overflowing_norm_still_normalizes(self):
+        # Finite entries whose sum of squares overflows: the scale is
+        # computed without overflow, so the sample decomposes to finite
+        # factors on the original scale.
+        rng = np.random.default_rng(5)
+        tensor = 1e160 * rng.standard_normal((4, 3, 5))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(tensor))
+        sample = CoupledSample(tensor, rng.standard_normal((6, 5)), 1)
+        h = AcmtfHyperParams(rank=2, max_iters=20)
+        f = acmtf_decompose(sample, h, seed=3)
+        assert np.all(np.isfinite(f.u1.weights)) and np.all(np.isfinite(f.u2.weights))
+        small = CoupledSample(tensor * 1e-160, sample.matrix, 1)
+        np.testing.assert_allclose(f.u1.weights * 1e-160,
+                                   acmtf_decompose(small, h, seed=3).u1.weights, rtol=1e-6)
+
+    def test_norm_beyond_float64_range_raises(self):
+        sample = CoupledSample(np.full((4, 3, 5), 1.5e308), np.ones((6, 5)), 1)
+        with pytest.raises(NumericalError, match="float64 range") as err:
+            acmtf_decompose(sample, AcmtfHyperParams(rank=1, max_iters=5), seed=0)
+        assert err.value.iteration == 0
+
+    def test_ordinary_scales_are_plain_norms(self):
+        a = np.random.default_rng(6).standard_normal((30, 20, 10))
+        assert _frobenius(a) == np.linalg.norm(a)
 
     def test_non_finite_objective_raises(self):
         big = np.full((3, 3, 3), 1e200)

@@ -156,6 +156,24 @@ class TestFitPredict:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 4
 
+    @pytest.mark.parametrize("scale, code", [(1e160, 0), (1e308, 3)])
+    def test_sample_with_huge_norm(self, tmp_path, scale, code):
+        # Finite entries whose Frobenius norm overflows still normalize; a
+        # norm beyond the float64 range is a numerical abort.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        path = data / "sample_0000.cstm"
+        s = container.read_sample(path)
+        huge = np.full(s.tensor.shape, scale) * np.sign(s.tensor + 1e-300)
+        container.write_sample(path, CoupledSample(huge, s.matrix, s.label))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG)
+        with np.errstate(over="ignore"):
+            rc = main(["fit", "--train", str(data), "--config", str(cfg),
+                       "--out", str(tmp_path / "model.cstm")])
+        assert rc == code
+
     def test_version_mismatch_exit4(self, tmp_path):
         bad = tmp_path / "bad.cstm"
         bad.write_bytes(b"CSTM" + struct.pack("<I", 99) + struct.pack("<I", 3))

@@ -226,6 +226,20 @@ class TestCpAls:
         err = np.linalg.norm(kruskal_to_full(k) - t) / np.linalg.norm(t)
         assert err < 1e-6
 
+    def test_error_history_is_the_reconstruction_error(self):
+        # The history comes from the last mode's unfolding, not a dense
+        # reconstruction; check it against one, near and away from an
+        # exact fit.
+        rng = np.random.default_rng(7)
+        cols = [rng.standard_normal((d, 3)) for d in (6, 5, 4)]
+        exact = np.einsum("ir,jr,kr->ijk", *cols)
+        for t in (exact, exact + 0.1 * rng.standard_normal(exact.shape)):
+            norm = np.linalg.norm(t)
+            for sweeps in (1, 2, 5, 20):
+                k, history = cp_als(t, 3, max_iter=sweeps, seed=1, return_history=True)
+                dense = np.linalg.norm(t - k.full())
+                assert abs(history[-1] * norm - dense) <= 1e-12 * norm
+
     def test_error_history_non_increasing(self):
         rng = np.random.default_rng(10)
         t = rng.standard_normal((5, 6, 4))
