@@ -47,6 +47,7 @@ from .stm import (
     fit,
     matrix_to_kruskal,
     solve_qp,
+    solve_qp_many,
 )
 from .tensor_core import (
     KruskalTensor,

@@ -252,7 +252,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; valid: {METHODS}")
         if len(self.methods) == 0:
             raise ValueError("at least one method is required")
-        if any(g <= 0 for g in self.lambda_grid):
+        if not self.lambda_grid:
+            raise ValueError("lambda grid is empty")
+        if any(not g > 0 for g in self.lambda_grid):
             raise ValueError("lambda grid values must be > 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")

@@ -222,12 +222,20 @@ class TestBenchmark:
         assert not (tmp_path / "none").exists()
 
     def test_invalid_config_exit1_no_outputs(self, tmp_path):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text("[acmtf]\nbeta = -1\n")
-        out = tmp_path / "run"
-        rc = main(["benchmark", "--config", str(cfg), "--out", str(out)])
-        assert rc == 1
-        assert not out.exists()
+        empty_grid = CONFIG_SMALL.replace("lambda_grid = 0.01, 1", "lambda_grid = ,")
+        for text in ("[acmtf]\nbeta = -1\n", empty_grid):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(text)
+            out = tmp_path / "run"
+            rc = main(["benchmark", "--config", str(cfg), "--out", str(out)])
+            assert rc == 1
+            assert not out.exists()
+            # fit reads the config before any sample: exit 1, not 2 for
+            # the missing training directory.
+            model = tmp_path / "model.cstm"
+            assert main(["fit", "--train", str(tmp_path / "none"), "--config", str(cfg),
+                         "--out", str(model)]) == 1
+            assert not model.exists()
 
     def test_missing_config_exit2(self, tmp_path):
         rc = main(["benchmark", "--config", str(tmp_path / "none.txt"),

@@ -1,7 +1,8 @@
 """Property tests: the Gram engine against a pairwise reference, the SMO
-solver against a reference copy of its plain masked-index loop, batched
-ACMTF decomposition against single-sample runs, and container readers on
-corrupted files."""
+solver against a reference copy of its plain masked-index loop, batched SMO
+against single solves, the KKT conditions of every converged SMO solution,
+batched ACMTF decomposition against single-sample runs, and container
+readers on corrupted files."""
 
 import os
 import tempfile
@@ -33,7 +34,7 @@ from cstm.kernels import (  # noqa: E402
     gram_matrix,
     kernel_matrix,
 )
-from cstm.stm import QpProblem, StmModel, solve_qp  # noqa: E402
+from cstm.stm import QpProblem, StmModel, solve_qp, solve_qp_many  # noqa: E402
 from cstm.tensor_core import KruskalTensor  # noqa: E402
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -201,6 +202,9 @@ def ref_solve_qp(p, tol=1e-6, max_passes=1000):
     return alpha, converged, max(gap, 0.0), updates
 
 
+QP_LAMBDAS = (1e-6, 1e-3, 1e-1, 1.0, 1e3, 1e13)
+
+
 @st.composite
 def qp_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -219,9 +223,51 @@ def qp_problems(draw):
     # Small lambdas leave the box loose; large ones put the minority class
     # (or every index) at the bound, and 1e13 makes the box narrower than
     # the feasibility margin.
-    lam = draw(st.sampled_from((1e-6, 1e-3, 1e-1, 1.0, 1e3, 1e13)))
+    lam = draw(st.sampled_from(QP_LAMBDAS))
     max_passes = draw(st.sampled_from((1, 1000)))
     return QpProblem(gram, y, lam), max_passes
+
+
+@st.composite
+def qp_batches(draw):
+    """Problems of mixed size, labels and lambda in a shuffled batch.  Some
+    share one Gram array across lambdas, as a cross-validation fold does."""
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        p, _ = draw(qp_problems())
+        problems.append(p)
+        for lam in draw(st.lists(st.sampled_from(QP_LAMBDAS), max_size=2)):
+            problems.append(QpProblem(p.gram, p.labels, lam))
+    order = draw(st.permutations(range(len(problems))))
+    return [problems[i] for i in order], draw(st.sampled_from((1, 1000)))
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_kkt(p, sol, tol=1e-6):
+    """Check a converged solution against the dual's optimality conditions,
+    with the gradient recomputed from alpha, not taken from the solver.
+
+    Rounding slack: the solver updates its gradient incrementally, so after
+    U updates its gap differs from the recomputed one by a small multiple
+    of eps * (U + n) * (1 + max|K| * sum(alpha)); 0.17 times that was the
+    largest difference on 3000 random problems, and the slack is 4 times
+    it.  Each update also moves y^T alpha by the rounding of an entry no
+    larger than C.
+    """
+    y, k, a, c = p.labels, p.gram, sol.alpha, p.box
+    steps = sol.n_updates + y.size
+    assert 0.0 <= a.min() and a.max() <= c
+    assert abs(y @ a) <= 4 * EPS * steps * c
+    minus_yg = -y * ((k * np.outer(y, y)) @ a - 1.0)
+    feas = 1e-12 * max(c, 1.0)
+    up = np.where(y > 0, a < c - feas, a > feas)
+    low = np.where(y > 0, a > feas, a < c - feas)
+    if up.any() and low.any():
+        gap = minus_yg[up].max() - minus_yg[low].min()
+        slack = 4 * EPS * steps * (1.0 + np.abs(k).max() * a.sum())
+        assert gap <= tol + slack, (gap, slack)
 
 
 class TestSolveQp:
@@ -235,6 +281,39 @@ class TestSolveQp:
         assert sol.n_updates == updates
         assert sol.converged == converged
         assert sol.kkt_violation == kkt
+
+    @settings(PROPS, max_examples=80)
+    @given(qp_batches())
+    def test_batch_matches_single_solves(self, case):
+        # solve_qp does not depend on a batch, so this also shows that a
+        # problem's result does not depend on the rest of its batch.
+        problems, max_passes = case
+        solutions = solve_qp_many(problems, max_passes=max_passes)
+        assert len(solutions) == len(problems)
+        for p, sol in zip(problems, solutions):
+            ref = solve_qp(p, max_passes=max_passes)
+            assert sol.alpha.tobytes() == ref.alpha.tobytes()
+            assert sol.n_updates == ref.n_updates
+            assert sol.converged == ref.converged
+            assert sol.kkt_violation == ref.kkt_violation
+
+    @settings(PROPS, max_examples=60)
+    @given(qp_batches())
+    def test_converged_solutions_meet_kkt(self, case):
+        problems, _ = case
+        batch = solve_qp_many(problems)
+        for p, sol in zip(problems, batch):
+            if sol.converged:
+                assert_kkt(p, sol)
+            single = solve_qp(p)
+            if single.converged:
+                assert_kkt(p, single)
+
+    def test_batch_edge_cases(self):
+        assert solve_qp_many([]) == []
+        p = QpProblem(np.eye(2), np.array([1.0, -1.0]), lam=0.25)
+        with pytest.raises(ValueError, match="tol"):
+            solve_qp_many([p], tol=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,24 @@ class TestSolveQp:
         assert abs(sol.alpha[2] - p.box) < 1e-10
 
     def test_lambda_positive_required(self):
-        with pytest.raises(ValueError):
-            QpProblem(np.eye(2), np.array([1.0, -1.0]), lam=0.0)
+        # 1e-320 is positive, but 1 / (2 n lambda) overflows to inf.
+        for lam in (0.0, -1.0, float("nan"), 1e-320):
+            with pytest.raises(ValueError):
+                QpProblem(np.eye(2), np.array([1.0, -1.0]), lam=lam)
+
+    def test_non_finite_gram_rejected(self):
+        # NaN and inf pass a symmetry check that compares max|K - K^T|.
+        y = np.array([1.0, -1.0] * 3)
+        samples = [unit_rank1_factors(s) for s in range(6)]
+        for bad in (np.nan, np.inf):
+            gram = np.eye(6)
+            gram[2, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                QpProblem(gram, y, lam=0.1)
+            with pytest.raises(ValueError, match="non-finite"):
+                select_lambda(gram, y, k=2)
+            with pytest.raises(ValueError, match="non-finite"):
+                fit(samples, y, LINEAR_SPEC, 0.1, gram=gram)
 
 
 class TestFitDecision:
@@ -378,6 +394,15 @@ class TestLambdaUtilities:
         gram = x @ x.T
         lam = select_lambda(gram, y, grid=(1e-3, 1e-1, 10.0), k=4, seed=0)
         assert lam in (1e-3, 1e-1, 10.0)
+
+    def test_select_lambda_rejects_bad_grid(self):
+        gram = np.eye(6)
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(ValueError, match="empty"):
+            select_lambda(gram, y, grid=())
+        for grid in ((0.0, 1.0), (float("nan"),)):
+            with pytest.raises(ValueError, match="> 0"):
+                select_lambda(gram, y, grid=grid)
 
     def test_prediction_invariance_under_joint_scaling(self):
         rng = np.random.default_rng(14)
