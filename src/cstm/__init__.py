@@ -52,6 +52,7 @@ from .stm import (
 from .tensor_core import (
     KruskalTensor,
     cp_als,
+    cp_als_many,
     fold,
     khatri_rao,
     kruskal_to_full,

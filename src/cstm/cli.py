@@ -204,6 +204,8 @@ def cmd_benchmark(args) -> int:
         "wall_clock_s": f"{elapsed:.3f}",
         "wall_clock_decompose_s": f"{summary.decompose_seconds:.3f}",
         "wall_clock_repetitions_s": f"{summary.repetitions_seconds:.3f}",
+        "acmtf_s": f"{summary.acmtf_seconds:.3f}",
+        "cp_als_s": f"{summary.cp_als_seconds:.3f}",
         "mean_final_objective": repr(summary.mean_final_objective),
         "failures": len(summary.failures),
     }

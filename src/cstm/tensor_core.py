@@ -1,4 +1,4 @@
-"""Dense third-order tensor algebra.
+"""Dense tensor algebra and CP decomposition by alternating least squares.
 
 Tensors and matrices are plain ``numpy.ndarray`` objects of dtype float64,
 indexed ``t[i1, i2, i3]``.  Modes are numbered 1..N to match the usual
@@ -6,6 +6,9 @@ tensor-algebra notation.  The canonical linear layout (used by the binary
 container in :mod:`cstm.container`) stores mode 1 fastest, i.e. Fortran
 order.  Mode-n unfoldings place the mode-n fibers as columns, with the
 remaining modes ordered so that lower-numbered modes vary fastest.
+
+:func:`cp_als_many` runs CP-ALS on a batch of equally shaped tensors with
+stacked products and solves; :func:`cp_als` is its batch of one.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     t = _as_float_array(tensor, "tensor")
     if not 1 <= mode <= t.ndim:
         raise ValueError(f"mode must be in 1..{t.ndim}, got {mode}")
-    return np.moveaxis(t, mode - 1, 0).reshape((t.shape[mode - 1], -1), order="F")
+    return _unfold(t, mode - 1)
+
+
+def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
+    # Unchecked core of unfold, with a 0-based mode.
+    return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
 
 
 def fold(matrix: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
@@ -63,9 +71,10 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Unchecked core of khatri_rao, for float64 matrices of equal width.
-    return (a[:, None, :] * b[None, :, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1]
+    # Unchecked core of khatri_rao, for float64 matrices of equal width or
+    # stacks of them with equal leading dimensions.
+    return (a[..., :, None, :] * b[..., None, :, :]).reshape(
+        a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1])
     )
 
 
@@ -75,14 +84,18 @@ def normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(unit, weights)`` where ``weights[k]`` is the original norm of
     column k.  Zero columns are returned unchanged with weight 0.
     """
-    return _normalize_columns(_as_float_array(m, "matrix"))
+    m = _as_float_array(m, "matrix")
+    if m.ndim != 2:
+        raise ValueError("normalize_columns expects a matrix")
+    return _normalize_columns(m)
 
 
 def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Unchecked core of normalize_columns, for a float64 matrix.
-    norms = np.linalg.norm(m, axis=0)
+    # Unchecked core of normalize_columns, for a float64 matrix or a stack
+    # of them.
+    norms = np.linalg.norm(m, axis=-2)
     safe = np.where(norms > 0, norms, 1.0)
-    return m / safe, norms
+    return m / safe[..., None, :], norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,47 +188,140 @@ def cp_als(
 
     Returns a column-normalized :class:`KruskalTensor`; with
     ``return_history=True``, also the per-sweep relative errors.  The
-    tensor is validated once, here; the sweeps use unchecked helpers.
-    The error after a sweep is that of the last mode's unfolding,
+    error after a sweep is that of the last mode's unfolding,
     ``||X_(N) - (F_N w) kr^T||`` with the Khatri-Rao product ``kr`` that
     mode's update just used, so no dense reconstruction is formed.
+
+    This is :func:`cp_als_many` on a batch of one, which also validates
+    the arguments.
     """
-    t = _as_float_array(tensor, "tensor")
+    return cp_als_many([tensor], rank, [seed], tol, max_iter, return_history)[0]
+
+
+def cp_als_many(
+    tensors,
+    rank: int,
+    seeds,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    return_history: bool = False,
+) -> list:
+    """:func:`cp_als` of many tensors of one shape, as one batch.
+
+    Returns a list with what ``cp_als(tensor, rank, tol, max_iter, seed,
+    return_history)`` returns for each ``(tensor, seed)`` pair, bit for
+    bit, so a tensor's result does not depend on the rest of its batch.
+    An empty batch returns ``[]``.
+
+    The arguments are checked once, here: ``rank >= 1``, ``tol > 0``,
+    ``max_iter >= 1``, one seed per tensor, and finite tensors of one
+    shape, of order 2 or more and with no empty mode.  A sweep stacks
+    every live tensor's unfoldings, Khatri-Rao products and ``(B, r, r)``
+    Grams, and makes one stacked ``np.linalg.solve`` per mode.  A tensor
+    leaves the batch when it stops; the rows of the others move down in
+    place, and the residuals are written into one buffer.
+
+    numpy computes each item of a stacked ``matmul`` or ``solve`` as the
+    two-dimensional call on that item would, but BLAS sums in an order
+    that depends on the operands' memory layout.  So each stacked array
+    keeps per item the layout that the one-tensor computation gives it.
+    Tensors are read in C order.
+    """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    dims = t.shape
-    n_modes = t.ndim
-    rng = np.random.default_rng(seed)
-    factors = [_normalize_columns(rng.standard_normal((d, rank)))[0] for d in dims]
-    weights = np.ones(rank)
-    unfoldings = [unfold(t, m + 1) for m in range(n_modes)]
-    norm_x = np.linalg.norm(t)
-    eye = np.eye(rank)
-    history: list[float] = []
-    prev_err = np.inf
-    for _ in range(max_iter):
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    ts = [np.ascontiguousarray(_as_float_array(t, "tensor")) for t in tensors]
+    seeds = list(seeds)
+    if len(seeds) != len(ts):
+        raise ValueError(f"got {len(seeds)} seeds for {len(ts)} tensors")
+    if not ts:
+        return []
+    dims = ts[0].shape
+    if any(t.shape != dims for t in ts):
+        raise ValueError("tensors must share one shape")
+    if len(dims) < 2:
+        raise ValueError(f"tensor order must be >= 2, got {len(dims)}")
+    if 0 in dims:
+        raise ValueError(f"tensor has an empty mode: shape {dims}")
+
+    n_modes = len(dims)
+    inits = [
+        [_normalize_columns(rng.standard_normal((d, rank)))[0] for d in dims]
+        for rng in map(np.random.default_rng, seeds)
+    ]
+    factors = [np.stack(fs) for fs in zip(*inits)]
+    unfoldings = [_stacked_unfoldings(ts, n) for n in range(n_modes)]
+    norm_x = np.array([np.linalg.norm(t) for t in ts])
+    ridge = ALS_RIDGE * np.eye(rank)
+    resid = np.empty(unfoldings[-1].shape)
+    live = np.arange(len(ts))
+    prev_err = np.full(len(ts), np.inf)
+    histories: list[list] = [[] for _ in ts]
+    results: list = [None] * len(ts)
+    for sweep in range(max_iter):
         for n in range(n_modes):
             others = [factors[j] for j in range(n_modes - 1, -1, -1) if j != n]
             kr = reduce(_khatri_rao, others)
-            gram = np.ones((rank, rank))
+            gram = np.ones((live.size, rank, rank))
             for j in range(n_modes):
                 if j != n:
-                    gram *= factors[j].T @ factors[j]
+                    gram *= factors[j].transpose(0, 2, 1) @ factors[j]
             rhs = unfoldings[n] @ kr
-            sol = np.linalg.solve(gram + ALS_RIDGE * eye, rhs.T).T
-            factors[n], weights = _normalize_columns(sol)
+            sol = np.linalg.solve(gram + ridge, rhs.transpose(0, 2, 1))
+            factors[n], weights = _normalize_columns(sol.transpose(0, 2, 1))
             # Zero columns keep weight 0; reuse them as-is.
-        err = np.linalg.norm(unfoldings[-1] - (factors[-1] * weights) @ kr.T)
-        if norm_x > 0:
-            err /= norm_x
-        history.append(err)
-        if prev_err - err < tol:
-            break
+        model = resid[: live.size]
+        np.matmul(factors[-1] * weights[:, None, :], kr.transpose(0, 2, 1), out=model)
+        res = np.subtract(unfoldings[-1], model, out=model).reshape(live.size, 1, -1)
+        err = np.sqrt((res @ res.transpose(0, 2, 1)).reshape(-1))
+        np.divide(err, norm_x, out=err, where=norm_x > 0)
+        for row, e in zip(live, err):
+            histories[row].append(e)
+        done = (prev_err - err < tol) | (sweep == max_iter - 1)
         prev_err = err
-
-    result = KruskalTensor(weights, tuple(factors)).normalized()
+        if done.any():
+            for i in np.flatnonzero(done):
+                results[live[i]] = KruskalTensor(
+                    weights[i], tuple(f[i] for f in factors)
+                ).normalized()
+            stay = np.flatnonzero(~done)
+            live, prev_err, norm_x = live[stay], prev_err[stay], norm_x[stay]
+            factors = _keep_rows(factors, stay)
+            unfoldings = _keep_rows(unfoldings, stay)
+        if live.size == 0:
+            break
     if return_history:
-        return result, history
-    return result
+        return list(zip(results, histories))
+    return results
+
+
+def _stacked_unfoldings(ts, mode: int) -> np.ndarray:
+    # (B, I_n, J_n) mode-n unfoldings of C-order tensors of one shape, each
+    # laid out as _unfold lays out one (a copy in Fortran order, unless the
+    # unfolding is a C-order view).
+    first = _unfold(ts[0], mode)
+    shape = (len(ts),) + first.shape
+    if first.flags.c_contiguous:
+        out = np.empty(shape)
+    else:
+        out = np.empty(shape[:1] + shape[:0:-1]).transpose(0, 2, 1)
+    for i, t in enumerate(ts):
+        out[i] = _unfold(t, mode)
+    return out
+
+
+def _keep_rows(arrays, positions) -> list[np.ndarray]:
+    """Keep rows ``positions`` (increasing) of each array, moved down in place.
+
+    Returns the leading part of each array that now holds them.  Unlike
+    fancy indexing, this allocates no second copy of the arrays and keeps
+    their memory layout.
+    """
+    for new, old in enumerate(positions):
+        if new != old:
+            for a in arrays:
+                a[new] = a[old]
+    return [a[: len(positions)] for a in arrays]

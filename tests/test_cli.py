@@ -199,7 +199,14 @@ class TestBenchmark:
         for m in methods:
             assert sum(r["method"] == m for r in rows) == 2
         assert (out1 / "summary.csv").exists()
-        assert (out1 / "manifest.txt").exists()
+        manifest = dict(
+            line.split(" = ", 1)
+            for line in (out1 / "manifest.txt").read_text().strip().splitlines()
+        )
+        # Per-stage decomposition seconds, summed over workers (printed to
+        # the millisecond, so a small run can read 0).
+        assert float(manifest["acmtf_s"]) >= 0
+        assert float(manifest["cp_als_s"]) >= 0
 
     def test_dataset_directory_runs_like_its_case(self, tmp_path):
         # `cstm simulate` writes gen_case(1, 4, 5), which is what the

@@ -266,12 +266,21 @@ class TestRunExperiment:
             tiny_config(lambda_grid=(0.0, 1.0))
 
     def test_threads_match_serial(self):
-        cfg1 = tiny_config(repetitions=1, threads=1)
-        cfg2 = tiny_config(repetitions=1, threads=2)
-        s1 = run_experiment(cfg1)
-        s2 = run_experiment(cfg2)
-        for m in cfg1.methods:
-            assert s1.rows[m] == s2.rows[m]
+        # 8 samples: 3 workers get uneven slices (2, 3, 3) and 9 threads
+        # leave one empty slice, which starts no worker.
+        for methods in (("cpstm_tensor",), ("cstm",),
+                        ("cstm", "cpstm_tensor", "cpstm_matrix")):
+            serial = run_experiment(tiny_config(n_per_class=4, methods=methods))
+            assert (serial.acmtf_seconds > 0) == ("cstm" in methods)
+            assert (serial.cp_als_seconds > 0) == ("cpstm_tensor" in methods)
+            for threads in (2, 3, 9):
+                s = run_experiment(
+                    tiny_config(n_per_class=4, methods=methods, threads=threads)
+                )
+                for m in methods:
+                    assert s.rows[m] == serial.rows[m]
+                    assert s.lambdas[m] == serial.lambdas[m]
+                assert repr(s.mean_final_objective) == repr(serial.mean_final_objective)
 
     def test_weight_tuning_runs_and_records(self):
         cfg = tiny_config(methods=("cstm",), repetitions=1, tune_weights=True)

@@ -1,11 +1,13 @@
 """Property tests: the Gram engine against a pairwise reference, the SMO
 solver against a reference copy of its plain masked-index loop, batched SMO
 against single solves, the KKT conditions of every converged SMO solution,
-batched ACMTF decomposition against single-sample runs, and container
-readers on corrupted files."""
+batched ACMTF decomposition against single-sample runs, batched CP-ALS
+against single runs and a reference copy of the one-tensor loop, and
+container readers on corrupted files."""
 
 import os
 import tempfile
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -35,7 +37,12 @@ from cstm.kernels import (  # noqa: E402
     kernel_matrix,
 )
 from cstm.stm import QpProblem, StmModel, solve_qp, solve_qp_many  # noqa: E402
-from cstm.tensor_core import KruskalTensor  # noqa: E402
+from cstm.tensor_core import (  # noqa: E402
+    ALS_RIDGE,
+    KruskalTensor,
+    cp_als,
+    cp_als_many,
+)
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 DIMS = (4, 3, 5, 6)
@@ -376,6 +383,100 @@ def test_batches_mix_iteration_counts():
     fs = acmtf_decompose_many([exact, noisy], h, [1, 2])
     iters = [len(f.objective_history) - 1 for f in fs]
     assert iters[0] != iters[1], iters
+
+
+# ---------------------------------------------------------------------------
+# Batched CP-ALS: bit-equal to single runs and to the one-tensor loop
+# ---------------------------------------------------------------------------
+
+def ref_cp_als(t, rank, tol, max_iter, seed):
+    """The one-tensor CP-ALS loop that cp_als_many batches."""
+    def normalize(m):
+        norms = np.linalg.norm(m, axis=0)
+        return m / np.where(norms > 0, norms, 1.0), norms
+
+    def kr(a, b):
+        return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
+
+    n_modes = t.ndim
+    rng = np.random.default_rng(seed)
+    factors = [normalize(rng.standard_normal((d, rank)))[0] for d in t.shape]
+    unfoldings = [np.moveaxis(t, n, 0).reshape((d, -1), order="F")
+                  for n, d in enumerate(t.shape)]
+    norm_x = np.linalg.norm(t)
+    history, prev = [], np.inf
+    for _ in range(max_iter):
+        for n in range(n_modes):
+            k = reduce(kr, [factors[j] for j in range(n_modes - 1, -1, -1) if j != n])
+            gram = np.ones((rank, rank))
+            for j in range(n_modes):
+                if j != n:
+                    gram *= factors[j].T @ factors[j]
+            sol = np.linalg.solve(gram + ALS_RIDGE * np.eye(rank), (unfoldings[n] @ k).T).T
+            factors[n], weights = normalize(sol)
+        err = np.linalg.norm(unfoldings[-1] - (factors[-1] * weights) @ k.T)
+        if norm_x > 0:
+            err /= norm_x
+        history.append(err)
+        if prev - err < tol:
+            break
+        prev = err
+    return KruskalTensor(weights, tuple(factors)).normalized(), history
+
+
+def same_cp(a, b):
+    (ka, ha), (kb, hb) = a, b
+    return (ha == hb and ka.weights.tobytes() == kb.weights.tobytes()
+            and all(x.tobytes() == y.tobytes() for x, y in zip(ka.factors, kb.factors)))
+
+
+@st.composite
+def cp_batches(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=4)))
+    letters = "ijkl"[: len(shape)]
+    spec = ",".join(c + "r" for c in letters) + "->" + letters
+    tensors = []
+    for _ in range(draw(st.integers(2, 5))):
+        # A zero tensor stops after two sweeps, with weight 0; exact and
+        # noisy rank-2 data stop on tol or at max_iter, depending on the
+        # rank and tol drawn.  So rows leave the batch at different sweeps.
+        kind = draw(st.sampled_from(("exact", "exact", "noisy", "zero")))
+        t = np.einsum(spec, *(rng.standard_normal((d, 2)) + 1.0 for d in shape))
+        if kind == "noisy":
+            t = t + 0.3 * rng.standard_normal(shape)
+        tensors.append(np.zeros(shape) if kind == "zero" else t)
+    seeds = [int(v) for v in rng.integers(0, 2**31, len(tensors))]
+    # Ranks up to 6 exceed every mode size of 5 or less.
+    return (tensors, draw(st.integers(1, 6)), seeds,
+            draw(st.sampled_from((1e-8, 1e-4))), draw(st.integers(1, 40)),
+            draw(st.integers(1, len(tensors) - 1)))
+
+
+@settings(PROPS, max_examples=60)
+@given(cp_batches())
+def test_cp_als_batch_matches_single_runs(case):
+    tensors, rank, seeds, tol, max_iter, cut = case
+    full = cp_als_many(tensors, rank, seeds, tol, max_iter, return_history=True)
+    halves = (cp_als_many(tensors[:cut], rank, seeds[:cut], tol, max_iter, True)
+              + cp_als_many(tensors[cut:], rank, seeds[cut:], tol, max_iter, True))
+    for t, seed, a, b in zip(tensors, seeds, full, halves):
+        single = cp_als(t, rank, tol, max_iter, seed, return_history=True)
+        assert same_cp(a, single) and same_cp(b, single)
+        assert same_cp(single, ref_cp_als(t, rank, tol, max_iter, seed))
+
+
+def test_cp_batches_mix_stop_sweeps():
+    # The batch property above is only telling if tensors leave a batch at
+    # different sweeps; check that its kinds of input make them do so.
+    rng = np.random.default_rng(0)
+    exact = np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((d, 2)) + 1.0 for d in (4, 3, 5)))
+    noisy = exact + 0.3 * rng.standard_normal(exact.shape)
+    out = cp_als_many([exact, noisy, np.zeros(exact.shape)], 2, [1, 2, 3],
+                      tol=1e-4, max_iter=20, return_history=True)
+    sweeps = [len(h) for _, h in out]
+    assert sweeps[0] == 20 and len(set(sweeps)) == 3, sweeps
+    assert np.all(out[2][0].weights == 0)
 
 
 # ---------------------------------------------------------------------------

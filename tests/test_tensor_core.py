@@ -6,6 +6,7 @@ import pytest
 from cstm.tensor_core import (
     KruskalTensor,
     cp_als,
+    cp_als_many,
     fold,
     khatri_rao,
     kruskal_to_full,
@@ -192,6 +193,11 @@ class TestNormalizeColumns:
         np.testing.assert_array_equal(unit, np.zeros((3, 1)))
         np.testing.assert_array_equal(w, [0.0])
 
+    def test_rejects_non_matrix(self):
+        for shape in ((3,), (2, 3, 4)):
+            with pytest.raises(ValueError, match="matrix"):
+                normalize_columns(np.ones(shape))
+
     def test_reconstruction_exact(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 4))
@@ -262,3 +268,50 @@ class TestCpAls:
             cp_als(t, 0)
         with pytest.raises(ValueError):
             cp_als(t, 1, tol=0.0)
+
+    # cp_als and cp_als_many share one entry check; each bad argument is
+    # tried through both.
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(max_iter=0), "max_iter"),
+        (dict(max_iter=-3), "max_iter"),
+        (dict(tol=float("nan")), "tol"),
+        (dict(tol=-1e-3), "tol"),
+    ])
+    def test_rejects_bad_settings(self, kwargs, match):
+        t = np.ones((2, 3, 2))
+        with pytest.raises(ValueError, match=match):
+            cp_als(t, 2, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            cp_als_many([t], 2, [0], **kwargs)
+
+    @pytest.mark.parametrize("shape, match", [
+        ((4,), "order"),
+        ((), "order"),
+        ((3, 0, 2), "empty mode"),
+        ((0, 4), "empty mode"),
+    ])
+    def test_rejects_bad_tensors(self, shape, match):
+        t = np.ones(shape)
+        with pytest.raises(ValueError, match=match):
+            cp_als(t, 1)
+        with pytest.raises(ValueError, match=match):
+            cp_als_many([t, t], 1, [0, 1])
+
+    def test_rejects_non_finite_tensor(self):
+        t = np.ones((2, 3, 2))
+        t[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            cp_als(t, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            cp_als_many([np.ones((2, 3, 2)), t], 1, [0, 1])
+
+    def test_batch_arguments(self):
+        a, b = np.ones((2, 3, 2)), np.ones((2, 3, 3))
+        with pytest.raises(ValueError, match="one shape"):
+            cp_als_many([a, b], 1, [0, 1])
+        with pytest.raises(ValueError, match="seeds"):
+            cp_als_many([a, a], 1, [0])
+        with pytest.raises(ValueError, match="seeds"):
+            cp_als_many([], 1, [0])
+        assert cp_als_many([], 1, []) == []
+        assert cp_als_many([], 1, [], return_history=True) == []
