@@ -12,7 +12,9 @@ factors.  The factorization minimizes
 
 over the factor blocks (A, B, C, U, V) and the weight vectors (zeta, sigma),
 using nonlinear conjugate gradient with Hestenes-Stiefel updates and a
-strong-Wolfe line search.  The analytic gradient below is the exact gradient
+strong-Wolfe line search.  The line search brackets a step by the secant
+step on the slope (doubling only where the slope did not rise) and zooms by
+quadratic interpolation.  The analytic gradient below is the exact gradient
 of Q as written (including the factors of 2 from the squared norms), so it
 matches finite differences of :func:`acmtf_objective` coordinate-wise.
 
@@ -27,15 +29,17 @@ r x r Grams.  The CG loop (:func:`_conjugate_gradient`) and its line
 search (:class:`_LineSearch`) hold a whole batch's state as arrays, one
 row or column per sample, so :func:`acmtf_decompose_many` advances every
 unfinished sample by one evaluator call and one pass of masked array
-operations per round.  :func:`acmtf_decompose` and :func:`line_search`
-run the same code on a batch of one.  Inputs are validated at the
-boundary, by :class:`CoupledSample` and the public functions; the CG loop
-raises :class:`NumericalError` on a non-finite starting objective or
-gradient, and nothing inside it checks further.
+operations per round, and reports each sample's iterations, evaluations
+and stop reason as :class:`SolveStats`.  :func:`acmtf_decompose` and
+:func:`line_search` run the same code on a batch of one.  Inputs are
+validated at the boundary, by :class:`CoupledSample` and the public
+functions; the CG loop raises :class:`NumericalError` on a non-finite
+starting objective or gradient, and nothing inside it checks further.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +99,9 @@ class AcmtfHyperParams:
     gamma weighs both data-fit terms, beta the smoothed-l1 sparsity on the
     component weights, xi the coupling penalty, theta the unit-norm penalty;
     epsilon smooths the l1 term.  cg_tol is the objective-change stopping
-    threshold and max_iters the iteration cap of the CG loop.
+    threshold and max_iters the iteration cap of the CG loop.  The weights
+    must be finite and >= 0, epsilon and cg_tol finite and > 0, and rank
+    and max_iters integers >= 1 (not bool).
     """
 
     gamma: float = 1.0
@@ -112,14 +118,32 @@ class AcmtfHyperParams:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.cg_tol <= 0:
-            raise ValueError("cg_tol must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name in ("epsilon", "cg_tol"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        for name in ("rank", "max_iters"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """How one decomposition's CG loop ended.
+
+    ``iterations`` counts the steps taken and ``evaluations`` the objective
+    and gradient evaluations, the starting point included.  ``stop`` is the
+    reason the loop ended: ``"tol"`` (the objective changed by less than
+    ``cg_tol``), ``"max_iters"``, ``"no_descent"`` (no step decreased the
+    objective, steepest descent included) or ``"zero_grad"``.
+    """
+
+    iterations: int
+    evaluations: int
+    stop: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +151,10 @@ class AcmtfFactors:
     """Joint factorization result: tensor Kruskal, matrix Kruskal, shared factor.
 
     ``shared`` is the elementwise average of the tensor's third-mode factor
-    and the matrix's second-mode factor.  ``objective_history`` and
-    ``converged`` are optional solver provenance.
+    and the matrix's second-mode factor.  ``objective_history``,
+    ``converged`` and ``stats`` are optional solver provenance; ``converged``
+    is false only where the loop stopped at ``max_iters``.  Factors read
+    from a file carry no ``stats``.
     """
 
     u1: KruskalTensor
@@ -136,6 +162,7 @@ class AcmtfFactors:
     shared: np.ndarray
     objective_history: tuple[float, ...] = field(default=(), compare=False)
     converged: bool = field(default=True, compare=False)
+    stats: SolveStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.u1.order != 3:
@@ -158,9 +185,10 @@ class AcmtfFactors:
         u2: KruskalTensor,
         objective_history: tuple[float, ...] = (),
         converged: bool = True,
+        stats: SolveStats | None = None,
     ) -> "AcmtfFactors":
         shared = (u1.factors[2] + u2.factors[1]) / 2
-        return cls(u1, u2, shared, objective_history, converged)
+        return cls(u1, u2, shared, objective_history, converged, stats)
 
     @property
     def rank(self) -> int:
@@ -198,7 +226,7 @@ class AcmtfFactors:
             self.u2.weights[keep], tuple(f[:, keep] for f in self.u2.factors)
         )
         return AcmtfFactors.from_kruskals(
-            u1, u2, self.objective_history, self.converged
+            u1, u2, self.objective_history, self.converged, self.stats
         )
 
 
@@ -441,7 +469,11 @@ class _LineSearch:
     Each search runs from its own point along its own direction; its state
     is one column of every array here, so one :meth:`advance` moves all of
     them by one trial point with masked array operations.  A search
-    brackets by doubling the step, zooms by quadratic interpolation with a
+    brackets by extrapolating the step: it takes the secant step on the
+    slope through the previous bracket point and the trial (More & Thuente
+    1994, "Line search algorithms with guaranteed sufficient decrease"),
+    clamped to 1.1 to 4 times the trial step, and doubles the step where
+    the slope did not rise.  It zooms by quadratic interpolation with a
     bisection safeguard, and after ``max_evals`` evaluations, or once the
     bracket is narrower than 1e-16, falls back to backtracking for plain
     decrease.  A trial point whose value or slope is not finite fails
@@ -484,7 +516,8 @@ class _LineSearch:
         self.trial[0, rows] = np.where(np.isfinite(init) & (init > 0), init, 1.0)
 
     # While bracketing, hi is at +inf: a zero slope times +inf, and the
-    # quadratic step of searches not zooming, make NaNs that no result uses.
+    # interpolated steps of searches not taking them, make NaNs and
+    # infinities that no result uses.
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def advance(self, q, slope):
         """Take the value ``q`` and slope at every trial step.
@@ -519,11 +552,25 @@ class _LineSearch:
         low ^= wolfe
         # A low step whose slope points back past lo, towards hi (while
         # bracketing, a slope >= 0): lo becomes hi.
-        flip = low & ~(slope * (hi[0] - lo[0]) < 0)
+        flip = low & ~(slope * (hi[0] - lo[0]) < 0.0)
+        # The next bracketing step, from lo before it moves: the root of the
+        # secant through (lo step, lo slope) and (a, slope), clamped to
+        # [1.1a, 4a], where the slope rose; twice a where it did not.  The
+        # searches that go on bracketing are low steps with a negative
+        # slope, so their lo slope is finite and below zero too.
+        rise = slope - lo[2]
+        grow_to = a - lo[0]
+        grow_to *= slope
+        grow_to /= rise
+        np.subtract(a, grow_to, out=grow_to)
+        np.maximum(grow_to, 1.1 * a, out=grow_to)
+        np.minimum(grow_to, 4.0 * a, out=grow_to)
+        np.copyto(grow_to, 2.0 * a, where=rise <= 0)
         np.copyto(hi, lo[:2], where=flip)
         np.copyto(hi, t[:2], where=high)
         np.copyto(lo, t, where=low)
-        grow = low & (hi[0] == np.inf)  # bracketing goes on at twice the step
+        np.copyto(best, t[:2], where=better | wolfe)
+        grow = low & (hi[0] == np.inf)  # bracketing goes on
         zooming = ~(wolfe | grow)
         done = wolfe
         if falling:
@@ -531,38 +578,38 @@ class _LineSearch:
             settled = fallback ^ back
             done = wolfe | settled
             zooming &= ~fallback
-        np.copyto(best, t[:2], where=better | wolfe)
-        a = a * np.where(grow, 2.0, 1.0)
-        if falling:
             unfound = settled & (best[1] == np.inf)
             best[0, unfound] = 0.0
             best[1, unfound] = f0[unfound]
             a[back] *= 0.5
+        # From here on, a (the trial step row) takes each next step in place.
+        np.copyto(a, grow_to, where=grow)
         # Out of evaluations, or a zoom whose bracket has shrunk below
         # 1e-16 (both rare: test for any first).
-        narrow = np.abs(hi[0] - lo[0]) < 1e-16
+        width = hi[0] - lo[0]
+        span = np.abs(width)
+        narrow = span < 1e-16
         if np.count_nonzero(narrow) or self.evals.max() >= self.max_evals:
             to_fallback = (high | low) & (self.evals >= self.max_evals)
             to_fallback |= zooming & (phase == _ZOOM) & narrow
             zooming &= ~to_fallback
             phase[to_fallback] = _FALLBACK
             # Backtrack from the best step seen if it decreased, else from 1.
-            a = np.where(to_fallback, np.where(best[1] < f0, best[0], 1.0), a)
+            np.copyto(a, np.where(best[1] < f0, best[0], 1.0), where=to_fallback)
         if np.count_nonzero(zooming):
             phase[zooming] = _ZOOM
-            a = np.where(zooming, self._zoom_step(), a)
-        t[0] = a
+            np.copyto(a, self._zoom_step(width, span), where=zooming)
         return done
 
-    def _zoom_step(self) -> np.ndarray:
+    def _zoom_step(self, width, span) -> np.ndarray:
         """Minimizer of the quadratic through lo (value, slope) and hi (value).
 
-        Bisects where that is undefined or outside the middle 80 % of the
-        bracket.
+        ``width`` is hi's step minus lo's, and ``span`` its absolute value.
+        Bisects where the minimizer is undefined or outside the middle 80 %
+        of the bracket.
         """
         lo, hi = self.lo, self.hi
         lo_a, hi_a, lo_d = lo[0], hi[0], lo[2]
-        width = hi_a - lo_a
         denom = hi[1] - lo[1]
         denom -= lo_d * width
         denom *= 2.0
@@ -574,11 +621,11 @@ class _LineSearch:
         a = lo_a - a
         mid = lo_a + hi_a
         mid *= 0.5
-        tenth = np.abs(width)
-        tenth *= 0.1
+        tenth = span * 0.1
         inside = np.minimum(lo_a, hi_a) + tenth <= a
         inside &= a <= np.maximum(lo_a, hi_a) - tenth
-        return np.where(inside, a, mid)
+        np.copyto(mid, a, where=inside)
+        return mid
 
 
 def _wolfe_search(
@@ -594,11 +641,13 @@ def _wolfe_search(
 ) -> LineSearchResult:
     """One strong-Wolfe line search: a :class:`_LineSearch` of one row.
 
-    Every trial point is evaluated by ``fg(x) -> (value, gradient)``.  If
-    no Wolfe point is found within ``max_evals`` evaluations, the best
-    simple-decrease step seen is returned with ``wolfe_satisfied=False``;
-    if no finite trial point was seen at all, the zero step at
-    ``(f0, g0)``.
+    The search brackets by the secant step on the slope, clamped to 1.1 to
+    4 times the trial step, and doubles the step only where the slope did
+    not rise; it then zooms.  Every trial point is evaluated by
+    ``fg(x) -> (value, gradient)``.  If no Wolfe point is found within
+    ``max_evals`` evaluations, the best simple-decrease step seen is
+    returned with ``wolfe_satisfied=False``; if no finite trial point was
+    seen at all, the zero step at ``(f0, g0)``.
     """
     d = direction[None]
     dphi0 = _row_dot(g0[None], d)
@@ -651,6 +700,11 @@ def _initial_point(dims, rank: int, seed: int) -> np.ndarray:
     return pack(blocks)
 
 
+# Why a CG row stopped, by code; 0 while it runs.
+_STOPS = ("", "tol", "max_iters", "no_descent", "zero_grad")
+_TOL, _MAX_ITERS, _NO_DESCENT, _ZERO_GRAD = 1, 2, 3, 4
+
+
 def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     """The Hestenes-Stiefel CG loop from every row of ``x``, as one batch.
 
@@ -669,9 +723,10 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     steepest descent when its denominator is below ``HS_DENOM_GUARD``.  A
     row stops when the objective changes by less than ``h.cg_tol``, the
     gradient is zero, no descent is found, or after ``h.max_iters``
-    iterations; only the last does not count as converged.
+    iterations.  A row evaluates one point per round while it runs, so its
+    evaluation count is one more than the rounds before it stops.
 
-    Returns ``(x, objective history, converged)`` per row.  Raises
+    Returns ``(x, objective history, SolveStats)`` per row.  Raises
     :class:`NumericalError` if a starting objective or gradient is not
     finite; later points are finite, because the line search accepts only
     points of finite value and slope, and a finite slope needs a finite
@@ -691,8 +746,8 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     ids = np.arange(b)  # each row's position in x
     it = np.zeros(b, dtype=np.int64)  # iteration number = steps taken
     X, D, P = x.copy(), -G, np.empty_like(x)
-    converged = np.zeros(b, dtype=bool)
-    stop = np.zeros(b, dtype=bool)
+    stop = np.zeros(b, dtype=np.int8)  # the row's _STOPS code once it stops
+    rounds = 0
     ls = _LineSearch(b)
 
     def begin(rows, g_rows, d_rows, decrease=None):
@@ -705,7 +760,7 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
         dphi = _row_dot(g_rows, d_rows)
         if np.count_nonzero(grad_norm) < rows.size:
             zero = grad_norm == 0.0
-            stop[rows[zero]] = converged[rows[zero]] = True
+            stop[rows[zero]] = _ZERO_GRAD
             on = ~zero
             rows, grad_norm, dphi = rows[on], grad_norm[on], dphi[on]
             decrease = None if decrease is None else decrease[on]
@@ -723,21 +778,22 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
             for k in stop.nonzero()[0]:
                 results[ids[k]] = (
                     X[k].copy(), tuple(history[ids[k], : it[k] + 1].tolist()),
-                    bool(converged[k]),
+                    SolveStats(int(it[k]), rounds + 1, _STOPS[stop[k]]),
                 )
-            rows = (~stop).nonzero()[0]
+            rows = (stop == 0).nonzero()[0]
             if not rows.size:
                 return results
-            X, D, G, f, it, ids, converged, stop = (
-                v[rows] for v in (X, D, G, f, it, ids, converged, stop)
+            X, D, G, f, it, ids, stop = (
+                v[rows] for v in (X, D, G, f, it, ids, stop)
             )
             P = np.empty_like(X)
             ls.keep(rows)
             ev.keep(rows)
 
-        np.einsum("ij,i->ij", D, ls.trial[0], out=P)  # x + a d, a the trial step
+        np.multiply(D, ls.trial[0][:, None], out=P)  # x + a d, a the trial step
         P += X
         q, g = ev(P)
+        rounds += 1
         done = ls.advance(q, _row_dot(g, D))
         rows = done.nonzero()[0]
         if not rows.size:
@@ -747,7 +803,7 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
         if not move.all():
             fail = rows[~move]
             steepest = (D[fail] == -G[fail]).all(axis=1)
-            stop[fail[steepest]] = converged[fail[steepest]] = True  # no descent
+            stop[fail[steepest]] = _NO_DESCENT
             fail = fail[~steepest]
             if fail.size:  # stagnant CG direction: retry along steepest descent
                 D[fail] = -G[fail]
@@ -780,8 +836,7 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
         decrease = step * ls.origin[1, rows]
         ended = tol | (it_new == h.max_iters)
         if np.count_nonzero(ended):
-            stop[rows[ended]] = True
-            converged[rows[tol]] = True
+            stop[rows[ended]] = np.where(tol[ended], _TOL, _MAX_ITERS)
             on = ~ended
             rows, g_new, d_new, decrease = rows[on], g_new[on], d_new[on], decrease[on]
         begin(rows, g_new, d_new, decrease)
@@ -838,6 +893,19 @@ def acmtf_decompose_many(
     Under ``normalize``, a sample whose tensor or matrix has a Frobenius
     norm beyond the float64 range raises :class:`NumericalError` before any
     iteration.
+
+    Degenerate samples do not raise; each gets finite factors and a
+    ``stats.stop`` (tested at rank 3 and at rank 7, above every mode size):
+
+    - a zero tensor or zero matrix keeps scale 1, its weights are driven
+      below 1e-3 and the other modality is fit;
+    - an all-zero sample ends with every weight below 1e-3;
+    - constant data are fit to within 1 % of their Frobenius norm;
+    - a rank above a mode size gives finite factors.
+
+    Which stop they reach depends on the data and the seed: a zero-matrix
+    sample stopped on ``"tol"`` in one draw and ran to ``"max_iters"`` in
+    another; the all-zero and constant samples stopped on ``"tol"``.
     """
     samples, seeds = list(samples), list(seeds)
     if len(seeds) != len(samples):
@@ -861,13 +929,13 @@ def acmtf_decompose_many(
     ev = _Evaluator(samples, h, scales)
     x = np.stack([_initial_point(dims, h.rank, seed) for seed in seeds])
     out = []
-    for (x, history, converged), (scale_t, scale_m) in zip(
+    for (x, history, stats), (scale_t, scale_m) in zip(
         _conjugate_gradient(ev, x, h), scales
     ):
         A, B, C, U, V, zeta, sigma = unpack(x, dims, h.rank)
         u1 = KruskalTensor(zeta * scale_t, (A, B, C)).normalized()
         u2 = KruskalTensor(sigma * scale_m, (U, V)).normalized()
         out.append(AcmtfFactors.from_kruskals(
-            u1, u2, objective_history=history, converged=converged
+            u1, u2, history, stats.stop != "max_iters", stats
         ))
     return out

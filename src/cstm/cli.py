@@ -95,7 +95,9 @@ def cmd_decompose(args) -> int:
     entries = {"version": _VERSION, "command": "decompose", "input": args.infile,
                "seed": args.seed, "wall_clock_s": f"{elapsed:.3f}",
                "final_objective": repr(factors.objective_history[-1]),
-               "iterations": len(factors.objective_history) - 1,
+               "iterations": factors.stats.iterations,
+               "evaluations": factors.stats.evaluations,
+               "stop": factors.stats.stop,
                "converged": factors.converged}
     for line in serialize_acmtf_params(params).strip().splitlines():
         key, value = line.split(" = ", 1)

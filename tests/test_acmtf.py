@@ -9,10 +9,14 @@ from cstm.acmtf import (
     CoupledSample,
     LineSearchResult,
     NumericalError,
+    SolveStats,
+    _BRACKET,
     _Evaluator,
     _frobenius,
+    _LineSearch,
     _wolfe_search,
     acmtf_decompose,
+    acmtf_decompose_many,
     acmtf_gradient,
     acmtf_objective,
     line_search,
@@ -142,6 +146,22 @@ class TestTypes:
             AcmtfHyperParams(epsilon=0.0)
         with pytest.raises(ValueError):
             AcmtfHyperParams(rank=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("cg_tol", float("nan")), ("cg_tol", float("inf")), ("cg_tol", 0.0),
+        ("epsilon", float("nan")), ("epsilon", float("inf")),
+        ("rank", 2.5), ("rank", 3.0), ("rank", True),
+        ("max_iters", 10.0), ("max_iters", False), ("max_iters", 0),
+    ])
+    def test_bad_solver_settings_rejected(self, name, value):
+        # A NaN cg_tol would switch the early stop off, and a float rank or
+        # max_iters would fail inside the decomposition.
+        with pytest.raises(ValueError, match=name):
+            AcmtfHyperParams(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        h = AcmtfHyperParams(rank=np.int64(3), max_iters=np.int32(7))
+        assert h.rank == 3 and h.max_iters == 7
 
     def test_shared_must_be_average(self):
         rng = np.random.default_rng(0)
@@ -393,6 +413,63 @@ class TestLineSearch:
         assert res.step <= 3.0
         assert res.value < f0
 
+    @staticmethod
+    def counted(phi, dphi):
+        """``fg`` of the 1-D function phi, recording every step evaluated."""
+        steps = []
+
+        def fg(x):
+            steps.append(float(x[0]))
+            return phi(x[0]), np.array([dphi(x[0])])
+
+        return fg, steps
+
+    def test_secant_bracketing_reaches_a_far_minimizer_in_three_evaluations(self):
+        # phi = (a - 10)^2 from a first step of 1: the secant step on the
+        # slope is clamped to 4, then lands on 10.  Doubling would try 1, 2,
+        # 4, 8 and 16, then zoom to 10: six evaluations.
+        fg, steps = self.counted(lambda a: (a - 10.0) ** 2, lambda a: 2.0 * (a - 10.0))
+        f0, g0 = fg(np.zeros(1))
+        steps.clear()
+        res = _wolfe_search(fg, np.zeros(1), np.ones(1), f0, g0, init_step=1.0)
+        assert res.wolfe_satisfied and abs(res.gradient[0]) <= 0.1 * abs(g0[0])
+        assert steps == [1.0, 4.0, 10.0]
+
+    def test_bracket_steps_grow_by_1_1_to_4(self):
+        # A quartic whose slope flattens towards its minimizer at 30: the
+        # secant steps are sometimes clamped and sometimes taken as is.
+        ls = _LineSearch(1)
+        ls.start(np.array([0]), 30.0 ** 4, -4 * 30.0 ** 3, 1.0)
+        factors = []
+        done = [False]
+        while not done[0]:
+            a = ls.trial[0, 0]
+            bracketing = ls.phase[0] == _BRACKET
+            done = ls.advance(np.array([(a - 30.0) ** 4]), np.array([4 * (a - 30.0) ** 3]))
+            if bracketing and not done[0] and ls.phase[0] == _BRACKET:
+                factors.append(ls.trial[0, 0] / a)
+        assert len(factors) >= 2
+        assert all(1.1 <= k <= 4.0 for k in factors), factors
+        assert min(factors) < 2.0, factors  # a secant step; doubling never is
+
+    @pytest.mark.parametrize("phi, dphi", [
+        # phi' = -1 - a + a^3 / 100 falls until a = sqrt(100 / 3); the
+        # minimizer is near 11.
+        (lambda a: -a - a * a / 2 + a ** 4 / 400, lambda a: -1.0 - a + a ** 3 / 100),
+        # phi' = -1 up to a = 6, then a - 7: the slope stays equal.
+        (lambda a: -a if a < 6 else (a - 7) ** 2 / 2 - 6.5,
+         lambda a: -1.0 if a < 6 else a - 7.0),
+    ])
+    def test_slope_that_does_not_rise_doubles_and_ends_on_a_wolfe_point(self, phi, dphi):
+        fg, steps = self.counted(phi, dphi)
+        f0, g0 = fg(np.zeros(1))
+        steps.clear()
+        res = _wolfe_search(fg, np.zeros(1), np.ones(1), f0, g0, init_step=1.0)
+        assert steps[:4] == [1.0, 2.0, 4.0, 8.0]
+        assert res.wolfe_satisfied
+        assert abs(res.gradient[0]) <= 0.1 * abs(g0[0])
+        assert res.value <= f0 + 1e-4 * res.step * g0[0]
+
     def test_no_finite_trial_returns_zero_step(self):
         def fg(x):
             if x[0] > 0.0:
@@ -475,6 +552,42 @@ class TestDecompose:
         for f in fac.u1.factors + fac.u2.factors:
             norms = np.linalg.norm(f, axis=0)
             np.testing.assert_allclose(norms[norms > 0], 1.0, atol=1e-10)
+
+
+class TestSolveStats:
+    def test_stats_name_each_stop(self):
+        rng = np.random.default_rng(17)
+        exact, _, _ = exact_fit_instance(rng)
+        noisy, _, _ = random_instance(rng)
+        h = AcmtfHyperParams(rank=1, cg_tol=1e-6, max_iters=40)
+        out = acmtf_decompose_many([exact, noisy], h, [1, 2])
+        assert [f.stats.stop for f in out] == ["tol", "max_iters"]
+        for f in out:
+            assert f.converged == (f.stats.stop != "max_iters")
+            assert f.stats.iterations == len(f.objective_history) - 1
+            # The starting point plus at least one trial per iteration.
+            assert f.stats.evaluations > f.stats.iterations
+
+    def test_pruned_keeps_stats(self):
+        rng = np.random.default_rng(18)
+        _, f, _ = random_instance(rng)
+        stats = SolveStats(12, 25, "no_descent")
+        weak = np.array([1.0, 1e-6])
+        f = AcmtfFactors.from_kruskals(
+            KruskalTensor(weak, f.u1.factors), KruskalTensor(weak, f.u2.factors),
+            (2.0, 1.0), False, stats,
+        )
+        pruned = f.pruned(0.5)
+        assert pruned.rank == 1
+        assert pruned.stats is stats and pruned.converged is False
+
+    def test_stats_do_not_take_part_in_equality(self):
+        stats = SolveStats(3, 7, "tol")
+        assert stats == SolveStats(3, 7, "tol") != SolveStats(3, 8, "tol")
+        rng = np.random.default_rng(19)
+        _, f, _ = random_instance(rng)
+        with_stats = AcmtfFactors.from_kruskals(f.u1, f.u2, stats=stats)
+        assert with_stats.stats is stats and f.stats is None
 
 
 class TestNormalizationAndPruning:

@@ -2,10 +2,13 @@
 
 ``_reference_cg`` is the Hestenes-Stiefel CG loop with its strong-Wolfe line
 search written one sample at a time, as generators that yield each point to
-evaluate.  Its dot products and norms are plain 1-D BLAS products, which the
-driver's row helper reproduces, so the driver must match it bit for bit.  It
-also counts the paths it takes, so the tests can check that their inputs
-reach each one.
+evaluate.  The search brackets by the secant step on the slope, written in
+scalar form, and doubles where the slope did not rise.  Its dot products and
+norms are plain 1-D BLAS products, which the driver's row helper
+reproduces, so the driver must match it bit for bit, and its own iteration
+and evaluation counts and stop reason must equal the driver's
+``SolveStats``.  It also counts the paths it takes, so the tests can check
+that their inputs reach each one.
 """
 
 from collections import Counter
@@ -20,6 +23,7 @@ from cstm.acmtf import (
     CoupledSample,
     LineSearchResult,
     NumericalError,
+    SolveStats,
     _Evaluator,
     _frobenius,
     _initial_point,
@@ -100,8 +104,14 @@ def _wolfe_steps(x, direction, f0, g0, paths, c1=1e-4, c2=0.1, max_evals=50,
             return LineSearchResult(a, f_a, g_a, True)
         if d_a >= 0:
             return (yield from zoom(a, f_a, d_a, a_prev, f_prev))
+        if d_a > d_prev:  # the secant root of the slope, clamped to [1.1a, 4a]
+            paths["secant"] += 1
+            a_next = min(max(a - d_a * (a - a_prev) / (d_a - d_prev), 1.1 * a), 4.0 * a)
+        else:
+            paths["double"] += 1
+            a_next = 2.0 * a
         a_prev, f_prev, d_prev = a, f_a, d_a
-        a *= 2.0
+        a = a_next
         first = False
     return (yield from fallback())
 
@@ -114,7 +124,7 @@ def _cg_steps(x, h, paths):
 
     delta = -grad
     direction = delta
-    converged = False
+    stop = "max_iters"
     prev_step = None
     prev_dphi = None
     for it in range(h.max_iters):
@@ -123,7 +133,7 @@ def _cg_steps(x, h, paths):
         grad_norm = np.linalg.norm(grad)
         if grad_norm == 0.0:
             paths["zero_grad"] += 1
-            converged = True
+            stop = "zero_grad"
             break
         if float(grad @ direction) >= 0:
             paths["restart"] += 1
@@ -141,7 +151,7 @@ def _cg_steps(x, h, paths):
             ls = yield from _wolfe_steps(x, direction, f_val, grad, paths)
         if ls.value >= f_val:
             paths["no_descent"] += 1
-            converged = True
+            stop = "no_descent"
             break
         x = x + ls.step * direction
         prev_step, prev_dphi = ls.step, dphi
@@ -152,7 +162,7 @@ def _cg_steps(x, h, paths):
         if abs(f_new - f_val) < h.cg_tol:
             paths["cg_tol"] += 1
             f_val, grad = f_new, grad_new
-            converged = True
+            stop = "tol"
             break
         delta_new = -grad_new
         y = delta_new - delta
@@ -167,7 +177,7 @@ def _cg_steps(x, h, paths):
         f_val, grad = f_new, grad_new
     else:
         paths["max_iters"] += 1
-    return x, history, converged
+    return x, history, stop
 
 
 def _scales(sample):
@@ -175,16 +185,18 @@ def _scales(sample):
 
 
 def _reference_cg(sample, h, seed, paths):
-    """``(x, history, converged)`` of one sample by the reference loop."""
+    """``(x, history, stop, evaluations)`` of one sample by the reference loop."""
     ev = _Evaluator([sample], h, [_scales(sample)])
     run = _cg_steps(_initial_point(sample.dims, h.rank, seed), h, paths)
     point = next(run)
+    evaluations = 0
     try:
         while True:
             q, g = ev(point[None])
+            evaluations += 1
             point = run.send((float(q[0]), g[0].copy()))
     except StopIteration as done:
-        return done.value
+        return (*done.value, evaluations)
 
 
 def _arrays(f):
@@ -239,9 +251,10 @@ def runs():
 def test_driver_matches_the_reference_bit_for_bit(runs):
     for samples, seeds, h, _, ref, _ in runs:
         got = acmtf_decompose_many(samples, h, seeds)
-        for (x, history, converged), f, s in zip(ref, got, samples):
+        for (x, history, stop, evaluations), f, s in zip(ref, got, samples):
             assert f.objective_history == tuple(history)
-            assert f.converged == converged
+            assert f.stats == SolveStats(len(history) - 1, evaluations, stop)
+            assert f.converged == (stop != "max_iters")
             for a, b in zip(_arrays(f), _arrays(_factors_of(x, s, h))):
                 assert a.tobytes() == b.tobytes()
 
@@ -259,7 +272,7 @@ def _factors_of(x, sample, h):
 def test_reference_inputs_reach_every_path(runs):
     paths = sum((r[3] for r in runs), Counter())
     for name in ("cg_tol", "max_iters", "zoom", "sd_retry", "fallback",
-                 "no_descent", "hs_guard"):
+                 "no_descent", "hs_guard", "secant", "double"):
         assert paths[name] > 0, dict(paths)
 
 

@@ -106,6 +106,20 @@ class TestDecompose:
         again = acmtf_objective(sample, container.read_factors(factors_path), params)
         assert reloaded_obj == again
         assert float(stored["final_objective"]) > 0
+        # Solver counts: the starting point and at least one trial per step.
+        assert int(stored["evaluations"]) > int(stored["iterations"]) >= 1
+        assert stored["stop"] in ("tol", "max_iters", "no_descent", "zero_grad")
+        assert stored["converged"] == str(stored["stop"] != "max_iters")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_cg_tol_is_config_error(self, tmp_path, value):
+        out = tmp_path / "data"
+        main(["simulate", "--case", "1", "--n-per-class", "1",
+              "--seed", "1", "--out", str(out)])
+        rc = main(["decompose", "--in", str(out / "sample_0000.cstm"), "--cg-tol", value,
+                   "--out", str(tmp_path / "f.cstm")])
+        assert rc == 1
+        assert not (tmp_path / "f.cstm").exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["decompose", "--in", str(tmp_path / "nope.cstm"),

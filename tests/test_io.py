@@ -1,6 +1,8 @@
 """Container and configuration round-trip tests."""
 
+import dataclasses
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -286,6 +288,28 @@ class TestModelFile:
         assert main(["predict", "--model", str(path), "--in", str(tmp_path),
                      "--out", str(tmp_path / "p.csv")]) == 4
 
+    @pytest.mark.parametrize("name, value", [("cg_tol", float("nan")),
+                                             ("epsilon", float("nan")),
+                                             ("epsilon", float("inf"))])
+    def test_bad_solver_setting_is_format_error(self, tmp_path, name, value):
+        # A NaN cg_tol would score every new sample at max_iters, and a NaN
+        # epsilon would abort the decomposition; both are file faults.
+        from cstm.cli import main
+
+        params = dataclasses.asdict(AcmtfHyperParams(rank=2))
+        params[name] = value
+        path = tmp_path / "m.cstm"
+        write_model(path, self.model_with([0.1, 0.2], [1, -1], 2),
+                    types.SimpleNamespace(**params))
+        assert f"{name} = {value!r}" in path.read_bytes().decode("latin-1")
+        with pytest.raises(FormatError, match=name):
+            read_model(path)
+        samples = tmp_path / "new"
+        samples.mkdir()
+        write_sample(samples / "s.cstm", CoupledSample(np.ones((4, 3, 5)), np.ones((6, 5)), 1))
+        assert main(["predict", "--model", str(path), "--in", str(samples),
+                     "--out", str(tmp_path / "p.csv")]) == 4
+
     @pytest.mark.parametrize("prune_rel", [float("nan"), float("inf"), -0.1, 1.0, 1.5])
     def test_pruning_threshold_outside_unit_interval_is_format_error(
         self, tmp_path, prune_rel
@@ -311,6 +335,19 @@ class TestConfigText:
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError, match="beta"):
             parse_config("[experiment]\ncase = 1\n[acmtf]\nbeta = -1\n")
+
+    @pytest.mark.parametrize("line", ["cg_tol = nan", "cg_tol = inf", "epsilon = nan",
+                                      "epsilon = inf"])
+    def test_bad_solver_setting_rejected(self, tmp_path, line):
+        from cstm.cli import main
+
+        text = f"[experiment]\ncase = 1\n[acmtf]\n{line}\n"
+        with pytest.raises(ConfigError, match=line.split(" = ")[0]):
+            parse_config(text)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 3"):

@@ -1,9 +1,9 @@
 """Property tests: the Gram engine against a pairwise reference, the SMO
 solver against a reference copy of its plain masked-index loop, batched SMO
 against single solves, the KKT conditions of every converged SMO solution,
-batched ACMTF decomposition against single-sample runs, batched CP-ALS
-against single runs and a reference copy of the one-tensor loop, and
-container readers on corrupted files."""
+batched ACMTF decomposition against single-sample runs, degenerate ACMTF
+samples, batched CP-ALS against single runs and a reference copy of the
+one-tensor loop, and container readers on corrupted files."""
 
 import os
 import tempfile
@@ -333,6 +333,7 @@ def factor_arrays(f):
 
 def same_factors(a, b):
     return (a.objective_history == b.objective_history and a.converged == b.converged
+            and a.stats == b.stats
             and all(x.tobytes() == y.tobytes()
                     for x, y in zip(factor_arrays(a), factor_arrays(b))))
 
@@ -383,6 +384,43 @@ def test_batches_mix_iteration_counts():
     fs = acmtf_decompose_many([exact, noisy], h, [1, 2])
     iters = [len(f.objective_history) - 1 for f in fs]
     assert iters[0] != iters[1], iters
+
+
+# ---------------------------------------------------------------------------
+# Degenerate samples: finite factors and a stated stop
+# ---------------------------------------------------------------------------
+
+def degenerate_samples():
+    """A rank-2 sample, then its zero-matrix, zero-tensor, all-zero and
+    constant variants."""
+    rng = np.random.default_rng(5)
+    cols = [rng.standard_normal((d, 2)) for d in DIMS]
+    tensor = np.einsum("ir,jr,kr->ijk", *cols[:3])
+    matrix = cols[3] @ cols[2].T
+    zt, zm = np.zeros_like(tensor), np.zeros_like(matrix)
+    return [CoupledSample(t, m, 1) for t, m in (
+        (tensor, matrix), (tensor, zm), (zt, matrix), (zt, zm),
+        (np.full(tensor.shape, 2.5), np.full(matrix.shape, -1.0)),
+    )]
+
+
+# Rank 7 is above every mode size of DIMS.
+@pytest.mark.parametrize("rank", [3, 7])
+def test_degenerate_samples_give_finite_factors_and_a_stop(rank):
+    samples = degenerate_samples()
+    fs = acmtf_decompose_many(samples, AcmtfHyperParams(rank=rank), range(len(samples)))
+    for f in fs:
+        assert all(np.isfinite(a).all() for a in factor_arrays(f))
+        assert f.stats.stop in ("tol", "max_iters", "no_descent", "zero_grad")
+        assert f.converged == (f.stats.stop != "max_iters")
+    _, zero_matrix, zero_tensor, all_zero, constant = fs
+    # A zero modality's weights are driven to zero.
+    for w in (zero_matrix.u2.weights, zero_tensor.u1.weights,
+              all_zero.u1.weights, all_zero.u2.weights):
+        assert np.abs(w).max() < 1e-3
+    # Constant data are rank one, and are fit.
+    for k, data in ((constant.u1, samples[4].tensor), (constant.u2, samples[4].matrix)):
+        assert np.linalg.norm(k.full() - data) < 0.01 * np.linalg.norm(data)
 
 
 # ---------------------------------------------------------------------------
