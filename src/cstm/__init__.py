@@ -40,8 +40,6 @@ from .kernels import (
 from .stm import (
     QpProblem,
     StmModel,
-    cpstm_decision,
-    cpstm_fit,
     decision,
     default_lambda,
     fit,

@@ -151,17 +151,15 @@ class AcmtfFactors:
     """Joint factorization result: tensor Kruskal, matrix Kruskal, shared factor.
 
     ``shared`` is the elementwise average of the tensor's third-mode factor
-    and the matrix's second-mode factor.  ``objective_history``,
-    ``converged`` and ``stats`` are optional solver provenance; ``converged``
-    is false only where the loop stopped at ``max_iters``.  Factors read
-    from a file carry no ``stats``.
+    and the matrix's second-mode factor.  ``objective_history`` and
+    ``stats`` are optional solver provenance.  Factors read from a file
+    carry no ``stats``.
     """
 
     u1: KruskalTensor
     u2: KruskalTensor
     shared: np.ndarray
     objective_history: tuple[float, ...] = field(default=(), compare=False)
-    converged: bool = field(default=True, compare=False)
     stats: SolveStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -184,11 +182,15 @@ class AcmtfFactors:
         u1: KruskalTensor,
         u2: KruskalTensor,
         objective_history: tuple[float, ...] = (),
-        converged: bool = True,
         stats: SolveStats | None = None,
     ) -> "AcmtfFactors":
         shared = (u1.factors[2] + u2.factors[1]) / 2
-        return cls(u1, u2, shared, objective_history, converged, stats)
+        return cls(u1, u2, shared, objective_history, stats)
+
+    @property
+    def converged(self) -> bool:
+        """False only where the solver stopped at ``max_iters``."""
+        return self.stats is None or self.stats.stop != "max_iters"
 
     @property
     def rank(self) -> int:
@@ -225,9 +227,7 @@ class AcmtfFactors:
         u2 = KruskalTensor(
             self.u2.weights[keep], tuple(f[:, keep] for f in self.u2.factors)
         )
-        return AcmtfFactors.from_kruskals(
-            u1, u2, self.objective_history, self.converged, self.stats
-        )
+        return AcmtfFactors.from_kruskals(u1, u2, self.objective_history, self.stats)
 
 
 def shared_factor(f: AcmtfFactors) -> np.ndarray:
@@ -935,7 +935,5 @@ def acmtf_decompose_many(
         A, B, C, U, V, zeta, sigma = unpack(x, dims, h.rank)
         u1 = KruskalTensor(zeta * scale_t, (A, B, C)).normalized()
         u2 = KruskalTensor(sigma * scale_m, (U, V)).normalized()
-        out.append(AcmtfFactors.from_kruskals(
-            u1, u2, history, stats.stop != "max_iters", stats
-        ))
+        out.append(AcmtfFactors.from_kruskals(u1, u2, history, stats))
     return out

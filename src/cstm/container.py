@@ -258,6 +258,8 @@ def write_model(path, model: StmModel, params: AcmtfHyperParams, prune_rel: floa
     """Model plus the factorization hyperparameters needed to score new samples."""
     from .config import serialize_acmtf_params, serialize_coupled_spec
 
+    if not isinstance(model.kernel, CoupledKernelSpec):
+        raise ValueError("model files (kind 102) store coupled-kernel models only")
     with _atomic_write(path) as fh:
         _write_header(fh)
         _write_u32(fh, KIND_MODEL)

@@ -507,24 +507,20 @@ def _run_repetition(cfg, rep, labels, coupled, tensors_cp, matrices_cp, summary)
 
     staged = {}
     for method in cfg.methods:
+        pool = {"cstm": coupled, "cpstm_tensor": tensors_cp,
+                "cpstm_matrix": matrices_cp}[method]
+        train = [pool[i] for i in tr]
         if method == "cstm":
-            train_f = [coupled[i] for i in tr]
-            test_f = [coupled[i] for i in te]
-            w, spec, gram, lam = _tune_cstm(train_f, y_tr, cfg, cv_seed)
-            model = stm.fit(train_f, y_tr, spec, lam, gram=gram)
-            scores = stm.decision_many(model, test_f)
+            w, kernel, gram, lam = _tune_cstm(train, y_tr, cfg, cv_seed)
         else:
-            pool = tensors_cp if method == "cpstm_tensor" else matrices_cp
-            train_t = [pool[i] for i in tr]
-            test_t = [pool[i] for i in te]
-            specs = _cp_specs_for(cfg, train_t)
-            gram = cp_gram(train_t, specs)
+            kernel = _cp_specs_for(cfg, train)
+            gram = cp_gram(train, kernel)
             lam = stm.select_lambda(
                 gram, y_tr, cfg.lambda_grid, k=cfg.cv_folds, seed=cv_seed
             )
-            model = stm.cpstm_fit(train_t, y_tr, specs, lam, gram=gram)
-            scores = stm.cpstm_decision_many(model, test_t)
             w = (float("nan"),) * 3
+        model = stm.fit(train, y_tr, kernel, lam, gram=gram)
+        scores = stm.decision_many(model, [pool[i] for i in te])
         staged[method] = (compute_metrics(y_te, scores), lam, w)
     # All methods succeeded: merge so per-method lists stay aligned even
     # when a repetition fails under tolerate_failures.

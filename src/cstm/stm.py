@@ -1,6 +1,8 @@
-"""Max-margin classifiers over coupled and single-modality CP kernels.
+"""Max-margin kernel classifier for C-STM and its CP-STM baselines.
 
-The dual problem is
+One :class:`StmModel` and one :func:`fit` serve both; only the kernel
+differs, coupled over ACMTF factors or CP over Kruskal tensors.  The dual
+problem is
 
     min_alpha  1/2 alpha^T D_y K D_y alpha - 1^T alpha
     s.t.       alpha^T y = 0,   0 <= alpha_i <= 1 / (2 n lambda)
@@ -357,16 +359,18 @@ def recover_bias(gram: np.ndarray, y: np.ndarray, alpha: np.ndarray, c: float) -
 
 @dataclass(frozen=True, eq=False)
 class StmModel:
-    """Fitted coupled-kernel classifier.
+    """Fitted kernel classifier: C-STM or a CP-STM baseline.
 
-    ``bias`` is the intercept implied by the dual's equality constraint;
-    models built by hand (outside :func:`fit`) default to 0.
+    ``factors`` are the training representations: :class:`AcmtfFactors`
+    under a :class:`CoupledKernelSpec` ``kernel``, or :class:`KruskalTensor`
+    under a tuple of per-mode :class:`KernelSpec`.  ``bias`` is the intercept
+    implied by the dual's equality constraint; hand-built models default to 0.
     """
 
     alpha: np.ndarray
     labels: np.ndarray
-    factors: tuple[AcmtfFactors, ...]
-    kernel: CoupledKernelSpec
+    factors: tuple[AcmtfFactors, ...] | tuple[KruskalTensor, ...]
+    kernel: CoupledKernelSpec | tuple[KernelSpec, ...]
     lam: float
     bias: float = 0.0
     converged: bool = True
@@ -380,106 +384,64 @@ class StmModel:
         return self.alpha * self.labels
 
 
+def _grams(kernel):
+    """(symmetric, cross) Gram functions for ``kernel``'s kind, looked up in
+    this module at call time so that wrappers bound over them see every call."""
+    if isinstance(kernel, CoupledKernelSpec):
+        return gram_matrix, gram_cross
+    return cp_gram, cp_gram_cross
+
+
 def fit(
-    samples: Sequence[AcmtfFactors],
+    samples: Sequence,
     labels,
-    spec: CoupledKernelSpec,
+    kernel: CoupledKernelSpec | Sequence[KernelSpec],
     lam: float,
     tol: float = 1e-6,
     max_passes: int = 1000,
     gram: np.ndarray | None = None,
 ) -> StmModel:
-    """Train the coupled-kernel classifier by solving the dual program.
+    """Train the classifier by solving the dual program.
 
-    ``gram`` may supply a precomputed training Gram matrix (it must match
-    what :func:`cstm.kernels.gram_matrix` would produce).
+    ``kernel`` is a :class:`CoupledKernelSpec`, or per-mode specs for
+    Kruskal-tensor samples (stored as a tuple).  ``gram`` may supply the
+    precomputed training Gram matrix (it must match what
+    :func:`cstm.kernels.gram_matrix` or :func:`cstm.kernels.cp_gram` builds).
     """
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (len(samples),):
         raise ValueError("labels length must match number of samples")
     _check_two_classes(y)
+    if not isinstance(kernel, CoupledKernelSpec):
+        kernel = tuple(kernel)
     if gram is None:
-        gram = gram_matrix(samples, spec)
+        gram = _grams(kernel)[0](samples, kernel)
     problem = QpProblem(gram, y, lam)
     sol = solve_qp(problem, tol=tol, max_passes=max_passes)
     bias = recover_bias(gram, y, sol.alpha, problem.box)
-    return StmModel(sol.alpha, y, tuple(samples), spec, lam, bias, sol.converged)
+    return StmModel(sol.alpha, y, tuple(samples), kernel, lam, bias, sol.converged)
 
 
-def decision(m: StmModel, f: AcmtfFactors) -> float:
-    """Decision value sum_i alpha_i y_i K(train_i, f) + bias."""
-    row = gram_cross(list(m.factors), [f], m.kernel)[:, 0]
+def decision(m: StmModel, x) -> float:
+    """Decision value sum_i alpha_i y_i K(train_i, x) + bias."""
+    row = _grams(m.kernel)[1](list(m.factors), [x], m.kernel)[:, 0]
     return float(m.coef @ row + m.bias)
 
 
-def decision_many(m: StmModel, fs: Sequence[AcmtfFactors]) -> np.ndarray:
+def decision_many(m: StmModel, xs: Sequence) -> np.ndarray:
     """Decision values for a batch of inputs."""
-    cross = gram_cross(list(m.factors), list(fs), m.kernel)
+    cross = _grams(m.kernel)[1](list(m.factors), list(xs), m.kernel)
     return m.coef @ cross + m.bias
+
+
+# Aliases only: perfbench's classify workload calls and wraps these two names.
+cpstm_fit = fit
+cpstm_decision_many = decision_many
 
 
 def predict_label(score: float) -> int:
     """Sign rule with ties mapped to +1."""
     return 1 if score >= 0 else -1
-
-
-# ---------------------------------------------------------------------------
-# Single-modality CP-factor baseline
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class CpStmModel:
-    """Fitted single-modality classifier over CP factors."""
-
-    alpha: np.ndarray
-    labels: np.ndarray
-    tensors: tuple[KruskalTensor, ...]
-    specs: tuple[KernelSpec, ...]
-    lam: float
-    bias: float = 0.0
-    converged: bool = True
-
-    @property
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.alpha > SUPPORT_EPS)
-
-    @property
-    def coef(self) -> np.ndarray:
-        return self.alpha * self.labels
-
-
-def cpstm_fit(
-    samples: Sequence[KruskalTensor],
-    labels,
-    specs: Sequence[KernelSpec],
-    lam: float,
-    tol: float = 1e-6,
-    max_passes: int = 1000,
-    gram: np.ndarray | None = None,
-) -> CpStmModel:
-    """Train the single-modality classifier with the CP tensor kernel."""
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (len(samples),):
-        raise ValueError("labels length must match number of samples")
-    _check_two_classes(y)
-    if gram is None:
-        gram = cp_gram(samples, specs)
-    problem = QpProblem(gram, y, lam)
-    sol = solve_qp(problem, tol=tol, max_passes=max_passes)
-    bias = recover_bias(gram, y, sol.alpha, problem.box)
-    return CpStmModel(
-        sol.alpha, y, tuple(samples), tuple(specs), lam, bias, sol.converged
-    )
-
-
-def cpstm_decision(m: CpStmModel, t: KruskalTensor) -> float:
-    row = cp_gram_cross(list(m.tensors), [t], m.specs)[:, 0]
-    return float(m.coef @ row + m.bias)
-
-
-def cpstm_decision_many(m: CpStmModel, ts: Sequence[KruskalTensor]) -> np.ndarray:
-    cross = cp_gram_cross(list(m.tensors), list(ts), m.specs)
-    return m.coef @ cross + m.bias
 
 
 def matrix_to_kruskal(matrix: np.ndarray, rank: int) -> KruskalTensor:

@@ -571,11 +571,11 @@ class TestSolveStats:
     def test_pruned_keeps_stats(self):
         rng = np.random.default_rng(18)
         _, f, _ = random_instance(rng)
-        stats = SolveStats(12, 25, "no_descent")
+        stats = SolveStats(12, 25, "max_iters")
         weak = np.array([1.0, 1e-6])
         f = AcmtfFactors.from_kruskals(
             KruskalTensor(weak, f.u1.factors), KruskalTensor(weak, f.u2.factors),
-            (2.0, 1.0), False, stats,
+            (2.0, 1.0), stats,
         )
         pruned = f.pruned(0.5)
         assert pruned.rank == 1

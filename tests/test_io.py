@@ -230,6 +230,21 @@ class TestModelFile:
         return StmModel(np.asarray(alpha, dtype=float), np.asarray(labels, dtype=float),
                         factors, spec, lam=0.1)
 
+    def test_cp_kernel_model_is_rejected_before_writing(self, tmp_path):
+        # Kind 102 stores coupled-kernel models; a CP-kernel model has
+        # Kruskal tensors and per-mode specs, which it cannot hold.
+        rng = np.random.default_rng(7)
+        tensors = tuple(
+            KruskalTensor(np.ones(2), tuple(rng.standard_normal((d, 2)) for d in (4, 3)))
+            for _ in range(2)
+        )
+        model = StmModel(np.array([0.1, 0.2]), np.array([1.0, -1.0]), tensors,
+                         (KernelSpec("linear"),) * 2, lam=0.1)
+        path = tmp_path / "m.cstm"
+        with pytest.raises(ValueError, match="coupled-kernel"):
+            write_model(path, model, AcmtfHyperParams(rank=2))
+        assert list(tmp_path.iterdir()) == []
+
     def test_alpha_labels_must_match_factor_count(self, tmp_path):
         path = tmp_path / "m.cstm"
         write_model(path, self.model_with([0.1, 0.2, 0.3], [1, -1, 1], 2),

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
+from cstm import stm
 from cstm.acmtf import AcmtfFactors
 from cstm.kernels import CoupledKernelSpec, KernelSpec, cp_gram, gram_matrix
 from cstm.stm import (
-    CpStmModel,
     QpProblem,
     StmModel,
     box_bound,
-    cpstm_decision,
-    cpstm_decision_many,
-    cpstm_fit,
     decision,
     decision_many,
     default_lambda,
@@ -274,9 +271,13 @@ class TestCpStm:
         neg = self._tensors(True, 5, 2)
         y = np.array([1.0] * 5 + [-1.0] * 5)
         specs = (KernelSpec("linear"),) * 3
-        model = cpstm_fit(pos + neg, y, specs, lam=0.01)
-        scores = cpstm_decision_many(model, pos + neg)
+        model = fit(pos + neg, y, specs, lam=0.01)
+        assert model.kernel == specs
+        scores = decision_many(model, pos + neg)
         assert np.all(np.where(scores >= 0, 1.0, -1.0) == y)
+        singles = np.array([decision(model, t) for t in pos + neg])
+        np.testing.assert_allclose(singles, scores, rtol=1e-12, atol=1e-12)
+        assert np.all(np.where(singles >= 0, 1.0, -1.0) == y)
 
     def test_alpha_matches_coupled_with_weight_mask(self):
         # A coupled kernel with weights (1, 0, 0) on the tensor's first two
@@ -302,14 +303,20 @@ class TestCpStm:
         g_cp = cp_gram(tensors, (k1, k2))
         np.testing.assert_allclose(g_coupled, g_cp, atol=1e-12)
         m1 = fit(factors, y, coupled_spec, lam=0.05, gram=g_coupled)
-        m2 = cpstm_fit(tensors, y, (k1, k2), lam=0.05, gram=g_cp)
+        m2 = fit(tensors, y, [k1, k2], lam=0.05, gram=g_cp)
+        assert m2.kernel == (k1, k2)
         np.testing.assert_allclose(m1.alpha, m2.alpha, atol=1e-8)
 
     def test_zero_lambda_rejected(self):
         ts = self._tensors(False, 2, 3) + self._tensors(True, 2, 4)
         y = np.array([1.0, 1.0, -1.0, -1.0])
         with pytest.raises(ValueError):
-            cpstm_fit(ts, y, (KernelSpec("linear"),) * 3, lam=0.0)
+            fit(ts, y, (KernelSpec("linear"),) * 3, lam=0.0)
+
+    def test_benchmark_names_are_aliases(self):
+        # The CP names the benchmark calls must stay the one fit/decision path.
+        assert stm.cpstm_fit is stm.fit
+        assert stm.cpstm_decision_many is stm.decision_many
 
     def test_matrix_to_kruskal_svd(self):
         rng = np.random.default_rng(12)
