@@ -31,7 +31,9 @@ from .config import (
 )
 from .container import FormatError
 from .experiments import _ROLE_CV, _ROLE_DECOMPOSE, derive_seed
-from .kernels import default_coupled_spec, gram_matrix
+# Not called here: perfbench's traced runs wrap cli.gram_matrix, and
+# tests/test_bench_targets.py checks that the name resolves.
+from .kernels import gram_matrix  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -40,6 +42,10 @@ EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
 
 _VERSION = "cstm 0.1.0"
+
+# `cstm decompose` sets every ACMTF hyperparameter but the l1 smoothing.
+_DECOMPOSE_FIELDS = tuple(f for f in dataclasses.fields(AcmtfHyperParams)
+                          if f.name != "epsilon")
 
 
 def _sample_paths(directory: str) -> list[str]:
@@ -79,15 +85,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_decompose(args) -> int:
     sample = container.read_sample(args.infile)
-    params = AcmtfHyperParams(
-        gamma=args.gamma,
-        beta=args.beta,
-        xi=args.xi,
-        theta=args.theta,
-        rank=args.rank,
-        cg_tol=args.cg_tol,
-        max_iters=args.max_iters,
-    )
+    params = AcmtfHyperParams(**{f.name: getattr(args, f.name) for f in _DECOMPOSE_FIELDS})
     t0 = time.perf_counter()
     factors = acmtf_decompose(sample, params, seed=args.seed)
     elapsed = time.perf_counter() - t0
@@ -123,10 +121,8 @@ def cmd_fit(args) -> int:
         for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)
     ]
     t_decompose = time.perf_counter() - t0
-    spec = experiments._coupled_spec_for(cfg, factors, cfg.kernel_weights)
-    gram = gram_matrix(factors, spec)
-    lam = stm.select_lambda(gram, labels, cfg.lambda_grid, k=cfg.cv_folds,
-                            seed=derive_seed(cfg.seed, _ROLE_CV, 0))
+    _, spec, gram, lam = experiments._tune_cstm(
+        factors, labels, cfg, derive_seed(cfg.seed, _ROLE_CV, 0))
     model = stm.fit(factors, labels, spec, lam, gram=gram)
     t_total = time.perf_counter() - t0
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
@@ -246,13 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="factor one coupled sample")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--rank", type=int, default=5)
-    p.add_argument("--beta", type=float, default=0.001)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--xi", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--cg-tol", type=float, default=1e-9)
-    p.add_argument("--max-iters", type=int, default=500)
+    for f in _DECOMPOSE_FIELDS:
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decompose)

@@ -1,38 +1,25 @@
-"""Plain-text experiment configuration: ``key = value`` lines in sections.
-
-Example::
-
-    [experiment]
-    case = 3
-    repetitions = 50
-    seed = 7
-    methods = cstm, cpstm_tensor, cpstm_matrix
-
-    [acmtf]
-    rank = 5
-    beta = 0.001
-
-    [kernel]
-    kind = rbf
-    bandwidth = median
-    w1 = 0.3333333333333333
-
-    [stm]
-    lambda_grid = 0.0001, 0.001, 0.01, 0.1, 1, 10
+"""Plain-text settings: ``key = value`` lines, in sections for config files.
 
 Blank lines and ``#`` comments are ignored.  Unknown sections or keys and
 malformed values raise :class:`ConfigError` naming the key and line number.
 Omitted keys fall back to defaults; ``case`` (or ``dataset``) is required.
+README.md lists every key with its default.
+
+Each key is defined once, in :data:`_SCHEMA`.  Its ``[acmtf]`` and
+``[kernel]`` rows, and the settings text that model files embed, come from
+the fields of :class:`AcmtfHyperParams` and :class:`KernelSpec`.
+:func:`_fmt` writes every value and :func:`_convert` reads it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import numbers
+from dataclasses import fields
 
 from .acmtf import AcmtfHyperParams
-from .experiments import METHODS, ExperimentConfig
+from .experiments import ExperimentConfig
 from .kernels import CoupledKernelSpec, KernelSpec
-from .stm import DEFAULT_LAMBDA_GRID
 
 
 class ConfigError(ValueError):
@@ -55,55 +42,79 @@ def _parse_kv_lines(text: str):
         yield section, key.strip().lower(), value.strip(), lineno
 
 
-def _convert(kind, value: str, key: str, lineno: int):
+def _bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(value)
+
+
+def _bandwidth(value: str) -> float | None:
+    return None if value.lower() == "median" else float(value)
+
+
+def _list_of(kind):
+    return lambda value: tuple(kind(p.strip()) for p in value.split(",") if p.strip())
+
+
+def _fmt(value) -> str:
+    """Text form of one setting value; ``None`` is the median bandwidth."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (str, numbers.Integral)):
+        return str(value)
+    if isinstance(value, tuple):
+        return ", ".join(_fmt(v) for v in value)
+    if value is None:
+        return "median"
+    return repr(value)
+
+
+def _convert(parse, value: str, key: str, lineno: int):
     try:
-        if kind is bool:
-            lowered = value.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(value)
-        return kind(value)
+        return parse(value)
     except ValueError:
         raise ConfigError(
             f"invalid value for {key!r} (line {lineno}): {value!r}"
         ) from None
 
 
-def _float_list(value: str, key: str, lineno: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    return tuple(_convert(float, p, key, lineno) for p in parts)
+_WEIGHT_KEYS = ("w1", "w2", "w3")
+
+# (section, key, ExperimentConfig field, parser) in written order.  A field
+# "acmtf.<name>" is that AcmtfHyperParams field, "kernel_weights.<i>" one weight.
+_SCHEMA = (
+    ("experiment", "case", "case", int),
+    ("experiment", "dataset", "dataset", str),
+    ("experiment", "n_per_class", "n_per_class", int),
+    ("experiment", "test_fraction", "test_fraction", float),
+    ("experiment", "repetitions", "repetitions", int),
+    ("experiment", "seed", "seed", int),
+    ("experiment", "methods", "methods", _list_of(str)),
+    ("experiment", "tolerate_failures", "tolerate_failures", _bool),
+    ("experiment", "threads", "threads", int),
+    *(("acmtf", f.name, f"acmtf.{f.name}", type(f.default))
+      for f in fields(AcmtfHyperParams)),
+    ("acmtf", "prune_rel", "prune_rel", float),
+    *(("kernel", f.name, f"kernel_{f.name}",
+       _bandwidth if f.name == "bandwidth" else type(f.default))
+      for f in fields(KernelSpec)),
+    *(("kernel", key, f"kernel_weights.{i}", float) for i, key in enumerate(_WEIGHT_KEYS)),
+    ("kernel", "tune_weights", "tune_weights", _bool),
+    ("stm", "lambda_grid", "lambda_grid", _list_of(float)),
+    ("stm", "cv_folds", "cv_folds", int),
+)
+_ROWS = {(section, key): (field, parse) for section, key, field, parse in _SCHEMA}
 
 
-# (section, key) -> (config field, converter); converters taking (value, key, line).
-_EXPERIMENT_KEYS = {
-    "case": ("case", int),
-    "dataset": ("dataset", str),
-    "n_per_class": ("n_per_class", int),
-    "test_fraction": ("test_fraction", float),
-    "repetitions": ("repetitions", int),
-    "seed": ("seed", int),
-    "tolerate_failures": ("tolerate_failures", bool),
-    "threads": ("threads", int),
-}
-_ACMTF_KEYS = {
-    "gamma": float,
-    "beta": float,
-    "xi": float,
-    "theta": float,
-    "epsilon": float,
-    "rank": int,
-    "cg_tol": float,
-    "max_iters": int,
-}
-_KERNEL_KEYS = {
-    "kind": ("kernel_kind", str),
-    "degree": ("kernel_degree", int),
-    "offset": ("kernel_offset", float),
-    "tune_weights": ("tune_weights", bool),
-}
-_STM_KEYS = {"cv_folds": ("cv_folds", int)}
+def _get(cfg: ExperimentConfig, field: str):
+    name, _, part = field.partition(".")
+    value = getattr(cfg, name)
+    if not part:
+        return value
+    return value[int(part)] if part.isdigit() else getattr(value, part)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -112,54 +123,21 @@ def parse_config(text: str) -> ExperimentConfig:
     acmtf_kwargs: dict = {}
     weights = list(ExperimentConfig.__dataclass_fields__["kernel_weights"].default)
     for section, key, value, lineno in _parse_kv_lines(text):
-        if section in ("", "experiment"):
-            if key == "methods":
-                methods = tuple(
-                    m.strip() for m in value.split(",") if m.strip()
-                )
-                for m in methods:
-                    if m not in METHODS:
-                        raise ConfigError(
-                            f"unknown method {m!r} (line {lineno}); valid: {METHODS}"
-                        )
-                cfg_kwargs["methods"] = methods
-            elif key in _EXPERIMENT_KEYS:
-                field, kind = _EXPERIMENT_KEYS[key]
-                cfg_kwargs[field] = _convert(kind, value, key, lineno)
-            else:
-                raise ConfigError(f"unknown key {key!r} (line {lineno})")
-        elif section == "acmtf":
-            if key == "prune_rel":
-                cfg_kwargs["prune_rel"] = _convert(float, value, key, lineno)
-            elif key not in _ACMTF_KEYS:
-                raise ConfigError(f"unknown key 'acmtf.{key}' (line {lineno})")
-            else:
-                acmtf_kwargs[key] = _convert(_ACMTF_KEYS[key], value, key, lineno)
-        elif section == "kernel":
-            if key == "bandwidth":
-                if value.lower() == "median":
-                    cfg_kwargs["kernel_bandwidth"] = None
-                else:
-                    cfg_kwargs["kernel_bandwidth"] = _convert(
-                        float, value, key, lineno
-                    )
-            elif key in ("w1", "w2", "w3"):
-                weights[int(key[1]) - 1] = _convert(float, value, key, lineno)
-            elif key in _KERNEL_KEYS:
-                field, kind = _KERNEL_KEYS[key]
-                cfg_kwargs[field] = _convert(kind, value, key, lineno)
-            else:
-                raise ConfigError(f"unknown key 'kernel.{key}' (line {lineno})")
-        elif section == "stm":
-            if key == "lambda_grid":
-                cfg_kwargs["lambda_grid"] = _float_list(value, key, lineno)
-            elif key in _STM_KEYS:
-                field, kind = _STM_KEYS[key]
-                cfg_kwargs[field] = _convert(kind, value, key, lineno)
-            else:
-                raise ConfigError(f"unknown key 'stm.{key}' (line {lineno})")
+        section = section or "experiment"
+        if (section, key) not in _ROWS:
+            if section not in {s for s, *_ in _SCHEMA}:
+                raise ConfigError(f"unknown section {section!r} (line {lineno})")
+            name = key if section == "experiment" else f"{section}.{key}"
+            raise ConfigError(f"unknown key {name!r} (line {lineno})")
+        field, parse = _ROWS[section, key]
+        name, _, part = field.partition(".")
+        v = _convert(parse, value, key, lineno)
+        if name == "acmtf":
+            acmtf_kwargs[part] = v
+        elif part:
+            weights[int(part)] = v
         else:
-            raise ConfigError(f"unknown section {section!r} (line {lineno})")
+            cfg_kwargs[name] = v
     cfg_kwargs["kernel_weights"] = tuple(weights)
     try:
         if acmtf_kwargs:
@@ -176,49 +154,15 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Config text that round-trips through :func:`parse_config` exactly."""
-    lines = ["[experiment]"]
-    if cfg.case is not None:
-        lines.append(f"case = {cfg.case}")
-    if cfg.dataset is not None:
-        lines.append(f"dataset = {cfg.dataset}")
-    lines += [
-        f"n_per_class = {cfg.n_per_class}",
-        f"test_fraction = {cfg.test_fraction!r}",
-        f"repetitions = {cfg.repetitions}",
-        f"seed = {cfg.seed}",
-        f"methods = {', '.join(cfg.methods)}",
-        f"tolerate_failures = {str(cfg.tolerate_failures).lower()}",
-        f"threads = {cfg.threads}",
-        "",
-        "[acmtf]",
-        f"gamma = {cfg.acmtf.gamma!r}",
-        f"beta = {cfg.acmtf.beta!r}",
-        f"xi = {cfg.acmtf.xi!r}",
-        f"theta = {cfg.acmtf.theta!r}",
-        f"epsilon = {cfg.acmtf.epsilon!r}",
-        f"rank = {cfg.acmtf.rank}",
-        f"cg_tol = {cfg.acmtf.cg_tol!r}",
-        f"max_iters = {cfg.acmtf.max_iters}",
-        f"prune_rel = {cfg.prune_rel!r}",
-        "",
-        "[kernel]",
-        f"kind = {cfg.kernel_kind}",
-        "bandwidth = median"
-        if cfg.kernel_bandwidth is None
-        else f"bandwidth = {cfg.kernel_bandwidth!r}",
-        f"degree = {cfg.kernel_degree}",
-        f"offset = {cfg.kernel_offset!r}",
-        f"w1 = {cfg.kernel_weights[0]!r}",
-        f"w2 = {cfg.kernel_weights[1]!r}",
-        f"w3 = {cfg.kernel_weights[2]!r}",
-        f"tune_weights = {str(cfg.tune_weights).lower()}",
-        "",
-        "[stm]",
-        f"lambda_grid = {', '.join(repr(g) for g in cfg.lambda_grid)}",
-        f"cv_folds = {cfg.cv_folds}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines, section = [], None
+    for sec, key, field, parse in _SCHEMA:
+        if sec != section:
+            lines.append(f"\n[{sec}]" if section else f"[{sec}]")
+            section = sec
+        value = _get(cfg, field)
+        if value is not None or parse is _bandwidth:  # an unset case or dataset is left out
+            lines.append(f"{key} = {_fmt(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -226,80 +170,48 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Key-value text forms for specs embedded in binary containers
+# Settings text embedded in model files: one unsectioned line per field
 # ---------------------------------------------------------------------------
 
-def serialize_kernel_spec(spec: KernelSpec, prefix: str = "") -> str:
-    return (
-        f"{prefix}kind = {spec.kind}\n"
-        f"{prefix}bandwidth = {spec.bandwidth!r}\n"
-        f"{prefix}degree = {spec.degree}\n"
-        f"{prefix}offset = {spec.offset!r}\n"
-    )
+def _fields_text(cls, obj, prefix: str = "") -> str:
+    return "".join(f"{prefix}{f.name} = {_fmt(getattr(obj, f.name))}\n" for f in fields(cls))
 
 
-def _parse_flat_kv(text: str) -> dict[str, str]:
-    out = {}
-    for _, key, value, _ in _parse_kv_lines(text):
-        out[key] = value
-    return out
+def _read_kv(text: str) -> dict[str, tuple[str, int]]:
+    return {key: (value, lineno) for _, key, value, lineno in _parse_kv_lines(text)}
 
 
-def _kernel_from_kv(kv: dict[str, str], prefix: str) -> KernelSpec:
-    return KernelSpec(
-        kind=kv[f"{prefix}kind"],
-        bandwidth=float(kv[f"{prefix}bandwidth"]),
-        degree=int(kv[f"{prefix}degree"]),
-        offset=float(kv[f"{prefix}offset"]),
-    )
+def _value(kv: dict, key: str, parse):
+    if key not in kv:
+        raise ConfigError(f"missing: {key}")
+    value, lineno = kv[key]
+    return _convert(parse, value, key, lineno)
+
+
+def _fields_from(cls, kv: dict, prefix: str = ""):
+    return cls(**{f.name: _value(kv, prefix + f.name, type(f.default)) for f in fields(cls)})
+
+
+# The CoupledKernelSpec fields that hold one KernelSpec each, in written order.
+_ROLES = tuple(f.name for f in fields(CoupledKernelSpec) if f.name != "weights")
 
 
 def serialize_coupled_spec(spec: CoupledKernelSpec) -> str:
-    parts = [
-        serialize_kernel_spec(spec.k1_mode1, "k1_mode1."),
-        serialize_kernel_spec(spec.k1_mode2, "k1_mode2."),
-        serialize_kernel_spec(spec.k2, "k2."),
-        serialize_kernel_spec(spec.k3, "k3."),
-        f"w1 = {spec.weights[0]!r}\n"
-        f"w2 = {spec.weights[1]!r}\n"
-        f"w3 = {spec.weights[2]!r}\n",
-    ]
-    return "".join(parts)
+    kernels = "".join(_fields_text(KernelSpec, getattr(spec, r), f"{r}.") for r in _ROLES)
+    return kernels + "".join(f"{k} = {_fmt(w)}\n" for k, w in zip(_WEIGHT_KEYS, spec.weights))
 
 
 def parse_coupled_spec(text: str) -> CoupledKernelSpec:
-    kv = _parse_flat_kv(text)
+    kv = _read_kv(text)
     return CoupledKernelSpec(
-        k1_mode1=_kernel_from_kv(kv, "k1_mode1."),
-        k1_mode2=_kernel_from_kv(kv, "k1_mode2."),
-        k2=_kernel_from_kv(kv, "k2."),
-        k3=_kernel_from_kv(kv, "k3."),
-        weights=(float(kv["w1"]), float(kv["w2"]), float(kv["w3"])),
+        *(_fields_from(KernelSpec, kv, f"{r}.") for r in _ROLES),
+        weights=tuple(_value(kv, key, float) for key in _WEIGHT_KEYS),
     )
 
 
 def serialize_acmtf_params(h: AcmtfHyperParams) -> str:
-    return (
-        f"gamma = {h.gamma!r}\n"
-        f"beta = {h.beta!r}\n"
-        f"xi = {h.xi!r}\n"
-        f"theta = {h.theta!r}\n"
-        f"epsilon = {h.epsilon!r}\n"
-        f"rank = {h.rank}\n"
-        f"cg_tol = {h.cg_tol!r}\n"
-        f"max_iters = {h.max_iters}\n"
-    )
+    return _fields_text(AcmtfHyperParams, h)
 
 
 def parse_acmtf_params(text: str) -> AcmtfHyperParams:
-    kv = _parse_flat_kv(text)
-    return AcmtfHyperParams(
-        gamma=float(kv["gamma"]),
-        beta=float(kv["beta"]),
-        xi=float(kv["xi"]),
-        theta=float(kv["theta"]),
-        epsilon=float(kv["epsilon"]),
-        rank=int(kv["rank"]),
-        cg_tol=float(kv["cg_tol"]),
-        max_iters=int(kv["max_iters"]),
-    )
+    return _fields_from(AcmtfHyperParams, _read_kv(text))

@@ -290,7 +290,7 @@ def read_model(path) -> tuple[StmModel, AcmtfHyperParams, float]:
         try:
             spec = parse_coupled_spec(spec_text)
             params = parse_acmtf_params(params_text)
-        except (ValueError, KeyError) as exc:  # ConfigError is a ValueError
+        except ValueError as exc:  # ConfigError is a ValueError
             raise FormatError(f"{path}: invalid settings text: {exc!r}") from exc
         alpha = _read_array(fh)
         labels = _read_array(fh)

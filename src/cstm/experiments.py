@@ -252,6 +252,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown case id {self.case}")
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
+        if self.n_per_class < 1:
+            raise ValueError("n_per_class must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for m in self.methods:
@@ -271,9 +273,7 @@ class ExperimentConfig:
             raise ValueError("kernel_bandwidth must be > 0")
         if not 0 <= self.prune_rel < 1:
             raise ValueError("prune_rel must be in [0, 1)")
-        # Kind/degree/offset validation is delegated to KernelSpec.
-        KernelSpec(self.kernel_kind, self.kernel_bandwidth or 1.0,
-                   self.kernel_degree, self.kernel_offset)
+        _fixed_kernel(self)  # KernelSpec validates kind, degree and offset
 
 
 @dataclass
@@ -360,20 +360,23 @@ def _weight_grid() -> list[tuple[float, float, float]]:
     return grid
 
 
+def _fixed_kernel(cfg: ExperimentConfig) -> KernelSpec:
+    """The configured kernel; bandwidth 1.0 stands in for the median heuristic."""
+    return KernelSpec(cfg.kernel_kind, cfg.kernel_bandwidth or 1.0,
+                      cfg.kernel_degree, cfg.kernel_offset)
+
+
 def _coupled_spec_for(cfg: ExperimentConfig, train_factors, weights):
     if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
         return default_coupled_spec(train_factors, weights)
-    k = KernelSpec(cfg.kernel_kind, cfg.kernel_bandwidth or 1.0,
-                   cfg.kernel_degree, cfg.kernel_offset)
+    k = _fixed_kernel(cfg)
     return CoupledKernelSpec(k, k, k, k, weights)
 
 
 def _cp_specs_for(cfg: ExperimentConfig, train_tensors):
     if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
         return default_cp_specs(train_tensors)
-    k = KernelSpec(cfg.kernel_kind, cfg.kernel_bandwidth or 1.0,
-                   cfg.kernel_degree, cfg.kernel_offset)
-    return (k,) * train_tensors[0].order
+    return (_fixed_kernel(cfg),) * train_tensors[0].order
 
 
 def _tune_cstm(train_factors, y_tr, cfg: ExperimentConfig, cv_seed: int):

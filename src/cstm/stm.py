@@ -403,8 +403,9 @@ def fit(
 ) -> StmModel:
     """Train the classifier by solving the dual program.
 
-    ``kernel`` is a :class:`CoupledKernelSpec`, or per-mode specs for
-    Kruskal-tensor samples (stored as a tuple).  ``gram`` may supply the
+    ``kernel`` is a :class:`CoupledKernelSpec` for :class:`AcmtfFactors`
+    samples, or per-mode specs for Kruskal-tensor samples (stored as a
+    tuple); any other pairing is a ``ValueError``.  ``gram`` may supply the
     precomputed training Gram matrix (it must match what
     :func:`cstm.kernels.gram_matrix` or :func:`cstm.kernels.cp_gram` builds).
     """
@@ -412,8 +413,15 @@ def fit(
     if y.shape != (len(samples),):
         raise ValueError("labels length must match number of samples")
     _check_two_classes(y)
+    if isinstance(kernel, KernelSpec):
+        raise ValueError("a CP kernel is one KernelSpec per mode, not a single KernelSpec")
     if not isinstance(kernel, CoupledKernelSpec):
         kernel = tuple(kernel)
+    kind = AcmtfFactors if isinstance(kernel, CoupledKernelSpec) else KruskalTensor
+    bad = [type(s).__name__ for s in samples if not isinstance(s, kind)]
+    if bad:
+        raise ValueError(f"{'a coupled' if kind is AcmtfFactors else 'a CP'} kernel "
+                         f"takes {kind.__name__} samples, not {bad[0]}")
     if gram is None:
         gram = _grams(kernel)[0](samples, kernel)
     problem = QpProblem(gram, y, lam)

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from cstm import container
-from cstm.acmtf import AcmtfHyperParams, CoupledSample, acmtf_objective
+from cstm.acmtf import (
+    AcmtfHyperParams,
+    CoupledSample,
+    acmtf_decompose_many,
+    acmtf_objective,
+)
 from cstm.cli import main
+from cstm.config import parse_config
+from cstm.experiments import _ROLE_CV, _ROLE_DECOMPOSE, _tune_cstm, derive_seed
 
 CONFIG_SMALL = """\
 [experiment]
@@ -149,6 +156,39 @@ class TestFitPredict:
         correct = sum(int(r["label"]) == truth[r["file"]] for r in rows)
         assert correct == 8
 
+    def test_tune_weights_picks_weights_and_lambda_as_the_study(self, tmp_path):
+        # `cstm fit` selects through experiments._tune_cstm; with
+        # tune_weights on, the model carries its pick on the same factors.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        text = FIT_CONFIG.replace("lambda_grid = 0.01", "lambda_grid = 0.01, 0.1, 1")
+        text += "\n[kernel]\ntune_weights = true\n"
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg_path),
+                     "--out", str(model_path)]) == 0
+
+        cfg = parse_config(text)
+        samples = [container.read_sample(p) for p in sorted(data.glob("*.cstm"))]
+        labels = np.array([s.label for s in samples], dtype=np.float64)
+        seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
+        factors = [f.pruned(cfg.prune_rel)
+                   for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)]
+        w, spec, _, lam = _tune_cstm(factors, labels, cfg,
+                                     derive_seed(cfg.seed, _ROLE_CV, 0))
+        assert w != cfg.kernel_weights
+        model, _, _ = container.read_model(model_path)
+        assert model.kernel == spec
+        assert model.lam == lam
+        manifest = dict(
+            line.split(" = ", 1)
+            for line in (tmp_path / "model.cstm.manifest.txt").read_text().splitlines()
+        )
+        assert manifest["weights"] == ", ".join(repr(v) for v in w)
+        assert manifest["lambda"] == repr(lam)
+
     def test_predict_dim_mismatch_exit4(self, tmp_path):
         data = tmp_path / "train"
         data.mkdir()
@@ -244,7 +284,8 @@ class TestBenchmark:
 
     def test_invalid_config_exit1_no_outputs(self, tmp_path):
         empty_grid = CONFIG_SMALL.replace("lambda_grid = 0.01, 1", "lambda_grid = ,")
-        for text in ("[acmtf]\nbeta = -1\n", empty_grid):
+        no_samples = CONFIG_SMALL.replace("n_per_class = 4", "n_per_class = 0")
+        for text in ("[acmtf]\nbeta = -1\n", empty_grid, no_samples):
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(text)
             out = tmp_path / "run"

@@ -1,12 +1,15 @@
 """Container and configuration round-trip tests."""
 
 import dataclasses
+import re
 import struct
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cstm import config
 from cstm.acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample
 from cstm.config import (
     ConfigError,
@@ -416,6 +419,58 @@ class TestConfigText:
     def test_comments_and_blanks(self):
         cfg = parse_config("# hello\n\n[experiment]\ncase = 1  # trailing\n")
         assert cfg.case == 1
+
+    def test_text_forms_are_pinned(self):
+        # Model files and config hashes depend on these exact bytes.
+        cfg = ExperimentConfig(case=1)
+        assert serialize_config(cfg) == (
+            "[experiment]\ncase = 1\nn_per_class = 50\ntest_fraction = 0.2\n"
+            "repetitions = 50\nseed = 0\nmethods = cstm, cpstm_tensor, cpstm_matrix\n"
+            "tolerate_failures = false\nthreads = 1\n\n"
+            "[acmtf]\ngamma = 1.0\nbeta = 0.001\nxi = 1.0\ntheta = 1.0\n"
+            "epsilon = 1e-08\nrank = 5\ncg_tol = 1e-09\nmax_iters = 500\n"
+            "prune_rel = 0.05\n\n"
+            "[kernel]\nkind = rbf\nbandwidth = median\ndegree = 2\noffset = 1.0\n"
+            "w1 = 0.3333333333333333\nw2 = 0.3333333333333333\n"
+            "w3 = 0.3333333333333333\ntune_weights = false\n\n"
+            "[stm]\nlambda_grid = 0.0001, 0.001, 0.01, 0.1, 1.0, 10.0\ncv_folds = 5\n"
+        )
+        assert config_hash(cfg) == (
+            "38c7c1eb34cd004fe304d35c7b72acfe4ee089758dcb98e7cba649732221eb34"
+        )
+        assert serialize_acmtf_params(AcmtfHyperParams()) == (
+            "gamma = 1.0\nbeta = 0.001\nxi = 1.0\ntheta = 1.0\nepsilon = 1e-08\n"
+            "rank = 5\ncg_tol = 1e-09\nmax_iters = 500\n"
+        )
+        spec = CoupledKernelSpec(
+            KernelSpec("rbf", 0.9), KernelSpec("linear"),
+            KernelSpec("polynomial", degree=2, offset=1.5),
+            KernelSpec("rbf", 2.0), (0.6, 0.1, 0.3),
+        )
+        assert serialize_coupled_spec(spec) == (
+            "k1_mode1.kind = rbf\nk1_mode1.bandwidth = 0.9\nk1_mode1.degree = 2\n"
+            "k1_mode1.offset = 1.0\n"
+            "k1_mode2.kind = linear\nk1_mode2.bandwidth = 1.0\nk1_mode2.degree = 2\n"
+            "k1_mode2.offset = 1.0\n"
+            "k2.kind = polynomial\nk2.bandwidth = 1.0\nk2.degree = 2\nk2.offset = 1.5\n"
+            "k3.kind = rbf\nk3.bandwidth = 2.0\nk3.degree = 2\nk3.offset = 1.0\n"
+            "w1 = 0.6\nw2 = 0.1\nw3 = 0.3\n"
+        )
+
+    def test_readme_config_block_is_the_schema_with_defaults(self):
+        # The README's ini block documents every key with its default value;
+        # its commented-out "# key = value" lines count as documented keys.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(block) == ExperimentConfig(case=1)
+        documented, section = set(), ""
+        for line in block.splitlines():
+            line = line.lstrip("# ")
+            if line.startswith("["):
+                section = line.strip("[] ")
+            elif re.match(r"\w+ = ", line):
+                documented.add((section, line.split(" = ", 1)[0]))
+        assert documented == {(section, key) for section, key, *_ in config._SCHEMA}
 
     def test_spec_text_round_trips(self):
         spec = CoupledKernelSpec(

@@ -313,6 +313,25 @@ class TestCpStm:
         with pytest.raises(ValueError):
             fit(ts, y, (KernelSpec("linear"),) * 3, lam=0.0)
 
+    @pytest.mark.parametrize("case", ["kruskal_under_coupled", "single_spec",
+                                      "factors_under_cp"])
+    def test_kernel_kind_mismatch_rejected_before_any_gram(self, monkeypatch, case):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram was built for mismatched inputs")
+
+        for name in ("gram_matrix", "cp_gram"):
+            monkeypatch.setattr(stm, name, no_gram)
+        tensors = self._tensors(False, 2, 3) + self._tensors(True, 2, 4)
+        factors = [unit_rank1_factors(s, flip=s >= 2) for s in range(4)]
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        samples, kernel, match = {
+            "kruskal_under_coupled": (tensors, LINEAR_SPEC, "KruskalTensor"),
+            "single_spec": (tensors, KernelSpec("linear"), "single KernelSpec"),
+            "factors_under_cp": (factors, (KernelSpec("linear"),) * 3, "AcmtfFactors"),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            fit(samples, y, kernel, lam=0.1)
+
     def test_benchmark_names_are_aliases(self):
         # The CP names the benchmark calls must stay the one fit/decision path.
         assert stm.cpstm_fit is stm.fit
