@@ -16,8 +16,6 @@ from .acmtf import (
     acmtf_decompose_many,
     acmtf_gradient,
     acmtf_objective,
-    line_search,
-    shared_factor,
 )
 from .experiments import (
     ExperimentConfig,
@@ -51,10 +49,6 @@ from .tensor_core import (
     KruskalTensor,
     cp_als,
     cp_als_many,
-    fold,
-    khatri_rao,
-    kruskal_to_full,
-    normalize_columns,
     unfold,
 )
 

@@ -30,8 +30,8 @@ search (:class:`_LineSearch`) hold a whole batch's state as arrays, one
 row or column per sample, so :func:`acmtf_decompose_many` advances every
 unfinished sample by one evaluator call and one pass of masked array
 operations per round, and reports each sample's iterations, evaluations
-and stop reason as :class:`SolveStats`.  :func:`acmtf_decompose` and
-:func:`line_search` run the same code on a batch of one.  Inputs are
+and stop reason as :class:`SolveStats`.  :func:`acmtf_decompose` runs
+the same code on a batch of one.  Inputs are
 validated at the boundary, by :class:`CoupledSample` and the public
 functions; the CG loop raises :class:`NumericalError` on a non-finite
 starting objective or gradient, and nothing inside it checks further.
@@ -150,17 +150,17 @@ class SolveStats:
 class AcmtfFactors:
     """Joint factorization result: tensor Kruskal, matrix Kruskal, shared factor.
 
-    ``shared`` is the elementwise average of the tensor's third-mode factor
-    and the matrix's second-mode factor.  ``objective_history`` and
-    ``stats`` are optional solver provenance.  Factors read from a file
-    carry no ``stats``.
+    ``shared`` is derived, not passed: the elementwise average of the
+    tensor's third-mode factor and the matrix's second-mode factor.
+    ``objective_history`` and ``stats`` are optional solver provenance.
+    Factors read from a file carry no ``stats``.
     """
 
     u1: KruskalTensor
     u2: KruskalTensor
-    shared: np.ndarray
     objective_history: tuple[float, ...] = field(default=(), compare=False)
     stats: SolveStats | None = field(default=None, compare=False)
+    shared: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.u1.order != 3:
@@ -171,21 +171,13 @@ class AcmtfFactors:
             raise ValueError("u1 and u2 must share the same rank")
         if self.u1.shape[2] != self.u2.shape[1]:
             raise ValueError("coupled-mode dimensions differ between u1 and u2")
-        expected = (self.u1.factors[2] + self.u2.factors[1]) / 2
-        if not np.array_equal(np.asarray(self.shared, dtype=np.float64), expected):
-            raise ValueError("shared must equal the average of the coupled factors")
-        object.__setattr__(self, "shared", expected)
+        shared = (self.u1.factors[2] + self.u2.factors[1]) / 2
+        object.__setattr__(self, "shared", shared)
 
     @classmethod
-    def from_kruskals(
-        cls,
-        u1: KruskalTensor,
-        u2: KruskalTensor,
-        objective_history: tuple[float, ...] = (),
-        stats: SolveStats | None = None,
-    ) -> "AcmtfFactors":
-        shared = (u1.factors[2] + u2.factors[1]) / 2
-        return cls(u1, u2, shared, objective_history, stats)
+    def from_kruskals(cls, u1, u2, objective_history=(), stats=None) -> "AcmtfFactors":
+        """The constructor under its former name; the benchmark harness calls it."""
+        return cls(u1, u2, objective_history, stats)
 
     @property
     def converged(self) -> bool:
@@ -227,22 +219,12 @@ class AcmtfFactors:
         u2 = KruskalTensor(
             self.u2.weights[keep], tuple(f[:, keep] for f in self.u2.factors)
         )
-        return AcmtfFactors.from_kruskals(u1, u2, self.objective_history, self.stats)
-
-
-def shared_factor(f: AcmtfFactors) -> np.ndarray:
-    """Average of the tensor third-mode and matrix second-mode factors."""
-    return (f.u1.factors[2] + f.u2.factors[1]) / 2
+        return AcmtfFactors(u1, u2, self.objective_history, self.stats)
 
 
 # ---------------------------------------------------------------------------
 # Flat parameter vector <-> factor blocks
 # ---------------------------------------------------------------------------
-
-def _block_sizes(dims: tuple[int, int, int, int], rank: int) -> list[int]:
-    i1, i2, i3, i4 = dims
-    return [i1 * rank, i2 * rank, i3 * rank, i4 * rank, i3 * rank, rank, rank]
-
 
 def pack(blocks) -> np.ndarray:
     """Concatenate (A, B, C, U, V, zeta, sigma) into one flat vector."""
@@ -252,13 +234,12 @@ def pack(blocks) -> np.ndarray:
 def unpack(x: np.ndarray, dims: tuple[int, int, int, int], rank: int):
     """Split a flat vector back into (A, B, C, U, V, zeta, sigma)."""
     i1, i2, i3, i4 = dims
-    sizes = _block_sizes(dims, rank)
-    if x.size != sum(sizes):
-        raise ValueError(f"parameter vector has size {x.size}, expected {sum(sizes)}")
-    parts = np.split(x, np.cumsum(sizes)[:-1])
-    shapes = [(i1, rank), (i2, rank), (i3, rank), (i4, rank), (i3, rank)]
-    blocks = [p.reshape(s) for p, s in zip(parts, shapes)]
-    return (*blocks, parts[5], parts[6])
+    rows = (i1, i2, i3, i4, i3)
+    size = rank * (sum(rows) + 2)
+    if x.size != size:
+        raise ValueError(f"parameter vector has size {x.size}, expected {size}")
+    parts = np.split(x, rank * np.cumsum(rows + (1,)))
+    return (*(p.reshape(-1, rank) for p in parts[:5]), parts[5], parts[6])
 
 
 class _Evaluator:
@@ -400,24 +381,13 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1).sum(axis=1)
 
 
-def _one_sample(s: CoupledSample, h: AcmtfHyperParams):
-    """``fg(x) -> (value, gradient)`` of one sample on the batched evaluator."""
-    ev = _Evaluator([s], h)
-
-    def fg(x, need_grad=True):
-        q, g = ev(x[None], need_grad)
-        return float(q[0]), None if g is None else g[0]
-
-    return fg
-
-
-def _factors_to_vector(f: AcmtfFactors) -> np.ndarray:
-    return pack((*f.u1.factors, *f.u2.factors, f.u1.weights, f.u2.weights))
-
-
-def _check_compat(s: CoupledSample, f: AcmtfFactors):
+def _evaluate(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams, need_grad: bool):
+    """Q, and its gradient if ``need_grad``, of ``f`` on a batch of one."""
     if f.dims != s.dims:
         raise ValueError(f"factor dims {f.dims} do not match sample dims {s.dims}")
+    x = pack((*f.u1.factors, *f.u2.factors, f.u1.weights, f.u2.weights))
+    q, g = _Evaluator([s], h)(x[None], need_grad)
+    return float(q[0]), None if g is None else g[0]
 
 
 def acmtf_objective(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> float:
@@ -427,27 +397,17 @@ def acmtf_objective(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> f
     :class:`_Evaluator`), so the value is accurate to about
     1e-16 ||X1||^2 and can read slightly below zero near an exact fit.
     """
-    _check_compat(s, f)
-    return _one_sample(s, h)(_factors_to_vector(f), need_grad=False)[0]
+    return _evaluate(s, f, h, need_grad=False)[0]
 
 
 def acmtf_gradient(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> np.ndarray:
     """Exact gradient of Q, flattened as (A, B, C, U, V, zeta, sigma)."""
-    _check_compat(s, f)
-    return _one_sample(s, h)(_factors_to_vector(f))[1]
+    return _evaluate(s, f, h, need_grad=True)[1]
 
 
 # ---------------------------------------------------------------------------
 # Strong-Wolfe line search and the conjugate-gradient loop
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LineSearchResult:
-    step: float
-    value: float
-    gradient: np.ndarray
-    wolfe_satisfied: bool
-
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the rows of two C-contiguous ``(b, n)`` blocks.
@@ -461,6 +421,9 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # Phase of one column's line search.
 _BRACKET, _ZOOM, _FALLBACK = 0, 1, 2
+# Strong-Wolfe constants: sufficient decrease, curvature, and the
+# evaluations after which a search falls back to backtracking.
+_C1, _C2, _MAX_EVALS = 1e-4, 0.1, 50
 
 
 class _LineSearch:
@@ -474,15 +437,14 @@ class _LineSearch:
     1994, "Line search algorithms with guaranteed sufficient decrease"),
     clamped to 1.1 to 4 times the trial step, and doubles the step where
     the slope did not rise.  It zooms by quadratic interpolation with a
-    bisection safeguard, and after ``max_evals`` evaluations, or once the
+    bisection safeguard, and after ``_MAX_EVALS`` evaluations, or once the
     bracket is narrower than 1e-16, falls back to backtracking for plain
     decrease.  A trial point whose value or slope is not finite fails
     sufficient decrease, so the search zooms or backs off from it and never
     returns it.
     """
 
-    def __init__(self, b: int, c1=1e-4, c2=0.1, max_evals=50):
-        self.c1, self.c2, self.max_evals = c1, c2, max_evals
+    def __init__(self, b: int):
         self.phase = np.full(b, _BRACKET, dtype=np.int8)
         self.evals = np.zeros(b, dtype=np.int64)
         # (step, value, slope) at the trial step under evaluation and at lo,
@@ -510,7 +472,7 @@ class _LineSearch:
         self.evals[rows] = 0
         self.origin[0, rows] = self.lo[1, rows] = f0
         self.origin[1, rows] = self.lo[2, rows] = dphi0
-        self.origin[2, rows] = -self.c2 * dphi0
+        self.origin[2, rows] = -_C2 * dphi0
         self.lo[0, rows] = 0.0
         self.hi[0, rows] = self.best[1, rows] = np.inf
         self.trial[0, rows] = np.where(np.isfinite(init) & (init > 0), init, 1.0)
@@ -542,7 +504,7 @@ class _LineSearch:
         better = fa < best[1]
         # Sufficient decrease fails, or (past the first bracket step) the
         # value does not improve on lo: the trial step becomes hi.
-        high = (fa > f0 + self.c1 * a * origin[1]) | ((fa >= lo[1]) & (self.evals > 1))
+        high = (fa > f0 + _C1 * a * origin[1]) | ((fa >= lo[1]) & (self.evals > 1))
         if falling:
             high &= ~fallback
             low = ~(high | fallback)
@@ -589,8 +551,8 @@ class _LineSearch:
         width = hi[0] - lo[0]
         span = np.abs(width)
         narrow = span < 1e-16
-        if np.count_nonzero(narrow) or self.evals.max() >= self.max_evals:
-            to_fallback = (high | low) & (self.evals >= self.max_evals)
+        if np.count_nonzero(narrow) or self.evals.max() >= _MAX_EVALS:
+            to_fallback = (high | low) & (self.evals >= _MAX_EVALS)
             to_fallback |= zooming & (phase == _ZOOM) & narrow
             zooming &= ~to_fallback
             phase[to_fallback] = _FALLBACK
@@ -626,65 +588,6 @@ class _LineSearch:
         inside &= a <= np.maximum(lo_a, hi_a) - tenth
         np.copyto(mid, a, where=inside)
         return mid
-
-
-def _wolfe_search(
-    fg,
-    x: np.ndarray,
-    direction: np.ndarray,
-    f0: float,
-    g0: np.ndarray,
-    c1: float = 1e-4,
-    c2: float = 0.1,
-    max_evals: int = 50,
-    init_step: float = 1.0,
-) -> LineSearchResult:
-    """One strong-Wolfe line search: a :class:`_LineSearch` of one row.
-
-    The search brackets by the secant step on the slope, clamped to 1.1 to
-    4 times the trial step, and doubles the step only where the slope did
-    not rise; it then zooms.  Every trial point is evaluated by
-    ``fg(x) -> (value, gradient)``.  If no Wolfe point is found within
-    ``max_evals`` evaluations, the best simple-decrease step seen is
-    returned with ``wolfe_satisfied=False``; if no finite trial point was
-    seen at all, the zero step at ``(f0, g0)``.
-    """
-    d = direction[None]
-    dphi0 = _row_dot(g0[None], d)
-    if dphi0[0] >= 0:
-        raise ValueError("direction is not a descent direction")
-    ls = _LineSearch(1, c1, c2, max_evals)
-    ls.start(0, f0, dphi0[0], init_step)
-    done = False
-    while not done:
-        value, grad = fg(x + ls.trial[0, 0] * direction)
-        (done,) = ls.advance(np.array([value]), _row_dot(np.asarray(grad)[None], d))
-    step, value = ls.best[:, 0].tolist()
-    if step == 0.0:  # no finite trial point
-        return LineSearchResult(0.0, f0, g0, False)
-    if value >= f0 and step != ls.trial[0, 0]:  # no decrease: an earlier step
-        grad = fg(x + step * direction)[1]
-    return LineSearchResult(step, value, grad, bool(ls.phase[0] != _FALLBACK))
-
-
-def line_search(
-    s: CoupledSample,
-    x: np.ndarray,
-    direction: np.ndarray,
-    h: AcmtfHyperParams,
-) -> LineSearchResult:
-    """Strong-Wolfe step along ``direction`` for the coupled objective.
-
-    ``x`` is a flat parameter vector as produced by :func:`pack`.  Requires
-    a descent direction; callers restart with steepest descent otherwise.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    size = sum(_block_sizes(s.dims, h.rank))
-    if x.shape != (size,):
-        raise ValueError(f"parameter vector has shape {x.shape}, expected ({size},)")
-    fg = _one_sample(s, h)
-    f0, g0 = fg(x)
-    return _wolfe_search(fg, x, direction, f0, g0)
 
 
 def _initial_point(dims, rank: int, seed: int) -> np.ndarray:
@@ -935,5 +838,5 @@ def acmtf_decompose_many(
         A, B, C, U, V, zeta, sigma = unpack(x, dims, h.rank)
         u1 = KruskalTensor(zeta * scale_t, (A, B, C)).normalized()
         u2 = KruskalTensor(sigma * scale_m, (U, V)).normalized()
-        out.append(AcmtfFactors.from_kruskals(u1, u2, history, stats))
+        out.append(AcmtfFactors(u1, u2, history, stats))
     return out

@@ -187,6 +187,8 @@ def cmd_benchmark(args) -> int:
     samples = None
     if cfg.dataset is not None:
         samples = [container.read_sample(p) for p in _sample_paths(cfg.dataset)]
+    elif cfg.case is None:
+        raise ConfigError("missing: case")
     os.makedirs(args.out, exist_ok=True)
     t0 = time.perf_counter()
     summary = experiments.run_experiment(cfg, samples)

@@ -2,8 +2,9 @@
 
 Blank lines and ``#`` comments are ignored.  Unknown sections or keys and
 malformed values raise :class:`ConfigError` naming the key and line number.
-Omitted keys fall back to defaults; ``case`` (or ``dataset``) is required.
-README.md lists every key with its default.
+Omitted keys fall back to defaults.  ``cstm benchmark`` needs ``case``
+(or ``dataset``); ``cstm fit`` reads neither.  README.md lists every key
+with its default.
 
 Each key is defined once, in :data:`_SCHEMA`.  Its ``[acmtf]`` and
 ``[kernel]`` rows, and the settings text that model files embed, come from

@@ -1,15 +1,16 @@
 """Binary "CSTM" container files and run manifests.
 
-All files start with the magic bytes ``CSTM`` followed by a little-endian
-u32 format version.  A standalone tensor file then holds exactly one array
-record; composite files carry a u32 kind tag followed by kind-specific
-fields.  Array records are:
+All files start with the magic bytes ``CSTM``, a little-endian u32 format
+version and a u32 kind tag, followed by kind-specific fields.  Array
+records are:
 
     order: u32, dims: u64 * order, payload: f64 * prod(dims)
 
 with the payload in the canonical layout (first index fastest, i.e. Fortran
-order).  Kind tags are >= 100 so readers can tell a composite file from a
-bare tensor record, whose leading u32 is its (small) order:
+order).  Kind tags start at 100: a bare tensor file of an earlier layout
+held an array record right after the version, so its first u32 is a small
+array order: readers reject such a file, and ``cstm inspect`` reports
+``kind: unknown (<order>)``.  The kinds are:
 
     100  coupled sample   (label: i64, tensor record, matrix record)
     101  joint factors    (zeta, A, B, C, sigma, U, V, shared records)
@@ -170,19 +171,6 @@ class _atomic_write:
         return False
 
 
-def write_tensor(path, tensor: np.ndarray):
-    """Standalone tensor file: magic, version, one array record."""
-    with _atomic_write(path) as fh:
-        _write_header(fh)
-        _write_array(fh, tensor)
-
-
-def read_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        _read_header(fh, path)
-        return _read_array(fh)
-
-
 def write_sample(path, sample: CoupledSample):
     with _atomic_write(path) as fh:
         _write_header(fh)
@@ -230,7 +218,7 @@ def _read_factors_body(fh: BinaryIO, path) -> AcmtfFactors:
     m_factors = tuple(_read_array(fh) for _ in range(2))
     shared = _read_array(fh)
     try:
-        f = AcmtfFactors.from_kruskals(
+        f = AcmtfFactors(
             KruskalTensor(zeta, t_factors), KruskalTensor(sigma, m_factors)
         )
     except ValueError as exc:
@@ -313,12 +301,6 @@ def inspect_file(path) -> dict:
     with open(path, "rb") as fh:
         _read_header(fh, path)
         tag = _read_u32(fh)
-        if tag < 100:
-            dims = tuple(_read_u64(fh) for _ in range(tag))
-            info["kind"] = "tensor"
-            info["order"] = tag
-            info["dims"] = dims
-            return info
         info["kind"] = _KIND_NAMES.get(tag, f"unknown ({tag})")
         if tag == KIND_SAMPLE:
             info["label"] = _read_i64(fh)
@@ -335,8 +317,5 @@ def inspect_file(path) -> dict:
 
 def write_manifest(path, entries: dict):
     """Plain ``key = value`` manifest, written atomically."""
-    text = "".join(f"{k} = {v}\n" for k, v in entries.items())
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    with _atomic_write(path) as fh:
+        fh.write("".join(f"{k} = {v}\n" for k, v in entries.items()).encode())

@@ -246,8 +246,6 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.case is None and self.dataset is None:
-            raise ValueError("missing: case")
         if self.case is not None and self.case not in SIM_CASES:
             raise ValueError(f"unknown case id {self.case}")
         if not 0 < self.test_fraction < 1:
@@ -273,7 +271,9 @@ class ExperimentConfig:
             raise ValueError("kernel_bandwidth must be > 0")
         if not 0 <= self.prune_rel < 1:
             raise ValueError("prune_rel must be in [0, 1)")
-        _fixed_kernel(self)  # KernelSpec validates kind, degree and offset
+        # The kernel specs validate kind, degree, offset and the weights.
+        k = _fixed_kernel(self)
+        CoupledKernelSpec(k, k, k, k, self.kernel_weights)
 
 
 @dataclass

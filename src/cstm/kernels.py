@@ -234,11 +234,10 @@ def cp_gram_cross(
     return _cp_gram(a, b, specs)
 
 
-def median_bandwidth(columns: np.ndarray, fallback: float = 1.0) -> float:
+def median_bandwidth(columns: np.ndarray) -> float:
     """Median pairwise distance between columns; the usual rbf heuristic.
 
-    Zero distances are excluded; if every pair coincides, returns
-    ``fallback``.
+    Zero distances are excluded; if every pair coincides, returns 1.0.
     """
     c = np.asarray(columns, dtype=np.float64)
     sq = (
@@ -250,7 +249,7 @@ def median_bandwidth(columns: np.ndarray, fallback: float = 1.0) -> float:
     d = np.sqrt(sq[np.triu_indices(c.shape[1], k=1)])
     d = d[d > 0]
     if d.size == 0:
-        return fallback
+        return 1.0
     return float(np.median(d))
 
 

@@ -397,8 +397,6 @@ def fit(
     labels,
     kernel: CoupledKernelSpec | Sequence[KernelSpec],
     lam: float,
-    tol: float = 1e-6,
-    max_passes: int = 1000,
     gram: np.ndarray | None = None,
 ) -> StmModel:
     """Train the classifier by solving the dual program.
@@ -425,7 +423,7 @@ def fit(
     if gram is None:
         gram = _grams(kernel)[0](samples, kernel)
     problem = QpProblem(gram, y, lam)
-    sol = solve_qp(problem, tol=tol, max_passes=max_passes)
+    sol = solve_qp(problem)
     bias = recover_bias(gram, y, sol.alpha, problem.box)
     return StmModel(sol.alpha, y, tuple(samples), kernel, lam, bias, sol.converged)
 

@@ -47,52 +47,19 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
 
 
-def fold(matrix: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild a tensor of shape ``dims``."""
-    m = _as_float_array(matrix, "matrix")
-    if not 1 <= mode <= len(dims):
-        raise ValueError(f"mode must be in 1..{len(dims)}, got {mode}")
-    rest = tuple(d for i, d in enumerate(dims) if i != mode - 1)
-    full = m.reshape((dims[mode - 1],) + rest, order="F")
-    return np.moveaxis(full, 0, mode - 1)
-
-
-def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Kronecker product: column k is ``kron(a[:, k], b[:, k])``."""
-    a = _as_float_array(a, "a")
-    b = _as_float_array(b, "b")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("khatri_rao expects matrices")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return _khatri_rao(a, b)
-
-
 def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Unchecked core of khatri_rao, for float64 matrices of equal width or
-    # stacks of them with equal leading dimensions.
+    # Column-wise Kronecker product, column k = kron(a[:, k], b[:, k]), of
+    # float64 matrices of equal width or stacks of them with equal leading
+    # dimensions; unchecked.
     return (a[..., :, None, :] * b[..., None, :, :]).reshape(
         a.shape[:-2] + (a.shape[-2] * b.shape[-2], a.shape[-1])
     )
 
 
-def normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale each column to unit Euclidean norm.
-
-    Returns ``(unit, weights)`` where ``weights[k]`` is the original norm of
-    column k.  Zero columns are returned unchanged with weight 0.
-    """
-    m = _as_float_array(m, "matrix")
-    if m.ndim != 2:
-        raise ValueError("normalize_columns expects a matrix")
-    return _normalize_columns(m)
-
-
 def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Unchecked core of normalize_columns, for a float64 matrix or a stack
-    # of them.
+    # (unit, norms): each column rescaled to unit Euclidean norm, and its
+    # original norm; zero columns stay as they are with norm 0.  For a
+    # float64 matrix or a stack of them, unchecked.
     norms = np.linalg.norm(m, axis=-2)
     safe = np.where(norms > 0, norms, 1.0)
     return m / safe[..., None, :], norms
@@ -149,7 +116,7 @@ class KruskalTensor:
         w = self.weights.copy()
         out = []
         for f in self.factors:
-            unit, norms = normalize_columns(f)
+            unit, norms = _normalize_columns(f)
             w = w * norms
             signs = np.where(unit.sum(axis=0) < 0, -1.0, 1.0)
             unit = unit * signs
@@ -163,11 +130,6 @@ def _full(weights: np.ndarray, factors) -> np.ndarray:
     letters = "ijklmnop"[: len(factors)]
     spec = "r," + ",".join(f"{c}r" for c in letters) + "->" + letters
     return np.einsum(spec, weights, *factors)
-
-
-def kruskal_to_full(k: KruskalTensor) -> np.ndarray:
-    """Dense tensor of a Kruskal representation (any order)."""
-    return k.full()
 
 
 def cp_als(

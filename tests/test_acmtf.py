@@ -1,5 +1,7 @@
 """Coupled factorization tests: objective, gradient, line search, decomposition."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -7,24 +9,22 @@ from cstm.acmtf import (
     AcmtfFactors,
     AcmtfHyperParams,
     CoupledSample,
-    LineSearchResult,
     NumericalError,
     SolveStats,
     _BRACKET,
+    _FALLBACK,
     _Evaluator,
     _frobenius,
     _LineSearch,
-    _wolfe_search,
+    _row_dot,
     acmtf_decompose,
     acmtf_decompose_many,
     acmtf_gradient,
     acmtf_objective,
-    line_search,
     pack,
-    shared_factor,
     unpack,
 )
-from cstm.tensor_core import KruskalTensor, fold, khatri_rao, unfold
+from cstm.tensor_core import KruskalTensor, _khatri_rao, unfold
 
 DIMS = (4, 3, 5, 6)  # (I1, I2, I3, I4)
 
@@ -79,7 +79,7 @@ def reference_evaluation(sample, blocks, h):
     every penalty term has its own pass.
     """
     A, B, C, U, V, zeta, sigma = blocks
-    kr_cb = khatri_rao(C, B)
+    kr_cb = _khatri_rao(C, B)
     e1 = (A * zeta) @ kr_cb.T - unfold(sample.tensor, 1)
     f2 = (U * sigma) @ V.T - sample.matrix
     cv = C - V
@@ -96,13 +96,13 @@ def reference_evaluation(sample, blocks, h):
         return 2.0 * (F - unit)
 
     g2 = 2.0 * h.gamma
-    err = fold(e1, 1, sample.tensor.shape)
+    err = e1.reshape(sample.tensor.shape, order="F")  # the inverse of unfold(., 1)
     core1 = e1 @ kr_cb
     grad_a = g2 * core1 * zeta + h.theta * penalty_grad(A, norms[0])
     grad_zeta = g2 * np.sum(A * core1, axis=0) + h.beta * zeta / root_z
-    grad_b = g2 * unfold(err, 2) @ (khatri_rao(C, A) * zeta)
+    grad_b = g2 * unfold(err, 2) @ (_khatri_rao(C, A) * zeta)
     grad_b += h.theta * penalty_grad(B, norms[1])
-    grad_c = g2 * unfold(err, 3) @ (khatri_rao(B, A) * zeta)
+    grad_c = g2 * unfold(err, 3) @ (_khatri_rao(B, A) * zeta)
     grad_c += 2.0 * h.xi * cv + h.theta * penalty_grad(C, norms[2])
     core2 = f2 @ V
     grad_u = g2 * core2 * sigma + h.theta * penalty_grad(U, norms[3])
@@ -164,10 +164,12 @@ class TestTypes:
         assert h.rank == 3 and h.max_iters == 7
 
     def test_shared_must_be_average(self):
+        # shared is derived from the coupled factors; it cannot be passed.
         rng = np.random.default_rng(0)
         _, f, _ = random_instance(rng)
-        with pytest.raises(ValueError):
-            AcmtfFactors(f.u1, f.u2, f.shared + 1.0)
+        np.testing.assert_array_equal(f.shared, (f.u1.factors[2] + f.u2.factors[1]) / 2)
+        with pytest.raises(TypeError):
+            AcmtfFactors(f.u1, f.u2, shared=f.shared + 1.0)
 
     def test_parameter_vector_length(self):
         rng = np.random.default_rng(1)
@@ -343,6 +345,42 @@ class TestEvaluatorAgainstReference:
         self.check([sample], [x], h)
 
 
+Search = namedtuple("Search", "step value gradient wolfe_satisfied")
+
+
+def wolfe_search(fg, x, direction, f0, g0, init_step=1.0):
+    """One strong-Wolfe search along ``direction``: a one-column _LineSearch.
+
+    Every trial point is evaluated by ``fg(x) -> (value, gradient)``.  A
+    search that saw no finite trial point returns the zero step at
+    ``(f0, g0)``.
+    """
+    d = direction[None]
+    ls = _LineSearch(1)
+    ls.start(0, f0, _row_dot(g0[None], d)[0], init_step)
+    done = False
+    while not done:
+        value, grad = fg(x + ls.trial[0, 0] * direction)
+        (done,) = ls.advance(np.array([value]), _row_dot(np.asarray(grad)[None], d))
+    step, value = ls.best[:, 0].tolist()
+    if step == 0.0:
+        return Search(0.0, f0, g0, False)
+    if value >= f0 and step != ls.trial[0, 0]:  # no decrease: an earlier step
+        grad = fg(x + step * direction)[1]
+    return Search(step, value, grad, bool(ls.phase[0] != _FALLBACK))
+
+
+def sample_fg(sample, h):
+    """``fg`` of one sample's objective on the batched evaluator."""
+    ev = _Evaluator([sample], h)
+
+    def fg(x):
+        q, g = ev(x[None])
+        return float(q[0]), g[0]
+
+    return fg
+
+
 class TestLineSearch:
     def test_quadratic_minimizer(self):
         def fg(x):
@@ -350,7 +388,7 @@ class TestLineSearch:
 
         x0 = np.zeros(1)
         f0, g0 = fg(x0)
-        res = _wolfe_search(fg, x0, np.ones(1), f0, g0)
+        res = wolfe_search(fg, x0, np.ones(1), f0, g0)
         assert res.wolfe_satisfied
         # Strong Wolfe with c2=0.1 around the exact minimizer phi*=1
         assert 0.8 <= res.step <= 1.2
@@ -361,8 +399,8 @@ class TestLineSearch:
         x = pack((*factors.u1.factors, *factors.u2.factors,
                   factors.u1.weights, factors.u2.weights))
         g = acmtf_gradient(sample, factors, h)
-        res = line_search(sample, x, -g, h)
         f0 = acmtf_objective(sample, factors, h)
+        res = wolfe_search(sample_fg(sample, h), x, -g, f0, g)
         assert res.value < f0
 
     def test_near_stationary_non_increase(self):
@@ -383,20 +421,9 @@ class TestLineSearch:
             ),
             h,
         )
-        res = line_search(sample, x, -g, h)
+        fg = sample_fg(sample, h)
+        res = wolfe_search(fg, x, -g, *fg(x))
         assert res.value <= f0
-
-    def test_rejects_ascent_direction(self):
-        rng = np.random.default_rng(10)
-        sample, factors, h = random_instance(rng)
-        x = pack((*factors.u1.factors, *factors.u2.factors,
-                  factors.u1.weights, factors.u2.weights))
-        g = acmtf_gradient(sample, factors, h)
-        with pytest.raises(ValueError):
-            line_search(sample, x, g, h)
-
-    def test_result_type(self):
-        assert LineSearchResult(1.0, 0.0, np.zeros(1), True).wolfe_satisfied
 
     def test_non_finite_trial_is_rejected(self):
         # (x - 1)^2 below x = 3 and NaN above it; the first trial step of 8
@@ -408,7 +435,7 @@ class TestLineSearch:
 
         x0 = np.zeros(1)
         f0, g0 = fg(x0)
-        res = _wolfe_search(fg, x0, np.ones(1), f0, g0, init_step=8.0)
+        res = wolfe_search(fg, x0, np.ones(1), f0, g0, init_step=8.0)
         assert np.isfinite(res.value) and np.all(np.isfinite(res.gradient))
         assert res.step <= 3.0
         assert res.value < f0
@@ -431,7 +458,7 @@ class TestLineSearch:
         fg, steps = self.counted(lambda a: (a - 10.0) ** 2, lambda a: 2.0 * (a - 10.0))
         f0, g0 = fg(np.zeros(1))
         steps.clear()
-        res = _wolfe_search(fg, np.zeros(1), np.ones(1), f0, g0, init_step=1.0)
+        res = wolfe_search(fg, np.zeros(1), np.ones(1), f0, g0)
         assert res.wolfe_satisfied and abs(res.gradient[0]) <= 0.1 * abs(g0[0])
         assert steps == [1.0, 4.0, 10.0]
 
@@ -464,7 +491,7 @@ class TestLineSearch:
         fg, steps = self.counted(phi, dphi)
         f0, g0 = fg(np.zeros(1))
         steps.clear()
-        res = _wolfe_search(fg, np.zeros(1), np.ones(1), f0, g0, init_step=1.0)
+        res = wolfe_search(fg, np.zeros(1), np.ones(1), f0, g0)
         assert steps[:4] == [1.0, 2.0, 4.0, 8.0]
         assert res.wolfe_satisfied
         assert abs(res.gradient[0]) <= 0.1 * abs(g0[0])
@@ -478,7 +505,7 @@ class TestLineSearch:
 
         x0 = np.zeros(1)
         f0, g0 = fg(x0)
-        res = _wolfe_search(fg, x0, np.ones(1), f0, g0)
+        res = wolfe_search(fg, x0, np.ones(1), f0, g0)
         assert res.step == 0.0 and res.value == f0 and not res.wolfe_satisfied
 
 
@@ -689,7 +716,7 @@ class TestSharedFactor:
         u1 = KruskalTensor(np.ones(2), (np.ones((4, 2)), np.ones((3, 2)), c))
         u2 = KruskalTensor(np.ones(2), (np.ones((6, 2)), c))
         f = AcmtfFactors.from_kruskals(u1, u2)
-        np.testing.assert_array_equal(shared_factor(f), c)
+        np.testing.assert_array_equal(f.shared, c)
 
     def test_cancellation(self):
         rng = np.random.default_rng(18)
@@ -697,7 +724,7 @@ class TestSharedFactor:
         u1 = KruskalTensor(np.ones(2), (np.ones((4, 2)), np.ones((3, 2)), c))
         u2 = KruskalTensor(np.ones(2), (np.ones((6, 2)), -c))
         f = AcmtfFactors.from_kruskals(u1, u2)
-        np.testing.assert_array_equal(shared_factor(f), np.zeros((5, 2)))
+        np.testing.assert_array_equal(f.shared, np.zeros((5, 2)))
 
     def test_elementwise_mean(self):
         rng = np.random.default_rng(19)
@@ -706,4 +733,4 @@ class TestSharedFactor:
         u1 = KruskalTensor(np.ones(2), (np.ones((4, 2)), np.ones((3, 2)), c))
         u2 = KruskalTensor(np.ones(2), (np.ones((6, 2)), v))
         f = AcmtfFactors.from_kruskals(u1, u2)
-        np.testing.assert_allclose(shared_factor(f), (c + v) / 2, atol=1e-15)
+        np.testing.assert_allclose(f.shared, (c + v) / 2, atol=1e-15)

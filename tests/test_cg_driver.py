@@ -11,7 +11,7 @@ and evaluation counts and stop reason must equal the driver's
 that their inputs reach each one.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from cstm.acmtf import (
     AcmtfFactors,
     AcmtfHyperParams,
     CoupledSample,
-    LineSearchResult,
     NumericalError,
     SolveStats,
     _Evaluator,
@@ -34,6 +33,8 @@ from cstm.acmtf import (
 from cstm.tensor_core import KruskalTensor
 
 DIMS = (4, 3, 5, 6)
+
+LineSearchResult = namedtuple("LineSearchResult", "step value gradient wolfe_satisfied")
 
 
 def _wolfe_steps(x, direction, f0, g0, paths, c1=1e-4, c2=0.1, max_evals=50,

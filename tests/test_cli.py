@@ -189,6 +189,21 @@ class TestFitPredict:
         assert manifest["weights"] == ", ".join(repr(v) for v in w)
         assert manifest["lambda"] == repr(lam)
 
+    def test_fit_needs_no_case(self, tmp_path):
+        # Only the benchmark reads case or dataset; a config of [acmtf],
+        # [kernel] and [stm] sections is enough to fit.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG.split("\n\n", 1)[1] + "\n[kernel]\nkind = rbf\n")
+        assert "case" not in cfg.read_text()
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 0
+        model, params, _ = container.read_model(model_path)
+        assert len(model.factors) == 8 and params.rank == 2
+
     def test_predict_dim_mismatch_exit4(self, tmp_path):
         data = tmp_path / "train"
         data.mkdir()
@@ -285,7 +300,10 @@ class TestBenchmark:
     def test_invalid_config_exit1_no_outputs(self, tmp_path):
         empty_grid = CONFIG_SMALL.replace("lambda_grid = 0.01, 1", "lambda_grid = ,")
         no_samples = CONFIG_SMALL.replace("n_per_class = 4", "n_per_class = 0")
-        for text in ("[acmtf]\nbeta = -1\n", empty_grid, no_samples):
+        zero_weights = CONFIG_SMALL + "\n[kernel]\nw1 = 0\nw2 = 0\nw3 = 0\n"
+        negative_weight = CONFIG_SMALL + "\n[kernel]\nw1 = -0.5\n"
+        for text in ("[acmtf]\nbeta = -1\n", empty_grid, no_samples, zero_weights,
+                     negative_weight):
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(text)
             out = tmp_path / "run"
@@ -307,10 +325,10 @@ class TestBenchmark:
 
 class TestInspect:
     def test_prints_metadata(self, tmp_path, capsys):
-        t = np.zeros((2, 3, 4))
-        path = tmp_path / "t.cstm"
-        container.write_tensor(path, t)
+        path = tmp_path / "s.cstm"
+        container.write_sample(path, CoupledSample(np.zeros((2, 3, 4)), np.zeros((5, 4)), -1))
         assert main(["inspect", "--in", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "tensor" in out
-        assert "(2, 3, 4)" in out
+        assert "kind: sample" in out
+        assert "label: -1" in out
+        assert "tensor_dims: (2, 3, 4)" in out

@@ -256,8 +256,10 @@ class TestRunExperiment:
         assert len(summary_lines) == 1 + 5  # header + 5 metrics
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="missing: case"):
-            ExperimentConfig()
+        # A config needs no case (cstm fit reads none); a run without one
+        # and without samples fails.  cstm benchmark reports "missing: case".
+        with pytest.raises(ValueError, match="no case"):
+            run_experiment(ExperimentConfig())
         with pytest.raises(ValueError):
             tiny_config(methods=("nope",))
         with pytest.raises(ValueError):

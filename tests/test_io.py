@@ -28,12 +28,10 @@ from cstm.container import (
     read_factors,
     read_model,
     read_sample,
-    read_tensor,
     write_factors,
     write_manifest,
     write_model,
     write_sample,
-    write_tensor,
 )
 from cstm.experiments import ExperimentConfig
 from cstm.kernels import CoupledKernelSpec, KernelSpec
@@ -54,60 +52,72 @@ def random_factors(rng, rank=2, dims=(4, 3, 5, 6)):
     return AcmtfFactors.from_kruskals(u1, u2)
 
 
+def sample_header(label=1):
+    """Bytes of a sample file up to its tensor record."""
+    return (b"CSTM" + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 100)
+            + struct.pack("<q", label))
+
+
 class TestTensorFile:
+    """Array records, through the tensor and matrix records of sample files."""
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        path = tmp_path / "t.cstm"
-        for shape in ((4, 3, 5), (6, 2), (7,)):
-            t = rng.standard_normal(shape)
-            write_tensor(path, t)
-            back = read_tensor(path)
-            np.testing.assert_array_equal(back, t)
-            assert back.dtype == np.float64
+        path = tmp_path / "s.cstm"
+        for shape in ((4, 3, 5), (6, 2, 1), (1, 1, 7)):
+            s = CoupledSample(rng.standard_normal(shape), rng.standard_normal((3, shape[2])))
+            write_sample(path, s)
+            back = read_sample(path)
+            np.testing.assert_array_equal(back.tensor, s.tensor)
+            np.testing.assert_array_equal(back.matrix, s.matrix)
+            assert back.tensor.dtype == back.matrix.dtype == np.float64
 
     def test_exact_byte_layout(self, tmp_path):
-        # magic, version u32, order u32, dims u64..., payload f64 LE
-        # with the first index varying fastest.
+        # magic, version u32, kind u32, label i64, then per record order
+        # u32, dims u64..., payload f64 LE with the first index fastest.
         t = np.array([[[1.0, 5.0], [3.0, 7.0]], [[2.0, 6.0], [4.0, 8.0]]])
-        path = tmp_path / "t.cstm"
-        write_tensor(path, t)
-        raw = path.read_bytes()
-        expected = b"CSTM" + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 3)
+        m = np.array([[9.0, 10.0]])
+        path = tmp_path / "s.cstm"
+        write_sample(path, CoupledSample(t, m, -1))
+        expected = sample_header(-1) + struct.pack("<I", 3)
         expected += struct.pack("<QQQ", 2, 2, 2)
         expected += struct.pack("<8d", 1, 2, 3, 4, 5, 6, 7, 8)
-        assert raw == expected
+        expected += struct.pack("<I", 2) + struct.pack("<QQ", 1, 2)
+        expected += struct.pack("<2d", 9, 10)
+        assert path.read_bytes() == expected
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.cstm"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError, match="magic"):
-            read_tensor(path)
+            read_sample(path)
 
     def test_version_mismatch_names_versions(self, tmp_path):
         path = tmp_path / "v9.cstm"
-        path.write_bytes(b"CSTM" + struct.pack("<I", 9) + struct.pack("<I", 1))
+        path.write_bytes(b"CSTM" + struct.pack("<I", 9) + struct.pack("<I", 100))
         with pytest.raises(FormatError, match="expected 1, found 9"):
-            read_tensor(path)
+            read_sample(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.cstm"
         path.write_bytes(b"CSTM" + struct.pack("<I", FORMAT_VERSION))
         with pytest.raises(FormatError, match="truncated"):
-            read_tensor(path)
+            read_sample(path)
 
     def test_hostile_dims_allocate_nothing(self, tmp_path):
-        # The header claims 1e8 elements (800 MB) in a file of a few bytes.
+        # The tensor header claims 1e8 elements (800 MB) in a file of a few
+        # bytes.
         import tracemalloc
 
         path = tmp_path / "huge.cstm"
         path.write_bytes(
-            b"CSTM" + struct.pack("<I", FORMAT_VERSION)
-            + struct.pack("<I", 1) + struct.pack("<Q", 10**8) + b"\0" * 16
+            sample_header() + struct.pack("<I", 3)
+            + struct.pack("<QQQ", 10**4, 10**2, 10**2) + b"\0" * 16
         )
         tracemalloc.start()
         try:
             with pytest.raises(FormatError, match="remain"):
-                read_tensor(path)
+                read_sample(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -117,11 +127,11 @@ class TestTensorFile:
         # Zero elements pass the size bound, but numpy cannot shape them.
         path = tmp_path / "empty.cstm"
         path.write_bytes(
-            b"CSTM" + struct.pack("<I", FORMAT_VERSION)
-            + struct.pack("<I", 2) + struct.pack("<QQ", 2**64 - 1, 0)
+            sample_header() + struct.pack("<I", 3)
+            + struct.pack("<QQQ", 2**64 - 1, 0, 1)
         )
         with pytest.raises(FormatError, match="dims"):
-            read_tensor(path)
+            read_sample(path)
 
 
 class TestSampleAndFactors:
@@ -183,11 +193,11 @@ class TestSampleAndFactors:
         assert info["kind"] == "sample"
         assert info["label"] == 1
         assert info["tensor_dims"] == (4, 3, 5)
+        # A bare tensor file of an earlier layout: its array order sits
+        # where the kind tag goes.
         tpath = tmp_path / "t.cstm"
-        write_tensor(tpath, s.tensor)
-        tinfo = inspect_file(tpath)
-        assert tinfo["kind"] == "tensor"
-        assert tinfo["dims"] == (4, 3, 5)
+        tpath.write_bytes(b"CSTM" + struct.pack("<IIQ", FORMAT_VERSION, 1, 1) + bytes(8))
+        assert inspect_file(tpath)["kind"] == "unknown (1)"
 
 
 class TestModelFile:
@@ -339,16 +349,23 @@ class TestModelFile:
 
     def test_manifest_write(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        write_manifest(path, {"seed": 3, "lambda": 0.1})
-        text = path.read_text()
-        assert "seed = 3" in text
-        assert "lambda = 0.1" in text
+        write_manifest(path, {"seed": 3, "lambda": 0.1, "input": "d/é"})
+        assert path.read_bytes() == "seed = 3\nlambda = 0.1\ninput = d/é\n".encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.txt"]
 
 
 class TestConfigText:
-    def test_empty_requires_case(self):
-        with pytest.raises(ConfigError, match="missing: case"):
-            parse_config("")
+    def test_empty_requires_case(self, tmp_path, capsys):
+        # Only the benchmark needs a case: it exits 1 before making its
+        # output directory.
+        from cstm.cli import main
+
+        assert parse_config("").case is None
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("")
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "missing: case" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError, match="beta"):

@@ -530,7 +530,6 @@ def pristine_files():
                      CoupledKernelSpec(k, k, k, KernelSpec("linear"), (0.5, 0.25, 0.25)), 0.1, 0.2)
     sample = CoupledSample(rng.standard_normal((2, 3, 2)), rng.standard_normal((3, 2)), -1)
     writers = {
-        "tensor": lambda p: container.write_tensor(p, rng.standard_normal((2, 3, 2))),
         "sample": lambda p: container.write_sample(p, sample),
         "factors": lambda p: container.write_factors(p, factors[0]),
         "model": lambda p: container.write_model(p, model, AcmtfHyperParams(rank=2), 0.05),
@@ -547,7 +546,6 @@ def pristine_files():
 
 PRISTINE = pristine_files()
 READERS = {
-    "tensor": container.read_tensor,
     "sample": container.read_sample,
     "factors": container.read_factors,
     "model": container.read_model,

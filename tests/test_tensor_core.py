@@ -5,12 +5,11 @@ import pytest
 
 from cstm.tensor_core import (
     KruskalTensor,
+    _khatri_rao,
+    _normalize_columns,
+    _unfold,
     cp_als,
     cp_als_many,
-    fold,
-    khatri_rao,
-    kruskal_to_full,
-    normalize_columns,
     unfold,
 )
 
@@ -31,6 +30,12 @@ def brute_unfold(t, mode):
                 out[a, col] = t[tuple(idx)]
             col += 1
     return out
+
+
+def fold(matrix, mode, dims):
+    """Inverse of ``_unfold`` (0-based mode): rebuild a tensor of shape ``dims``."""
+    rest = tuple(d for i, d in enumerate(dims) if i != mode)
+    return np.moveaxis(matrix.reshape((dims[mode],) + rest, order="F"), 0, mode)
 
 
 class TestUnfold:
@@ -67,8 +72,8 @@ class TestUnfold:
         for _ in range(5):
             dims = tuple(rng.integers(2, 6, size=3))
             t = rng.standard_normal(dims)
-            for mode in (1, 2, 3):
-                np.testing.assert_array_equal(fold(unfold(t, mode), mode, dims), t)
+            for mode in (0, 1, 2):
+                np.testing.assert_array_equal(fold(_unfold(t, mode), mode, dims), t)
 
     def test_invalid_mode(self):
         t = np.zeros((2, 2, 2))
@@ -89,12 +94,12 @@ class TestKhatriRao:
         a = np.array([[1.0], [0.0]])
         b = np.array([[1.0], [1.0]])
         np.testing.assert_array_equal(
-            khatri_rao(a, b), np.array([[1.0], [1.0], [0.0], [0.0]])
+            _khatri_rao(a, b), np.array([[1.0], [1.0], [0.0], [0.0]])
         )
 
     def test_identity_columns(self):
         eye = np.eye(2)
-        out = khatri_rao(eye, eye)
+        out = _khatri_rao(eye, eye)
         expected = np.zeros((4, 2))
         expected[:, 0] = np.kron(eye[:, 0], eye[:, 0])
         expected[:, 1] = np.kron(eye[:, 1], eye[:, 1])
@@ -104,21 +109,17 @@ class TestKhatriRao:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((3, 2))
         b = rng.standard_normal((4, 2))
-        out = khatri_rao(a, b)
+        out = _khatri_rao(a, b)
         for k in range(2):
             for p in range(3):
                 for q in range(4):
                     assert out[p * 4 + q, k] == a[p, k] * b[q, k]
 
-    def test_mismatched_columns(self):
-        with pytest.raises(ValueError):
-            khatri_rao(np.zeros((3, 2)), np.zeros((3, 3)))
-
 
 class TestKruskal:
     def test_rank1_all_ones(self):
         k = KruskalTensor(np.ones(1), (np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1))))
-        np.testing.assert_array_equal(kruskal_to_full(k), np.ones((2, 2, 2)))
+        np.testing.assert_array_equal(k.full(), np.ones((2, 2, 2)))
 
     def test_zero_weights(self):
         rng = np.random.default_rng(3)
@@ -126,14 +127,14 @@ class TestKruskal:
             np.zeros(2),
             tuple(rng.standard_normal((d, 2)) for d in (3, 4, 2)),
         )
-        assert not kruskal_to_full(k).any()
+        assert not k.full().any()
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
         w = rng.standard_normal(3)
         a, b, c = (rng.standard_normal((d, 3)) for d in (4, 2, 5))
         k = KruskalTensor(w, (a, b, c))
-        full = kruskal_to_full(k)
+        full = k.full()
         oracle = np.zeros((4, 2, 5))
         for i in range(4):
             for j in range(2):
@@ -149,7 +150,7 @@ class TestKruskal:
         w = rng.standard_normal(3)
         factors = tuple(rng.standard_normal((d, 3)) for d in (4, 3, 5))
         k = KruskalTensor(w, factors)
-        full = kruskal_to_full(k)
+        full = k.full()
         lhs = float(np.sum(full * full))
         gram = np.ones((3, 3))
         for f in factors:
@@ -178,30 +179,32 @@ class TestKruskal:
 
 class TestNormalizeColumns:
     def test_three_four_five(self):
-        unit, w = normalize_columns(np.array([[3.0], [4.0]]))
+        unit, w = _normalize_columns(np.array([[3.0], [4.0]]))
         np.testing.assert_allclose(unit, np.array([[0.6], [0.8]]))
         np.testing.assert_allclose(w, [5.0])
 
     def test_unit_column_unchanged(self):
         m = np.array([[1.0], [0.0]])
-        unit, w = normalize_columns(m)
+        unit, w = _normalize_columns(m)
         np.testing.assert_array_equal(unit, m)
         np.testing.assert_allclose(w, [1.0])
 
     def test_zero_column(self):
-        unit, w = normalize_columns(np.zeros((3, 1)))
+        unit, w = _normalize_columns(np.zeros((3, 1)))
         np.testing.assert_array_equal(unit, np.zeros((3, 1)))
         np.testing.assert_array_equal(w, [0.0])
 
     def test_rejects_non_matrix(self):
+        # KruskalTensor.normalized takes its factors from the constructor,
+        # which admits only matrices.
         for shape in ((3,), (2, 3, 4)):
-            with pytest.raises(ValueError, match="matrix"):
-                normalize_columns(np.ones(shape))
+            with pytest.raises(ValueError, match="factor shape"):
+                KruskalTensor(np.ones(3), (np.ones(shape),))
 
     def test_reconstruction_exact(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 4))
-        unit, w = normalize_columns(m)
+        unit, w = _normalize_columns(m)
         np.testing.assert_allclose(unit * w, m, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(unit, axis=0), np.ones(4), atol=1e-10)
 
@@ -213,7 +216,7 @@ class TestCpAls:
         a, b, c = (v / np.linalg.norm(v) for v in (a, b, c))
         t = 3.0 * np.einsum("i,j,k->ijk", a, b, c)
         k = cp_als(t, 1, tol=1e-12, max_iter=100, seed=1)
-        err = np.linalg.norm(kruskal_to_full(k) - t) / np.linalg.norm(t)
+        err = np.linalg.norm(k.full() - t) / np.linalg.norm(t)
         assert err < 1e-8
 
     def test_zero_tensor(self):
@@ -229,7 +232,7 @@ class TestCpAls:
         f3 = rng.standard_normal((10, 3)) + 1.0
         t = np.einsum("ir,jr,kr->ijk", f1, f2, f3)
         k = cp_als(t, 3, tol=1e-14, max_iter=500, seed=2)
-        err = np.linalg.norm(kruskal_to_full(k) - t) / np.linalg.norm(t)
+        err = np.linalg.norm(k.full() - t) / np.linalg.norm(t)
         assert err < 1e-6
 
     def test_error_history_is_the_reconstruction_error(self):
