@@ -7,18 +7,19 @@ records are:
     order: u32, dims: u64 * order, payload: f64 * prod(dims)
 
 with the payload in the canonical layout (first index fastest, i.e. Fortran
-order).  Kind tags start at 100: a bare tensor file of an earlier layout
-held an array record right after the version, so its first u32 is a small
-array order: readers reject such a file, and ``cstm inspect`` reports
-``kind: unknown (<order>)``.  The kinds are:
+order) and every value finite.  Kind tags start at 100: a bare tensor file
+of an earlier layout held an array record right after the version, so its
+first u32 is a small array order: readers reject such a file, and
+``cstm inspect`` reports ``kind: unknown (<order>)``.  The kinds are:
 
     100  coupled sample   (label: i64, tensor record, matrix record)
     101  joint factors    (zeta, A, B, C, sigma, U, V, shared records)
-    102  fitted model     (lambda: f64, kernel text, params text,
-                           alpha, labels records, n_train: u32,
-                           n_train factor bodies as in kind 101)
+    102  fitted model     (lambda: f64, bias: f64, prune_rel: f64,
+                           kernel text, params text, alpha, labels records,
+                           n_train: u32, n_train factor bodies as in kind 101)
 
-Text blocks are a u32 byte length followed by UTF-8 data.
+Text blocks are a u32 byte length followed by UTF-8 data.  Each kind has
+one reader, which :func:`inspect_file` also uses.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import config
 from .acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample
 from .kernels import CoupledKernelSpec
 from .stm import StmModel
@@ -49,20 +51,9 @@ class FormatError(ValueError):
     """Malformed or incompatible container content."""
 
 
-def _write_u32(fh: BinaryIO, v: int):
-    fh.write(struct.pack("<I", v))
-
-
-def _write_u64(fh: BinaryIO, v: int):
-    fh.write(struct.pack("<Q", v))
-
-
-def _write_i64(fh: BinaryIO, v: int):
-    fh.write(struct.pack("<q", v))
-
-
-def _write_f64(fh: BinaryIO, v: float):
-    fh.write(struct.pack("<d", v))
+def _put(fh: BinaryIO, fmt: str, *values):
+    """Write ``values`` as the little-endian ``struct`` format ``fmt``."""
+    fh.write(struct.pack("<" + fmt, *values))
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
@@ -72,28 +63,10 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return data
 
 
-def _read_u32(fh: BinaryIO) -> int:
-    return struct.unpack("<I", _read_exact(fh, 4))[0]
-
-
-def _read_u64(fh: BinaryIO) -> int:
-    return struct.unpack("<Q", _read_exact(fh, 8))[0]
-
-
-def _read_i64(fh: BinaryIO) -> int:
-    return struct.unpack("<q", _read_exact(fh, 8))[0]
-
-
-def _read_f64(fh: BinaryIO) -> float:
-    return struct.unpack("<d", _read_exact(fh, 8))[0]
-
-
-def _write_array(fh: BinaryIO, arr: np.ndarray):
-    a = np.asarray(arr, dtype=np.float64)
-    _write_u32(fh, a.ndim)
-    for d in a.shape:
-        _write_u64(fh, d)
-    fh.write(a.tobytes(order="F"))
+def _get(fh: BinaryIO, fmt: str) -> tuple:
+    """Read the fields of the little-endian ``struct`` format ``fmt``."""
+    fmt = "<" + fmt
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
 
 
 def _read_sized(fh: BinaryIO, n: int, what: str) -> bytes:
@@ -106,14 +79,22 @@ def _read_sized(fh: BinaryIO, n: int, what: str) -> bytes:
     return _read_exact(fh, n)
 
 
+def _write_array(fh: BinaryIO, arr: np.ndarray):
+    a = np.asarray(arr, dtype=np.float64)
+    _put(fh, f"I{a.ndim}Q", a.ndim, *a.shape)
+    fh.write(a.tobytes(order="F"))
+
+
 def _read_array(fh: BinaryIO) -> np.ndarray:
-    order = _read_u32(fh)
+    (order,) = _get(fh, "I")
     if order == 0 or order > 32:
         raise FormatError(f"implausible array order {order}")
-    dims = tuple(_read_u64(fh) for _ in range(order))
+    dims = _get(fh, f"{order}Q")
     count = math.prod(dims)
     raw = _read_sized(fh, 8 * count, f"array of dims {dims}")
     flat = np.frombuffer(raw, dtype="<f8", count=count)
+    if not np.all(np.isfinite(flat)):
+        raise FormatError(f"array of dims {dims} holds non-finite values")
     try:
         return flat.reshape(dims, order="F").copy(order="C")
     except (ValueError, OverflowError) as exc:  # an empty array with a huge dim
@@ -122,33 +103,36 @@ def _read_array(fh: BinaryIO) -> np.ndarray:
 
 def _write_text(fh: BinaryIO, text: str):
     data = text.encode("utf-8")
-    _write_u32(fh, len(data))
-    fh.write(data)
+    _put(fh, f"I{len(data)}s", len(data), data)
 
 
 def _read_text(fh: BinaryIO) -> str:
-    n = _read_u32(fh)
+    (n,) = _get(fh, "I")
     try:
         return _read_sized(fh, n, "text block").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"text block is not UTF-8: {exc}") from exc
 
 
-def _write_header(fh: BinaryIO):
-    fh.write(MAGIC)
-    _write_u32(fh, FORMAT_VERSION)
+def _write_header(fh: BinaryIO, kind: int):
+    _put(fh, "4s2I", MAGIC, FORMAT_VERSION, kind)
 
 
-def _read_header(fh: BinaryIO, path):
-    magic = _read_exact(fh, 4)
+def _read_header(fh: BinaryIO, path, kind: int | None = None) -> int:
+    """Check magic and version; return the kind tag, which must be ``kind`` if given."""
+    magic, version = _get(fh, "4sI")
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    version = _read_u32(fh)
     if version != FORMAT_VERSION:
         raise FormatError(
             f"{path}: format version mismatch: expected {FORMAT_VERSION}, "
             f"found {version}"
         )
+    (tag,) = _get(fh, "I")
+    if kind is not None and tag != kind:
+        got = _KIND_NAMES.get(tag, f"tag {tag}")
+        raise FormatError(f"{path}: expected a {_KIND_NAMES[kind]} file, found {got}")
+    return tag
 
 
 class _atomic_write:
@@ -173,26 +157,16 @@ class _atomic_write:
 
 def write_sample(path, sample: CoupledSample):
     with _atomic_write(path) as fh:
-        _write_header(fh)
-        _write_u32(fh, KIND_SAMPLE)
-        _write_i64(fh, sample.label)
+        _write_header(fh, KIND_SAMPLE)
+        _put(fh, "q", sample.label)
         _write_array(fh, sample.tensor)
         _write_array(fh, sample.matrix)
 
 
-def _expect_kind(fh: BinaryIO, path, kind: int):
-    found = _read_u32(fh)
-    if found != kind:
-        want = _KIND_NAMES.get(kind, kind)
-        got = _KIND_NAMES.get(found, f"tag {found}")
-        raise FormatError(f"{path}: expected a {want} file, found {got}")
-
-
 def read_sample(path) -> CoupledSample:
     with open(path, "rb") as fh:
-        _read_header(fh, path)
-        _expect_kind(fh, path, KIND_SAMPLE)
-        label = _read_i64(fh)
+        _read_header(fh, path, KIND_SAMPLE)
+        (label,) = _get(fh, "q")
         tensor = _read_array(fh)
         matrix = _read_array(fh)
     try:
@@ -230,59 +204,50 @@ def _read_factors_body(fh: BinaryIO, path) -> AcmtfFactors:
 
 def write_factors(path, f: AcmtfFactors):
     with _atomic_write(path) as fh:
-        _write_header(fh)
-        _write_u32(fh, KIND_FACTORS)
+        _write_header(fh, KIND_FACTORS)
         _write_factors_body(fh, f)
 
 
 def read_factors(path) -> AcmtfFactors:
     with open(path, "rb") as fh:
-        _read_header(fh, path)
-        _expect_kind(fh, path, KIND_FACTORS)
+        _read_header(fh, path, KIND_FACTORS)
         return _read_factors_body(fh, path)
 
 
 def write_model(path, model: StmModel, params: AcmtfHyperParams, prune_rel: float = 0.0):
     """Model plus the factorization hyperparameters needed to score new samples."""
-    from .config import serialize_acmtf_params, serialize_coupled_spec
-
     if not isinstance(model.kernel, CoupledKernelSpec):
         raise ValueError("model files (kind 102) store coupled-kernel models only")
     with _atomic_write(path) as fh:
-        _write_header(fh)
-        _write_u32(fh, KIND_MODEL)
-        _write_f64(fh, model.lam)
-        _write_f64(fh, model.bias)
-        _write_f64(fh, prune_rel)
-        _write_text(fh, serialize_coupled_spec(model.kernel))
-        _write_text(fh, serialize_acmtf_params(params))
+        _write_header(fh, KIND_MODEL)
+        _put(fh, "3d", model.lam, model.bias, prune_rel)
+        _write_text(fh, config.serialize_coupled_spec(model.kernel))
+        _write_text(fh, config.serialize_acmtf_params(params))
         _write_array(fh, model.alpha)
         _write_array(fh, model.labels)
-        _write_u32(fh, len(model.factors))
+        _put(fh, "I", len(model.factors))
         for f in model.factors:
             _write_factors_body(fh, f)
 
 
 def read_model(path) -> tuple[StmModel, AcmtfHyperParams, float]:
-    from .config import parse_acmtf_params, parse_coupled_spec
-
+    """A model that ``cstm predict`` can score, its ACMTF settings and pruning threshold."""
     with open(path, "rb") as fh:
-        _read_header(fh, path)
-        _expect_kind(fh, path, KIND_MODEL)
-        lam = _read_f64(fh)
-        bias = _read_f64(fh)
-        prune_rel = _read_f64(fh)
+        _read_header(fh, path, KIND_MODEL)
+        lam, bias, prune_rel = _get(fh, "3d")
+        if not (math.isfinite(lam) and math.isfinite(bias)):
+            raise FormatError(f"{path}: lambda {lam!r} and bias {bias!r} must be finite")
         if not 0 <= prune_rel < 1:
             raise FormatError(f"{path}: pruning threshold {prune_rel!r} is not in [0, 1)")
         spec_text, params_text = _read_text(fh), _read_text(fh)
         try:
-            spec = parse_coupled_spec(spec_text)
-            params = parse_acmtf_params(params_text)
+            spec = config.parse_coupled_spec(spec_text)
+            params = config.parse_acmtf_params(params_text)
         except ValueError as exc:  # ConfigError is a ValueError
             raise FormatError(f"{path}: invalid settings text: {exc!r}") from exc
         alpha = _read_array(fh)
         labels = _read_array(fh)
-        n = _read_u32(fh)
+        (n,) = _get(fh, "I")
         if alpha.shape != (n,) or labels.shape != (n,):
             raise FormatError(
                 f"{path}: {n} training factor sets but alpha of shape "
@@ -291,27 +256,29 @@ def read_model(path) -> tuple[StmModel, AcmtfHyperParams, float]:
         if not np.all(np.abs(labels) == 1.0):
             raise FormatError(f"{path}: labels must be +1 or -1")
         factors = tuple(_read_factors_body(fh, path) for _ in range(n))
+    if len({f.dims for f in factors}) != 1:
+        raise FormatError(f"{path}: a model needs training factor sets of one common dims")
     model = StmModel(alpha, labels, factors, spec, lam, bias)
     return model, params, prune_rel
 
 
 def inspect_file(path) -> dict:
-    """Header metadata of any container file, for the ``inspect`` command."""
-    info: dict = {"path": os.fspath(path), "version": FORMAT_VERSION}
+    """Kind and summary fields of a container file, for ``cstm inspect``: a
+    known kind is read in full by its reader, so a malformed file raises."""
     with open(path, "rb") as fh:
-        _read_header(fh, path)
-        tag = _read_u32(fh)
-        info["kind"] = _KIND_NAMES.get(tag, f"unknown ({tag})")
-        if tag == KIND_SAMPLE:
-            info["label"] = _read_i64(fh)
-            order = _read_u32(fh)
-            info["tensor_dims"] = tuple(_read_u64(fh) for _ in range(order))
-        elif tag == KIND_FACTORS:
-            order = _read_u32(fh)
-            dims = tuple(_read_u64(fh) for _ in range(order))
-            info["rank"] = dims[0]
-        elif tag == KIND_MODEL:
-            info["lambda"] = _read_f64(fh)
+        tag = _read_header(fh, path)
+    info: dict = {"path": os.fspath(path), "version": FORMAT_VERSION,
+                  "kind": _KIND_NAMES.get(tag, f"unknown ({tag})")}
+    if tag == KIND_SAMPLE:
+        s = read_sample(path)
+        info.update(label=s.label, tensor_dims=s.tensor.shape)
+    elif tag == KIND_FACTORS:
+        info["rank"] = read_factors(path).rank
+    elif tag == KIND_MODEL:
+        m = read_model(path)[0]
+        info.update({"lambda": m.lam, "bias": m.bias, "n_train": len(m.factors),
+                     "support_vectors": m.support_indices.size,
+                     "weights": ", ".join(map(repr, m.kernel.weights))})
     return info
 
 

@@ -77,24 +77,25 @@ class CoupledKernelSpec:
         object.__setattr__(self, "weights", w)
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the columns of a and b, clamped at 0."""
+    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :] - 2.0 * (a.T @ b)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Pairwise kernel values between the columns of two (p x m), (p x n) arrays."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
+    if spec.kind == "rbf":
+        return np.exp(-_sq_dists(a, b) / (2.0 * spec.bandwidth**2))
     inner = a.T @ b
     if spec.kind == "linear":
         return inner
-    if spec.kind == "polynomial":
-        return (inner + spec.offset) ** spec.degree
-    sq = (
-        np.sum(a * a, axis=0)[:, None]
-        + np.sum(b * b, axis=0)[None, :]
-        - 2.0 * inner
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.bandwidth**2))
+    return (inner + spec.offset) ** spec.degree
 
 
 def vector_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
@@ -240,13 +241,7 @@ def median_bandwidth(columns: np.ndarray) -> float:
     Zero distances are excluded; if every pair coincides, returns 1.0.
     """
     c = np.asarray(columns, dtype=np.float64)
-    sq = (
-        np.sum(c * c, axis=0)[:, None]
-        + np.sum(c * c, axis=0)[None, :]
-        - 2.0 * (c.T @ c)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    d = np.sqrt(sq[np.triu_indices(c.shape[1], k=1)])
+    d = np.sqrt(_sq_dists(c, c)[np.triu_indices(c.shape[1], k=1)])
     d = d[d > 0]
     if d.size == 0:
         return 1.0

@@ -18,10 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cstm"
 
 # Public names kept although nothing above refers to them, with the reason.
-ALLOWED = {
-    "read_factors": "reads the factors file that `cstm decompose` writes; "
-                    "the library's only way to load it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def identifiers(tree) -> set[str]:

@@ -8,6 +8,7 @@ import pytest
 
 from cstm import container
 from cstm.acmtf import (
+    AcmtfFactors,
     AcmtfHyperParams,
     CoupledSample,
     acmtf_decompose_many,
@@ -16,6 +17,9 @@ from cstm.acmtf import (
 from cstm.cli import main
 from cstm.config import parse_config
 from cstm.experiments import _ROLE_CV, _ROLE_DECOMPOSE, _tune_cstm, derive_seed
+from cstm.kernels import CoupledKernelSpec
+from cstm.stm import StmModel
+from cstm.tensor_core import KruskalTensor
 
 CONFIG_SMALL = """\
 [experiment]
@@ -49,6 +53,40 @@ max_iters = 200
 lambda_grid = 0.01
 cv_folds = 2
 """
+
+
+def ones_factors(dims=(4, 3, 5, 6)):
+    """Rank-1 joint factors of all-ones columns."""
+    i1, i2, i3, i4 = dims
+    u1 = KruskalTensor(np.ones(1), tuple(np.ones((d, 1)) for d in (i1, i2, i3)))
+    u2 = KruskalTensor(np.ones(1), (np.ones((i4, 1)), np.ones((i3, 1))))
+    return AcmtfFactors.from_kruskals(u1, u2)
+
+
+def write_ones_model(path, alpha=(0.5, 0.5), lam=0.1, bias=0.0, dims=((4, 3, 5, 6),) * 2):
+    model = StmModel(np.asarray(alpha, dtype=float), np.array([1.0, -1.0])[:len(dims)],
+                     tuple(ones_factors(d) for d in dims), CoupledKernelSpec(), lam, bias)
+    container.write_model(path, model, AcmtfHyperParams(rank=1, max_iters=20))
+    return path
+
+
+def write_order_0_factors(path):
+    # The first array record, right after the 12-byte header, claims order 0.
+    container.write_factors(path, ones_factors())
+    data = path.read_bytes()
+    path.write_bytes(data[:12] + bytes(4) + data[16:])
+    return path
+
+
+# Crafted files that every command must reject with exit 4.
+HOSTILE = {
+    "order_0_factors": write_order_0_factors,
+    "empty_model": lambda p: write_ones_model(p, alpha=(), dims=()),
+    "mixed_dims_model": lambda p: write_ones_model(p, dims=((4, 3, 5, 6), (4, 3, 5, 7))),
+    "nan_bias_model": lambda p: write_ones_model(p, bias=float("nan")),
+    "nan_alpha_model": lambda p: write_ones_model(p, alpha=(0.5, float("nan"))),
+    "inf_lambda_model": lambda p: write_ones_model(p, lam=float("inf")),
+}
 
 
 def write_separable_samples(directory, n_per_class=4, seed=0):
@@ -243,6 +281,23 @@ class TestFitPredict:
                        "--out", str(tmp_path / "model.cstm")])
         assert rc == code
 
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_file_exit4(self, tmp_path, capsys, name):
+        # Each read fails with one error line, not a traceback, an exit 1
+        # or NaN scores written with exit 0.
+        path = HOSTILE[name](tmp_path / "f.cstm")
+        data = tmp_path / "new"
+        data.mkdir()
+        container.write_sample(data / "s.cstm",
+                               CoupledSample(np.ones((4, 3, 5)), np.ones((6, 5)), 1))
+        assert main(["inspect", "--in", str(path)]) == 4
+        if name.endswith("_model"):
+            assert main(["predict", "--model", str(path), "--in", str(data),
+                         "--out", str(tmp_path / "p.csv")]) == 4
+            assert not (tmp_path / "p.csv").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("error: ") for line in err)
+
     def test_version_mismatch_exit4(self, tmp_path):
         bad = tmp_path / "bad.cstm"
         bad.write_bytes(b"CSTM" + struct.pack("<I", 99) + struct.pack("<I", 3))
@@ -332,3 +387,12 @@ class TestInspect:
         assert "kind: sample" in out
         assert "label: -1" in out
         assert "tensor_dims: (2, 3, 4)" in out
+
+    def test_model_prints_classifier_fields(self, tmp_path, capsys):
+        path = write_ones_model(tmp_path / "m.cstm", alpha=(0.0, 0.5), lam=0.25, bias=-0.5)
+        assert main(["inspect", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"path: {path}", "version: 1", "kind: model", "lambda: 0.25", "bias: -0.5",
+            "n_train: 2", "support_vectors: 1",
+            "weights: 0.3333333333333333, 0.3333333333333333, 0.3333333333333333",
+        ]

@@ -272,6 +272,40 @@ class TestModelFile:
         with pytest.raises(FormatError, match="labels"):
             read_model(path)
 
+    # The three cases below are models that `cstm predict` cannot score:
+    # they would end in an IndexError, a kernel dims error (exit 1) or
+    # NaN scores written with exit 0.
+    def test_no_training_factor_sets_is_format_error(self, tmp_path):
+        path = tmp_path / "m.cstm"
+        write_model(path, self.model_with([], [], 0), AcmtfHyperParams(rank=2))
+        with pytest.raises(FormatError, match="one common dims"):
+            read_model(path)
+
+    def test_mixed_factor_dims_is_format_error(self, tmp_path):
+        model = self.model_with([0.1, 0.2], [1, -1], 1)
+        other = random_factors(np.random.default_rng(8), dims=(4, 3, 5, 7))
+        path = tmp_path / "m.cstm"
+        write_model(path, dataclasses.replace(model, factors=model.factors + (other,)),
+                    AcmtfHyperParams(rank=2))
+        with pytest.raises(FormatError, match="one common dims"):
+            read_model(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("lam", float("nan"), "lambda"),
+        ("lam", float("inf"), "lambda"),
+        ("bias", float("nan"), "bias"),
+        ("bias", -float("inf"), "bias"),
+        ("alpha", np.array([0.1, float("nan")]), "non-finite"),
+    ])
+    def test_non_finite_lambda_bias_or_alpha_is_format_error(self, tmp_path, field,
+                                                             value, match):
+        model = self.model_with([0.1, 0.2], [1, -1], 2)
+        path = tmp_path / "m.cstm"
+        write_model(path, dataclasses.replace(model, **{field: value}),
+                    AcmtfHyperParams(rank=2))
+        with pytest.raises(FormatError, match=match):
+            read_model(path)
+
     def test_hostile_text_length_rejected(self, tmp_path):
         path = tmp_path / "m.cstm"
         path.write_bytes(

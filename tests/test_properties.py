@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cstm import container  # noqa: E402
@@ -566,15 +566,22 @@ def corrupted_files(draw):
     return kind, bytes(data)
 
 
+# A factors file whose first array record (right after the 12-byte header)
+# has order 0, which every reader must reject, `inspect_file` included.
+ORDER_0_FACTORS = PRISTINE["factors"][:12] + bytes(4) + PRISTINE["factors"][16:]
+
+
 @settings(PROPS, max_examples=400)
 @given(corrupted_files())
+@example(("factors", ORDER_0_FACTORS))
 def test_corrupt_files_raise_only_format_error(case):
     kind, data = case
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "f.cstm")
         with open(path, "wb") as fh:
             fh.write(data)
-        try:
-            READERS[kind](path)
-        except FormatError:
-            pass
+        for read in (READERS[kind], container.inspect_file):
+            try:
+                read(path)
+            except FormatError:
+                pass
