@@ -52,10 +52,10 @@ HS_DENOM_GUARD = 1e-12
 
 
 class NumericalError(RuntimeError):
-    """Raised when the optimizer encounters a non-finite objective."""
+    """Raised on a non-finite objective at ``iteration``, or a non-finite score."""
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(f"{message} (iteration {iteration})")
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
         self.iteration = iteration
 
 
@@ -745,9 +745,7 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
         begin(rows, g_new, d_new, decrease)
 
 
-def acmtf_decompose(
-    s: CoupledSample, h: AcmtfHyperParams, seed: int = 0, normalize: bool = True
-) -> AcmtfFactors:
+def acmtf_decompose(s: CoupledSample, h: AcmtfHyperParams, seed: int = 0) -> AcmtfFactors:
     """Joint factorization by Hestenes-Stiefel nonlinear conjugate gradient.
 
     Starts from seeded Gaussian factors with unit-norm columns and unit
@@ -756,16 +754,15 @@ def acmtf_decompose(
     ``h.cg_tol`` or after ``h.max_iters`` iterations.  The returned factors
     are column-normalized with norms folded into the component weights.
 
-    With ``normalize`` (the usual practice for coupled factorizations),
-    each modality is scaled to unit Frobenius norm before optimization so
-    the data-fit, coupling, sparsity, and unit-norm terms are comparable;
-    the scales are folded back into the returned weights, so the factors
-    describe the original data.  The objective history refers to the
-    scaled problem.
+    As is usual for coupled factorizations, each modality is scaled to unit
+    Frobenius norm before optimization so the data-fit, coupling, sparsity,
+    and unit-norm terms are comparable; the scales are folded back into the
+    returned weights, so the factors describe the original data.  The
+    objective history refers to the scaled problem.
 
     This is :func:`acmtf_decompose_many` on a batch of one.
     """
-    return acmtf_decompose_many([s], h, [seed], normalize)[0]
+    return acmtf_decompose_many([s], h, [seed])[0]
 
 
 def _frobenius(a: np.ndarray) -> float:
@@ -781,21 +778,18 @@ def _frobenius(a: np.ndarray) -> float:
     return float(norm)
 
 
-def acmtf_decompose_many(
-    samples, h: AcmtfHyperParams, seeds, normalize: bool = True
-) -> list[AcmtfFactors]:
+def acmtf_decompose_many(samples, h: AcmtfHyperParams, seeds) -> list[AcmtfFactors]:
     """:func:`acmtf_decompose` of each sample, with the samples in one batch.
 
     The samples must share dims.  One :func:`_conjugate_gradient` run holds
     every sample's CG and line-search state as rows of arrays: each round,
     the trial points of all unfinished samples go through one evaluator
     call, and a sample leaves the batch when its loop stops.  Entry k
-    equals ``acmtf_decompose(samples[k], h, seeds[k], normalize)`` bit for
-    bit, whatever other samples share the batch.
+    equals ``acmtf_decompose(samples[k], h, seeds[k])`` bit for bit,
+    whatever other samples share the batch.
 
-    Under ``normalize``, a sample whose tensor or matrix has a Frobenius
-    norm beyond the float64 range raises :class:`NumericalError` before any
-    iteration.
+    A sample whose tensor or matrix has a Frobenius norm beyond the float64
+    range raises :class:`NumericalError` before any iteration.
 
     Degenerate samples do not raise; each gets finite factors and a
     ``stats.stop`` (tested at rank 3 and at rank 7, above every mode size):
@@ -819,16 +813,12 @@ def acmtf_decompose_many(
     for s in samples:
         if s.dims != dims:
             raise ValueError(f"samples differ in dims: {s.dims} and {dims}")
-    scales = [(1.0, 1.0)] * len(samples)
-    if normalize:
-        scales = []
-        for k, s in enumerate(samples):
-            norms = (_frobenius(s.tensor), _frobenius(s.matrix))
-            if np.isinf(norms).any():
-                raise NumericalError(
-                    f"sample {k}: Frobenius norm exceeds the float64 range", 0
-                )
-            scales.append(tuple(n if n > 0 else 1.0 for n in norms))
+    scales = []
+    for k, s in enumerate(samples):
+        norms = (_frobenius(s.tensor), _frobenius(s.matrix))
+        if np.isinf(norms).any():
+            raise NumericalError(f"sample {k}: Frobenius norm exceeds the float64 range", 0)
+        scales.append(tuple(n if n > 0 else 1.0 for n in norms))
     ev = _Evaluator(samples, h, scales)
     x = np.stack([_initial_point(dims, h.rank, seed) for seed in seeds])
     out = []

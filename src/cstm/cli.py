@@ -159,6 +159,9 @@ def cmd_predict(args) -> int:
         f.pruned(prune_rel) for f in acmtf_decompose_many(samples, params, seeds)
     ]
     scores = stm.decision_many(model, factors)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise NumericalError(f"{paths[int(np.argmin(finite))]}: non-finite decision score")
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("file", "score", "label"))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ MATRIX_DIMS = (50, 10)
 GEN_RANK = 3
 
 METHODS = ("cstm", "cpstm_tensor", "cpstm_matrix")
-METRIC_NAMES = ("accuracy", "precision", "sensitivity", "specificity", "auc")
 
 # Seed-derivation roles, so the per-sample/per-repetition streams never collide.
 _ROLE_DECOMPOSE = 1
@@ -74,45 +73,39 @@ class SimCaseSpec:
     multivariate normal (identity covariance).
     """
 
-    case_id: int
     class1: tuple[float, float, float, float]
     class2: tuple[float, float, float, float]
-    tensor_dims: tuple[int, int, int] = TENSOR_DIMS
-    matrix_rows: int = MATRIX_DIMS[0]
     rank: int = GEN_RANK
 
 
 _BASE = (1.0, 1.0, 1.0, 1.0)
 SIM_CASES: dict[int, SimCaseSpec] = {
-    1: SimCaseSpec(1, _BASE, (1.5, 1.0, 1.0, 1.25)),
-    2: SimCaseSpec(2, _BASE, (1.5, 1.0, 1.0, 1.5)),
-    3: SimCaseSpec(3, _BASE, (1.5, 1.0, 1.0, 1.75)),
-    4: SimCaseSpec(4, _BASE, (1.5, 1.0, 1.0, 2.0)),
-    5: SimCaseSpec(5, _BASE, (1.5, 1.0, 1.0, 2.25)),
-    6: SimCaseSpec(6, _BASE, (2.0, 1.0, 1.0, 1.0)),
-    7: SimCaseSpec(7, _BASE, (1.0, 1.0, 1.0, 2.0)),
-    8: SimCaseSpec(8, _BASE, (1.0, 1.0, 2.0, 1.0)),
+    1: SimCaseSpec(_BASE, (1.5, 1.0, 1.0, 1.25)),
+    2: SimCaseSpec(_BASE, (1.5, 1.0, 1.0, 1.5)),
+    3: SimCaseSpec(_BASE, (1.5, 1.0, 1.0, 1.75)),
+    4: SimCaseSpec(_BASE, (1.5, 1.0, 1.0, 2.0)),
+    5: SimCaseSpec(_BASE, (1.5, 1.0, 1.0, 2.25)),
+    6: SimCaseSpec(_BASE, (2.0, 1.0, 1.0, 1.0)),
+    7: SimCaseSpec(_BASE, (1.0, 1.0, 1.0, 2.0)),
+    8: SimCaseSpec(_BASE, (1.0, 1.0, 2.0, 1.0)),
 }
 
 
-def gen_case(
-    spec: SimCaseSpec | int, n_per_class: int, seed: int
-) -> list[CoupledSample]:
+def gen_case(case: int, n_per_class: int, seed: int) -> list[CoupledSample]:
     """Generate ``n_per_class`` coupled samples per class for one case.
 
     For each sample, three components of each factor role are drawn from
     the case's normals; the tensor is the rank-3 sum of outer products and
     the matrix shares the third-mode draws as its column factors.
     """
-    if isinstance(spec, int):
-        if spec not in SIM_CASES:
-            raise ValueError(f"unknown case id {spec}; valid: {sorted(SIM_CASES)}")
-        spec = SIM_CASES[spec]
+    if case not in SIM_CASES:
+        raise ValueError(f"unknown case id {case}; valid: {sorted(SIM_CASES)}")
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
+    spec = SIM_CASES[case]
     rng = np.random.default_rng(seed)
-    i1, i2, i3 = spec.tensor_dims
-    i4 = spec.matrix_rows
+    i1, i2, i3 = TENSOR_DIMS
+    i4 = MATRIX_DIMS[0]
     r = spec.rank
     samples: list[CoupledSample] = []
     for label, means in ((-1, spec.class1), (1, spec.class2)):
@@ -166,13 +159,7 @@ class MetricsRow:
     auc: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.accuracy,
-            self.precision,
-            self.sensitivity,
-            self.specificity,
-            self.auc,
-        )
+        return tuple(getattr(self, name) for name in METRIC_NAMES)
 
     def __eq__(self, other):
         if not isinstance(other, MetricsRow):
@@ -182,6 +169,9 @@ class MetricsRow:
             a == b or (np.isnan(a) and np.isnan(b))
             for a, b in zip(self.as_tuple(), other.as_tuple())
         )
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricsRow))
 
 
 def compute_metrics(labels, scores) -> MetricsRow:
@@ -366,11 +356,12 @@ def _fixed_kernel(cfg: ExperimentConfig) -> KernelSpec:
                       cfg.kernel_degree, cfg.kernel_offset)
 
 
-def _coupled_spec_for(cfg: ExperimentConfig, train_factors, weights):
+def _coupled_spec_for(cfg: ExperimentConfig, train_factors) -> CoupledKernelSpec:
+    """The coupled kernels, under default weights that :func:`_tune_cstm` replaces."""
     if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
-        return default_coupled_spec(train_factors, weights)
+        return default_coupled_spec(train_factors)
     k = _fixed_kernel(cfg)
-    return CoupledKernelSpec(k, k, k, k, weights)
+    return CoupledKernelSpec(k, k, k, k)
 
 
 def _cp_specs_for(cfg: ExperimentConfig, train_tensors):
@@ -380,32 +371,21 @@ def _cp_specs_for(cfg: ExperimentConfig, train_tensors):
 
 
 def _tune_cstm(train_factors, y_tr, cfg: ExperimentConfig, cv_seed: int):
-    """Pick kernel weights (optionally) and lambda on the training part.
+    """Pick kernel weights and lambda on the training part.
 
-    The coupled kernel is linear in its three weights, so the per-part
-    Gram matrices are assembled once and weight candidates are scored by
-    cheap linear combinations.
+    The weight candidates are the configured weights, or the simplex grid
+    under ``tune_weights``.  The coupled kernel is linear in its three
+    weights, so the per-part Gram matrices are assembled once and each
+    candidate's Gram is their weighted sum, which equals
+    :func:`gram_matrix` of the weighted spec bit for bit.
     """
-    base = _coupled_spec_for(cfg, train_factors, cfg.kernel_weights)
-    if not cfg.tune_weights:
-        gram = gram_matrix(train_factors, base)
-        lam = stm.select_lambda(
-            gram, y_tr, cfg.lambda_grid, k=cfg.cv_folds, seed=cv_seed
-        )
-        return cfg.kernel_weights, base, gram, lam
-
-    masks = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    base = _coupled_spec_for(cfg, train_factors)
     parts = [
-        gram_matrix(
-            train_factors,
-            CoupledKernelSpec(base.k1_mode1, base.k1_mode2, base.k2, base.k3, m),
-        )
-        for m in masks
+        gram_matrix(train_factors, replace(base, weights=m))
+        for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     ]
     best = None
-    for w in _weight_grid():
-        if sum(w) == 0:
-            continue
+    for w in _weight_grid() if cfg.tune_weights else [cfg.kernel_weights]:
         gram = w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2]
         lam, acc = stm._cv_lambda(
             gram, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed
@@ -413,8 +393,7 @@ def _tune_cstm(train_factors, y_tr, cfg: ExperimentConfig, cv_seed: int):
         if best is None or acc > best[0]:
             best = (acc, w, gram, lam)
     _, w, gram, lam = best
-    spec = CoupledKernelSpec(base.k1_mode1, base.k1_mode2, base.k2, base.k3, w)
-    return w, spec, gram, lam
+    return w, replace(base, weights=w), gram, lam
 
 
 def run_experiment(

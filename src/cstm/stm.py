@@ -430,8 +430,7 @@ def fit(
 
 def decision(m: StmModel, x) -> float:
     """Decision value sum_i alpha_i y_i K(train_i, x) + bias."""
-    row = _grams(m.kernel)[1](list(m.factors), [x], m.kernel)[:, 0]
-    return float(m.coef @ row + m.bias)
+    return float(decision_many(m, [x])[0])
 
 
 def decision_many(m: StmModel, xs: Sequence) -> np.ndarray:
@@ -486,7 +485,7 @@ def _cv_lambda(
     gram: np.ndarray, labels, grid: Sequence[float], k: int, seed: int
 ) -> tuple[float, float]:
     """Fold loop behind :func:`select_lambda`: the chosen lambda and its CV
-    accuracy, which is -1 when no fold keeps both classes in training.
+    accuracy, which is -1 when a class has a single sample.
 
     The Gram matrix is checked once here; every fold x lambda dual is cut
     from it unchecked and all of them are solved in one
@@ -508,9 +507,7 @@ def _cv_lambda(
     splits = []
     for te in _stratified_folds(y, k, rng):
         tr = np.setdiff1d(np.arange(y.size), te)
-        y_tr = y[tr]
-        if np.any(y_tr > 0) and np.any(y_tr < 0):
-            splits.append((gram[np.ix_(tr, tr)], y_tr, gram[np.ix_(tr, te)], y[te]))
+        splits.append((gram[np.ix_(tr, tr)], y[tr], gram[np.ix_(tr, te)], y[te]))
     problems = [
         QpProblem._unchecked(sub, y_tr, lam) for lam in grid for sub, y_tr, _, _ in splits
     ]
@@ -518,15 +515,13 @@ def _cv_lambda(
     best_lam, best_acc = grid[0], -1.0
     for lam in grid:
         correct = 0
-        total = 0
         for sub, y_tr, cross, y_te in splits:
             sol = next(solutions)
             bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
             scores = (sol.alpha * y_tr) @ cross + bias
             pred = np.where(scores >= 0, 1.0, -1.0)
             correct += int(np.sum(pred == y_te))
-            total += y_te.size
-        acc = correct / total if total else -1.0
+        acc = correct / y.size
         if acc > best_acc:
             best_acc, best_lam = acc, lam
     return best_lam, best_acc
@@ -541,10 +536,11 @@ def select_lambda(
 ) -> float:
     """Pick lambda from ``grid`` by stratified k-fold CV accuracy.
 
-    Folds that lose a class are skipped; ties keep the first (smallest)
-    grid value.  The Gram matrix covers the training samples only.  Raises
-    ``ValueError`` for an empty grid, a non-positive grid value, a Gram
-    matrix that is not square, finite and symmetric, or labels that are not
-    +-1 of both classes.
+    k is capped at the smaller class count, so every training fold keeps
+    both classes; when a class has only one sample, the first grid value is
+    returned.  Ties keep the first (smallest) grid value.  The Gram matrix
+    covers the training samples only.  Raises ``ValueError`` for an empty
+    grid, a non-positive grid value, a Gram matrix that is not square,
+    finite and symmetric, or labels that are not +-1 of both classes.
     """
     return _cv_lambda(gram, labels, grid, k, seed)[0]

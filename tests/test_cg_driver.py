@@ -24,6 +24,7 @@ from cstm.acmtf import (
     NumericalError,
     SolveStats,
     _Evaluator,
+    _conjugate_gradient,
     _frobenius,
     _initial_point,
     acmtf_decompose,
@@ -230,6 +231,8 @@ CASES = [
                                              max_iters=60)),
     (3, 6, (0.0, 0.3, 1.0), AcmtfHyperParams(rank=2, beta=1.0, epsilon=1e-300,
                                              cg_tol=1e-300, max_iters=60)),
+    # Every term weighed by zero: the gradient at the start is exactly zero.
+    (4, 2, (0.1,), AcmtfHyperParams(rank=2, gamma=0.0, beta=0.0, xi=0.0, theta=0.0)),
 ]
 
 
@@ -273,17 +276,21 @@ def _factors_of(x, sample, h):
 def test_reference_inputs_reach_every_path(runs):
     paths = sum((r[3] for r in runs), Counter())
     for name in ("cg_tol", "max_iters", "zoom", "sd_retry", "fallback",
-                 "no_descent", "hs_guard", "secant", "double"):
+                 "no_descent", "hs_guard", "secant", "double", "zero_grad"):
         assert paths[name] > 0, dict(paths)
 
 
 def test_non_finite_objective_at_iteration_zero_raises():
+    # One overflowing row in a batch stops the whole batch.  The evaluator
+    # is unscaled, so the huge tensor reaches the objective as it is.
     rng = np.random.default_rng(4)
     good = _samples(rng, 2, (0.1,))
     huge = CoupledSample(1e160 * rng.standard_normal((4, 3, 5)),
                          rng.standard_normal((6, 5)), 1)
     h = AcmtfHyperParams(rank=2, max_iters=10)
+    samples = [good[0], huge, good[1]]
+    x = np.stack([_initial_point(DIMS, h.rank, seed) for seed in (1, 2, 3)])
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError) as err:
-        acmtf_decompose_many([good[0], huge, good[1]], h, [1, 2, 3], normalize=False)
+        _conjugate_gradient(_Evaluator(samples, h), x, h)
     assert err.value.iteration == 0

@@ -1,12 +1,13 @@
 """End-to-end command-line tests."""
 
 import csv
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
-from cstm import container
+from cstm import container, experiments
 from cstm.acmtf import (
     AcmtfFactors,
     AcmtfHyperParams,
@@ -17,7 +18,7 @@ from cstm.acmtf import (
 from cstm.cli import main
 from cstm.config import parse_config
 from cstm.experiments import _ROLE_CV, _ROLE_DECOMPOSE, _tune_cstm, derive_seed
-from cstm.kernels import CoupledKernelSpec
+from cstm.kernels import CoupledKernelSpec, KernelSpec
 from cstm.stm import StmModel
 from cstm.tensor_core import KruskalTensor
 
@@ -227,6 +228,64 @@ class TestFitPredict:
         assert manifest["weights"] == ", ".join(repr(v) for v in w)
         assert manifest["lambda"] == repr(lam)
 
+    @pytest.mark.parametrize("kernel, want", [
+        ("bandwidth = 0.8\n", KernelSpec("rbf", 0.8)),
+        ("kind = polynomial\ndegree = 3\noffset = 0.5\n",
+         KernelSpec("polynomial", degree=3, offset=0.5)),
+    ], ids=["bandwidth", "polynomial"])
+    def test_fixed_kernel_is_stored(self, tmp_path, kernel, want):
+        # A fixed bandwidth or a non-rbf kind replaces the median heuristic
+        # in every part of the coupled kernel.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG + "\n[kernel]\n" + kernel)
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 0
+        model, _, _ = container.read_model(model_path)
+        assert model.kernel == CoupledKernelSpec(want, want, want, want)
+
+    def test_unlabeled_training_sample_exit1(self, tmp_path, capsys):
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        path = data / "sample_0005.cstm"
+        s = container.read_sample(path)
+        container.write_sample(path, CoupledSample(s.tensor, s.matrix, 0))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG)
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 1
+        assert f"unlabeled training sample: {path}" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_non_finite_scores_exit3_without_predictions(self, tmp_path, capsys):
+        # A fitted model whose matrix-factor kernel overflows: (x + 2)^5000
+        # is inf, so every score is NaN.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG)
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 0
+        model, params, prune_rel = container.read_model(model_path)
+        k3 = KernelSpec("polynomial", degree=5000, offset=2.0)
+        model = dataclasses.replace(model, kernel=dataclasses.replace(model.kernel, k3=k3))
+        container.write_model(model_path, model, params, prune_rel)
+        out_csv = tmp_path / "pred.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["predict", "--model", str(model_path), "--in", str(data),
+                       "--out", str(out_csv)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {data / 'sample_0000.cstm'}: non-finite decision score\n"
+        assert not out_csv.exists()
+
     def test_fit_needs_no_case(self, tmp_path):
         # Only the benchmark reads case or dataset; a config of [acmtf],
         # [kernel] and [stm] sections is enough to fit.
@@ -331,6 +390,55 @@ class TestBenchmark:
         # the millisecond, so a small run can read 0).
         assert float(manifest["acmtf_s"]) >= 0
         assert float(manifest["cp_als_s"]) >= 0
+
+    @pytest.mark.parametrize("kernel, want", [
+        ("bandwidth = 0.8\n", KernelSpec("rbf", 0.8)),
+        ("kind = linear\n", KernelSpec("linear")),
+    ], ids=["bandwidth", "linear"])
+    def test_fixed_kernel_reaches_every_gram(self, tmp_path, monkeypatch, kernel, want):
+        # Every Gram of the study, coupled and CP, uses the configured kernel.
+        seen = []
+
+        def spy(name):
+            real = getattr(experiments, name)
+
+            def wrapped(samples, spec):
+                seen.append(spec)
+                return real(samples, spec)
+            monkeypatch.setattr(experiments, name, wrapped)
+
+        spy("gram_matrix")
+        spy("cp_gram")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CONFIG_SMALL + "\n[kernel]\n" + kernel)
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        coupled = [s for s in seen if isinstance(s, CoupledKernelSpec)]
+        cp = [s for s in seen if not isinstance(s, CoupledKernelSpec)]
+        # Two repetitions: three part Grams each, and one CP Gram per method.
+        assert len(coupled) == 6 and len(cp) == 4
+        for spec in coupled:
+            assert (spec.k1_mode1, spec.k1_mode2, spec.k2, spec.k3) == (want,) * 4
+        for specs in cp:
+            assert set(specs) == {want}
+
+    def test_threads_option_overrides_config(self, tmp_path, monkeypatch):
+        seen = []
+        real = experiments.run_experiment
+
+        def spy(cfg, samples=None):
+            seen.append(cfg.threads)
+            return real(cfg, samples)
+        monkeypatch.setattr(experiments, "run_experiment", spy)
+        by_flag, by_config = tmp_path / "flag.cfg", tmp_path / "config.cfg"
+        by_flag.write_text(CONFIG_SMALL.replace("seed = 5\n", "seed = 5\nthreads = 1\n"))
+        by_config.write_text(CONFIG_SMALL.replace("seed = 5\n", "seed = 5\nthreads = 2\n"))
+        assert main(["benchmark", "--config", str(by_flag), "--threads", "2",
+                     "--out", str(tmp_path / "flag")]) == 0
+        assert main(["benchmark", "--config", str(by_config),
+                     "--out", str(tmp_path / "config")]) == 0
+        assert seen == [2, 2]
+        assert ((tmp_path / "flag" / "results.csv").read_bytes()
+                == (tmp_path / "config" / "results.csv").read_bytes())
 
     def test_dataset_directory_runs_like_its_case(self, tmp_path):
         # `cstm simulate` writes gen_case(1, 4, 5), which is what the

@@ -1,16 +1,21 @@
 """Benchmark harness tests: generation, splitting, metrics, orchestration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cstm.acmtf import AcmtfFactors, AcmtfHyperParams
+from cstm.acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample
 from cstm.experiments import (
+    _ROLE_SPLIT,
     MATRIX_DIMS,
     SIM_CASES,
     TENSOR_DIMS,
     ExperimentConfig,
     _tune_cstm,
+    _weight_grid,
     compute_metrics,
+    derive_seed,
     gen_case,
     run_experiment,
     stratified_split,
@@ -314,6 +319,48 @@ class TestRunExperiment:
         assert lam == 0.1
         assert spec.weights == w
         np.testing.assert_allclose(gram, gram_matrix(fs, spec), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [
+        dict(), dict(kernel_bandwidth=0.7), dict(kernel_kind="linear"),
+        dict(kernel_kind="polynomial", kernel_degree=3, kernel_offset=0.5),
+    ], ids=["median_rbf", "fixed_rbf", "linear", "polynomial"])
+    def test_weighted_part_grams_equal_gram_matrix(self, kernel):
+        # The Gram of each weight candidate is a sum of three part Grams;
+        # it must equal gram_matrix of the weighted spec bit for bit, for
+        # every grid point (several with zero weights) and uneven weights.
+        rng = np.random.default_rng(7)
+        y = np.array([-1.0, 1.0] * 6)
+        fs = []
+        for rank in rng.integers(1, 5, y.size):
+            u1 = KruskalTensor(rng.random(rank), tuple(rng.standard_normal((d, rank))
+                                                       for d in (6, 5, 4)))
+            u2 = KruskalTensor(rng.random(rank), (rng.standard_normal((7, rank)),
+                                                  u1.factors[2]))
+            fs.append(AcmtfFactors.from_kruskals(u1.normalized(), u2.normalized()))
+        cfg = ExperimentConfig(lambda_grid=(1.0,), cv_folds=2, **kernel)
+        for weights in _weight_grid() + [(1 / 3, 1 / 3, 1 / 3), (0.25, 0.0, 2.0)]:
+            w, spec, gram, _ = _tune_cstm(fs, y, replace(cfg, kernel_weights=weights), 1)
+            assert w == weights and spec.weights == weights
+            assert gram.tobytes() == gram_matrix(fs, spec).tobytes()
+
+    def test_tolerated_failures_are_recorded(self):
+        # One +1 sample goes to the test part of every split, so no
+        # training part has a +1 sample.
+        rng = np.random.default_rng(8)
+        samples = [CoupledSample(rng.standard_normal((4, 3, 5)),
+                                 rng.standard_normal((6, 5)), label)
+                   for label in (-1, -1, 1, -1, -1)]
+        cfg = tiny_config(test_fraction=0.6, repetitions=3,
+                          acmtf=AcmtfHyperParams(rank=2, max_iters=20))
+        with pytest.raises(ValueError, match=r"no \+1 samples"):
+            run_experiment(cfg, samples)
+        s = run_experiment(replace(cfg, tolerate_failures=True), samples)
+        assert s.failures == [
+            (rep, f"seed {derive_seed(cfg.seed, _ROLE_SPLIT, rep)}: "
+                  "ValueError: training set has no +1 samples")
+            for rep in range(3)
+        ]
+        assert all(s.rows[m] == [] and s.lambdas[m] == [] for m in cfg.methods)
 
     def test_stage_timings_recorded(self):
         cfg = tiny_config(methods=("cstm",), repetitions=1)

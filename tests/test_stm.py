@@ -182,6 +182,8 @@ class TestFitDecision:
         model = fit(samples, y, LINEAR_SPEC, lam=0.01)
         scores = decision_many(model, samples)
         assert np.all(np.where(scores >= 0, 1.0, -1.0) == y)
+        singles = np.array([decision(model, f) for f in samples])
+        np.testing.assert_allclose(singles, scores, rtol=1e-12, atol=1e-12)
 
     def test_contradictory_duplicate_at_box(self):
         f = unit_rank1_factors(3)
@@ -247,6 +249,18 @@ class TestFitDecision:
         bias = recover_bias(gram, y, sol.alpha, p.box)
         scores = gram @ (sol.alpha * y) + bias
         assert np.all(np.where(scores >= 0, 1.0, -1.0) == y)
+
+
+    @pytest.mark.parametrize("alpha, y, want", [
+        ((0.0, 0.0), (1.0, 1.0), 1.0),  # lower bounds only: their maximum
+        ((0.0, 0.0), (-1.0, -1.0), -1.0),  # upper bounds only: their minimum
+        ((0.0, 0.0), (1.0, -1.0), 0.0),  # both: the midpoint
+        ((0.5, 0.5), (1.0, -1.0), 0.25),  # both at the box c = 0.5: (-0.25 + 0.75) / 2
+    ])
+    def test_bias_without_margin_support_vector(self, alpha, y, want):
+        # No 0 < alpha_i < c: the intercept comes from the KKT interval.
+        gram = np.array([[1.0, 0.5], [0.5, 2.0]])
+        assert recover_bias(gram, np.array(y), np.array(alpha), 0.5) == want
 
 
 class TestCpStm:
@@ -360,6 +374,14 @@ class TestCpStm:
         m = np.outer(np.arange(1.0, 5.0), np.ones(3))  # rank 1
         k = matrix_to_kruskal(m, 3)
         assert k.rank == 3
+
+    def test_rank_above_smaller_dim_pads_zero_components(self):
+        m = np.random.default_rng(13).standard_normal((4, 3))
+        k = matrix_to_kruskal(m, 5)
+        assert k.rank == 5
+        assert np.all(k.weights[:3] != 0)
+        np.testing.assert_array_equal(k.weights[3:], 0.0)
+        np.testing.assert_allclose(k.full(), m, atol=1e-12)
 
 
 class TestCaseSixSignal:
