@@ -17,12 +17,7 @@ import time
 import numpy as np
 
 from . import container, experiments, stm
-from .acmtf import (
-    AcmtfHyperParams,
-    NumericalError,
-    acmtf_decompose,
-    acmtf_decompose_many,
-)
+from .acmtf import AcmtfHyperParams, NumericalError, acmtf_decompose
 from .config import (
     ConfigError,
     config_hash,
@@ -30,7 +25,6 @@ from .config import (
     serialize_acmtf_params,
 )
 from .container import FormatError
-from .experiments import _ROLE_CV, _ROLE_DECOMPOSE, derive_seed
 # Not called here: perfbench's traced runs wrap cli.gram_matrix, and
 # tests/test_bench_targets.py checks that the name resolves.
 from .kernels import gram_matrix  # noqa: F401
@@ -115,15 +109,10 @@ def cmd_fit(args) -> int:
         bad = paths[int(np.flatnonzero(labels == 0)[0])]
         raise ConfigError(f"unlabeled training sample: {bad}")
     t0 = time.perf_counter()
-    seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
-    factors = [
-        f.pruned(cfg.prune_rel)
-        for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)
-    ]
+    factors, *_ = experiments.decompose_samples(
+        samples, cfg.acmtf, cfg.prune_rel, cfg.seed, cfg.threads)
     t_decompose = time.perf_counter() - t0
-    _, spec, gram, lam = experiments._tune_cstm(
-        factors, labels, cfg, derive_seed(cfg.seed, _ROLE_CV, 0))
-    model = stm.fit(factors, labels, spec, lam, gram=gram)
+    model = experiments.fit_cstm(factors, labels, cfg, 0)
     t_total = time.perf_counter() - t0
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
     container.write_manifest(
@@ -134,13 +123,13 @@ def cmd_fit(args) -> int:
             "config_hash": config_hash(cfg),
             "seed": cfg.seed,
             "n_train": len(samples),
-            "lambda": repr(lam),
-            "weights": ", ".join(repr(w) for w in spec.weights),
+            "lambda": repr(model.lam),
+            "weights": ", ".join(repr(w) for w in model.kernel.weights),
             "wall_clock_decompose_s": f"{t_decompose:.3f}",
             "wall_clock_total_s": f"{t_total:.3f}",
         },
     )
-    print(f"fit {len(samples)} samples -> {args.out} (lambda {lam:g})")
+    print(f"fit {len(samples)} samples -> {args.out} (lambda {model.lam:g})")
     return EXIT_OK
 
 
@@ -154,10 +143,7 @@ def cmd_predict(args) -> int:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
-    seeds = [derive_seed(args.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
-    factors = [
-        f.pruned(prune_rel) for f in acmtf_decompose_many(samples, params, seeds)
-    ]
+    factors, *_ = experiments.decompose_samples(samples, params, prune_rel, args.seed)
     scores = stm.decision_many(model, factors)
     finite = np.isfinite(scores)
     if not finite.all():

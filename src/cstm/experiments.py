@@ -9,10 +9,12 @@ is labeled -1 and class 2 (the shifted one) +1.
 The experiment harness decomposes every sample once (the factorizations do
 not depend on the train/test split), then repeats: stratified split,
 bandwidth fit and lambda cross-validation on the training part only, dual
-solve, and test-set scoring.  Decomposition is one job per worker: each of
-``threads`` workers takes a contiguous slice of the samples and runs one
-batched ACMTF (:func:`acmtf_decompose_many`) and one batched CP-ALS
-(:func:`cp_als_many`) on it, for the methods that need them.
+solve, and test-set scoring.  ``cstm fit`` and ``cstm predict`` share its
+stages: :func:`decompose_samples` runs one job per worker, each of
+``threads`` workers taking a contiguous slice of the samples and running
+one batched ACMTF (:func:`acmtf_decompose_many`, then pruning) and one
+batched CP-ALS (:func:`cp_als_many`) on it, for the methods that need
+them; :func:`fit_cstm` tunes and fits C-STM on a training part.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 
 from . import stm
 from .acmtf import (  # noqa: F401 - acmtf_decompose is re-exported
-    AcmtfFactors,
     AcmtfHyperParams,
     CoupledSample,
     acmtf_decompose,
@@ -40,11 +41,7 @@ from .kernels import (
     default_cp_specs,
     gram_matrix,
 )
-from .tensor_core import (  # noqa: F401 - cp_als is re-exported
-    KruskalTensor,
-    cp_als,
-    cp_als_many,
-)
+from .tensor_core import cp_als, cp_als_many  # noqa: F401 - cp_als is re-exported
 
 TENSOR_DIMS = (30, 20, 10)
 MATRIX_DIMS = (50, 10)
@@ -139,8 +136,6 @@ def stratified_split(
     train, test = [], []
     for cls in classes:
         idx = np.flatnonzero(y == cls)
-        if idx.size == 0:
-            raise ValueError(f"class {cls} is empty")
         idx = idx[rng.permutation(idx.size)]
         n_test = round(idx.size * test_fraction)
         test.extend(idx[:n_test])
@@ -283,12 +278,15 @@ class MetricsSummary:
     mean_final_objective: float = float("nan")
 
     def mean(self, method: str, metric: str) -> float:
-        vals = [getattr(r, metric) for r in self.rows[method]]
-        return float(np.nanmean(vals))
+        return self._over_defined(np.nanmean, method, metric)
 
     def sd(self, method: str, metric: str) -> float:
-        vals = [getattr(r, metric) for r in self.rows[method]]
-        return float(np.nanstd(vals))
+        return self._over_defined(np.nanstd, method, metric)
+
+    def _over_defined(self, stat, method: str, metric: str) -> float:
+        # NaN, without numpy's empty-slice warning, when no repetition defines it.
+        vals = np.array([getattr(r, metric) for r in self.rows[method]])
+        return float(stat(vals)) if (~np.isnan(vals)).any() else float("nan")
 
     def write_results_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -313,27 +311,56 @@ class MetricsSummary:
 
 
 def _decompose_job(args):
-    """One worker's share: batched ACMTF and CP-ALS of a slice of samples.
-
-    ``params`` or ``cp_seeds`` is None when its method is not run.  Returns
-    the two result lists (or None) and the seconds each call took.
-    """
-    samples, params, acmtf_seeds, rank, cp_seeds = args
+    """One worker's share of :func:`decompose_samples`: the slice that
+    starts at sample ``offset``.  Returns its pruned factors and CP tensors
+    (or None) and the seconds each batched call took."""
+    samples, offset, seed, params, prune_rel, cp_rank = args
+    index = range(offset, offset + len(samples))
     coupled = tensors = None
     acmtf_s = cp_als_s = 0.0
     # CP-ALS goes first: ACMTF's larger batch then reuses the memory CP-ALS
     # freed.  In the other order a study worker (20 case-3 samples) peaked
     # 0.9 MB higher (37.4 against 36.5 MB).
-    if cp_seeds is not None:
+    if cp_rank is not None:
+        seeds = [derive_seed(seed, _ROLE_CPALS, i) for i in index]
         t0 = time.perf_counter()
-        tensors = cp_als_many([s.tensor for s in samples], rank, cp_seeds,
+        tensors = cp_als_many([s.tensor for s in samples], cp_rank, seeds,
                               tol=1e-8, max_iter=100)
         cp_als_s = time.perf_counter() - t0
     if params is not None:
+        seeds = [derive_seed(seed, _ROLE_DECOMPOSE, i) for i in index]
         t0 = time.perf_counter()
-        coupled = acmtf_decompose_many(samples, params, acmtf_seeds)
+        raw = acmtf_decompose_many(samples, params, seeds)
         acmtf_s = time.perf_counter() - t0
+        coupled = [f.pruned(prune_rel) for f in raw]
     return coupled, tensors, acmtf_s, cp_als_s
+
+
+def decompose_samples(samples, params: AcmtfHyperParams | None, prune_rel: float,
+                      seed: int, threads: int = 1, cp_rank: int | None = None):
+    """Stage 1: pruned ACMTF factors and CP-ALS tensors of every sample.
+
+    ``params`` None skips ACMTF and ``cp_rank`` None skips CP-ALS; sample
+    i's seeds derive from ``seed`` and i.  One job per worker process, of
+    ``threads`` contiguous slices, run inline when there is one job; a
+    sample's results do not depend on its slice.  Returns ``(factors,
+    tensors, acmtf_s, cp_als_s)``, None where skipped, with the seconds
+    spent in the batched calls summed over workers.
+    """
+    if params is None and cp_rank is None:
+        return None, None, 0.0, 0.0
+    n = len(samples)
+    cuts = [n * k // threads for k in range(threads + 1)]
+    jobs = [(samples[a:b], a, seed, params, prune_rel, cp_rank)
+            for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    if len(jobs) <= 1:
+        done = [_decompose_job(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            done = list(pool.map(_decompose_job, jobs))
+    factors = None if params is None else [f for d in done for f in d[0]]
+    tensors = None if cp_rank is None else [t for d in done for t in d[1]]
+    return factors, tensors, sum(d[2] for d in done), sum(d[3] for d in done)
 
 
 _WEIGHT_GRID_STEP = 0.1
@@ -396,16 +423,26 @@ def _tune_cstm(train_factors, y_tr, cfg: ExperimentConfig, cv_seed: int):
     return w, replace(base, weights=w), gram, lam
 
 
+def fit_cstm(train_factors, y_tr, cfg: ExperimentConfig, rep: int) -> stm.StmModel:
+    """C-STM of one training part: :func:`_tune_cstm`, then the dual solve.
+
+    The cross-validation seed is repetition ``rep``'s; ``cstm fit`` fits
+    as repetition 0.
+    """
+    _, kernel, gram, lam = _tune_cstm(
+        train_factors, y_tr, cfg, derive_seed(cfg.seed, _ROLE_CV, rep)
+    )
+    return stm.fit(train_factors, y_tr, kernel, lam, gram=gram)
+
+
 def run_experiment(
     cfg: ExperimentConfig, samples: list[CoupledSample] | None = None
 ) -> MetricsSummary:
     """Run the repeated benchmark for one case (or a supplied dataset).
 
-    Decomposes every sample once (per-sample seeds derived from the config
-    seed; one batched ACMTF and CP-ALS job per worker, run inline when
-    ``threads`` is 1), then for each repetition: stratified split,
-    median-heuristic bandwidths and lambda CV on the training part, dual
-    solve, test scoring.
+    Decomposes every sample once (:func:`decompose_samples`), then for
+    each repetition: stratified split, median-heuristic bandwidths and
+    lambda CV on the training part, dual solve, test scoring.
     """
     if samples is None:
         if cfg.case is None:
@@ -416,41 +453,15 @@ def run_experiment(
         raise ValueError("all samples must be labeled")
 
     rank = cfg.acmtf.rank
-    coupled: list[AcmtfFactors] | None = None
-    tensors_cp: list[KruskalTensor] | None = None
-    matrices_cp: list[KruskalTensor] | None = None
     t0 = time.perf_counter()
-    mean_final = float("nan")
-    acmtf_s = cp_als_s = 0.0
-    run_acmtf = "cstm" in cfg.methods
-    run_cp = "cpstm_tensor" in cfg.methods
-    if run_acmtf or run_cp:
-        # One job per worker, of contiguous samples; a sample's results do
-        # not depend on its batch.
-        n = len(samples)
-        acmtf_seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(n)]
-        cp_seeds = [derive_seed(cfg.seed, _ROLE_CPALS, i) for i in range(n)]
-        cuts = [n * k // cfg.threads for k in range(cfg.threads + 1)]
-        jobs = [
-            (samples[a:b], cfg.acmtf if run_acmtf else None, acmtf_seeds[a:b],
-             rank, cp_seeds[a:b] if run_cp else None)
-            for a, b in zip(cuts[:-1], cuts[1:]) if b > a
-        ]
-        if len(jobs) <= 1:
-            done = [_decompose_job(job) for job in jobs]
-        else:
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                done = list(pool.map(_decompose_job, jobs))
-        acmtf_s = sum(d[2] for d in done)
-        cp_als_s = sum(d[3] for d in done)
-        if run_acmtf:
-            raw = [f for d in done for f in d[0]]
-            mean_final = float(np.mean([f.objective_history[-1] for f in raw]))
-            coupled = [f.pruned(cfg.prune_rel) for f in raw]
-        if run_cp:
-            tensors_cp = [k for d in done for k in d[1]]
-    if "cpstm_matrix" in cfg.methods:
-        matrices_cp = [stm.matrix_to_kruskal(s.matrix, rank) for s in samples]
+    coupled, tensors_cp, acmtf_s, cp_als_s = decompose_samples(
+        samples, cfg.acmtf if "cstm" in cfg.methods else None, cfg.prune_rel,
+        cfg.seed, cfg.threads, rank if "cpstm_tensor" in cfg.methods else None,
+    )
+    mean_final = (float("nan") if coupled is None
+                  else float(np.mean([f.objective_history[-1] for f in coupled])))
+    matrices_cp = ([stm.matrix_to_kruskal(s.matrix, rank) for s in samples]
+                   if "cpstm_matrix" in cfg.methods else None)
     t_decompose = time.perf_counter() - t0
 
     summary = MetricsSummary(
@@ -483,7 +494,6 @@ def run_experiment(
 
 def _run_repetition(cfg, rep, labels, coupled, tensors_cp, matrices_cp, summary):
     split_seed = derive_seed(cfg.seed, _ROLE_SPLIT, rep)
-    cv_seed = derive_seed(cfg.seed, _ROLE_CV, rep)
     tr, te = stratified_split(labels, cfg.test_fraction, split_seed)
     y_tr, y_te = labels[tr], labels[te]
 
@@ -493,17 +503,17 @@ def _run_repetition(cfg, rep, labels, coupled, tensors_cp, matrices_cp, summary)
                 "cpstm_matrix": matrices_cp}[method]
         train = [pool[i] for i in tr]
         if method == "cstm":
-            w, kernel, gram, lam = _tune_cstm(train, y_tr, cfg, cv_seed)
+            model = fit_cstm(train, y_tr, cfg, rep)
+            w = model.kernel.weights
         else:
             kernel = _cp_specs_for(cfg, train)
             gram = cp_gram(train, kernel)
-            lam = stm.select_lambda(
-                gram, y_tr, cfg.lambda_grid, k=cfg.cv_folds, seed=cv_seed
-            )
+            lam = stm.select_lambda(gram, y_tr, cfg.lambda_grid, k=cfg.cv_folds,
+                                    seed=derive_seed(cfg.seed, _ROLE_CV, rep))
+            model = stm.fit(train, y_tr, kernel, lam, gram=gram)
             w = (float("nan"),) * 3
-        model = stm.fit(train, y_tr, kernel, lam, gram=gram)
         scores = stm.decision_many(model, [pool[i] for i in te])
-        staged[method] = (compute_metrics(y_te, scores), lam, w)
+        staged[method] = (compute_metrics(y_te, scores), model.lam, w)
     # All methods succeeded: merge so per-method lists stay aligned even
     # when a repetition fails under tolerate_failures.
     for method, (row, lam, w) in staged.items():

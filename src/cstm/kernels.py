@@ -248,16 +248,13 @@ def median_bandwidth(columns: np.ndarray) -> float:
     return float(np.median(d))
 
 
-def default_coupled_spec(
-    factors: Sequence[AcmtfFactors],
-    weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
-) -> CoupledKernelSpec:
-    """Rbf kernels with median-heuristic bandwidths fit on training factors."""
+def default_coupled_spec(factors: Sequence[AcmtfFactors]) -> CoupledKernelSpec:
+    """Equal-weight rbf kernels, median-heuristic bandwidths fit on training factors."""
     if len(factors) == 0:
         raise ValueError("factor list must be nonempty")
     _, roles = _columns(factors, _coupled_modes)
     k1, k2, ks, km = (KernelSpec("rbf", median_bandwidth(r)) for r in roles)
-    return CoupledKernelSpec(k1, k2, ks, km, weights)
+    return CoupledKernelSpec(k1, k2, ks, km)
 
 
 def default_cp_specs(tensors: Sequence[KruskalTensor]) -> tuple[KernelSpec, ...]:

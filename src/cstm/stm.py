@@ -184,8 +184,6 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
             up[t] = 0.0 if below else -np.inf
             low[t] = 0.0 if above else np.inf
         updates += 1
-    else:
-        converged = False
     np.clip(alpha, 0.0, c, out=alpha)
     return QpSolution(alpha, converged, max(gap, 0.0), updates)
 
@@ -373,7 +371,6 @@ class StmModel:
     kernel: CoupledKernelSpec | tuple[KernelSpec, ...]
     lam: float
     bias: float = 0.0
-    converged: bool = True
 
     @property
     def support_indices(self) -> np.ndarray:
@@ -425,7 +422,7 @@ def fit(
     problem = QpProblem(gram, y, lam)
     sol = solve_qp(problem)
     bias = recover_bias(gram, y, sol.alpha, problem.box)
-    return StmModel(sol.alpha, y, tuple(samples), kernel, lam, bias, sol.converged)
+    return StmModel(sol.alpha, y, tuple(samples), kernel, lam, bias)
 
 
 def decision(m: StmModel, x) -> float:

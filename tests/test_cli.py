@@ -247,6 +247,30 @@ class TestFitPredict:
         model, _, _ = container.read_model(model_path)
         assert model.kernel == CoupledKernelSpec(want, want, want, want)
 
+    def test_threads_decompose_in_a_pool_to_the_same_model(self, tmp_path, monkeypatch):
+        # `threads` reaches fit's decomposition: two workers start one pool,
+        # and the model file is byte-identical to the serial fit's.
+        pools = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        models = {}
+        for threads in (1, 2):
+            cfg = tmp_path / f"cfg{threads}.txt"
+            cfg.write_text(FIT_CONFIG.replace("seed = 2\n", f"seed = 2\nthreads = {threads}\n"))
+            models[threads] = tmp_path / f"model{threads}.cstm"
+            assert main(["fit", "--train", str(data), "--config", str(cfg),
+                         "--out", str(models[threads])]) == 0
+        assert pools == [2]
+        assert models[2].read_bytes() == models[1].read_bytes()
+
     def test_unlabeled_training_sample_exit1(self, tmp_path, capsys):
         data = tmp_path / "train"
         data.mkdir()

@@ -1,5 +1,6 @@
 """Benchmark harness tests: generation, splitting, metrics, orchestration."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -198,6 +199,22 @@ class TestComputeMetrics:
         ]
         assert s.mean("m", "precision") == 1.0
         assert s.mean("m", "accuracy") == 0.75
+
+    def test_undefined_metric_is_nan_without_warning(self, tmp_path):
+        # Precision is NaN in every repetition (no positive predictions):
+        # its mean and sd are NaN, written as nan, and numpy's empty-slice
+        # warnings do not reach the user.
+        from cstm.experiments import MetricsRow, MetricsSummary
+
+        s = MetricsSummary(methods=("m",))
+        s.rows["m"] = [MetricsRow(0.5, float("nan"), 0.0, 1.0, 0.5)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(s.mean("m", "precision"))
+            assert np.isnan(s.sd("m", "precision"))
+            s.write_summary_csv(tmp_path / "summary.csv")
+        assert "m,precision,nan,nan" in (tmp_path / "summary.csv").read_text()
+        assert s.mean("m", "accuracy") == 0.5 and s.sd("m", "accuracy") == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
