@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import container, experiments, stm
+from . import __version__, container, experiments, stm
 from .acmtf import AcmtfHyperParams, NumericalError, acmtf_decompose
 from .config import (
     ConfigError,
@@ -35,7 +35,7 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 EXIT_FORMAT = 4
 
-_VERSION = "cstm 0.1.0"
+_VERSION = f"cstm {__version__}"
 
 # `cstm decompose` sets every ACMTF hyperparameter but the l1 smoothing.
 _DECOMPOSE_FIELDS = tuple(f for f in dataclasses.fields(AcmtfHyperParams)
@@ -108,11 +108,13 @@ def cmd_fit(args) -> int:
     if np.any(labels == 0):
         bad = paths[int(np.flatnonzero(labels == 0)[0])]
         raise ConfigError(f"unlabeled training sample: {bad}")
+    if not (np.any(labels > 0) and np.any(labels < 0)):
+        raise ConfigError(f"{args.train}: training set needs +1 and -1 samples")
     t0 = time.perf_counter()
-    factors, *_ = experiments.decompose_samples(
-        samples, cfg.acmtf, cfg.prune_rel, cfg.seed, cfg.threads)
+    (factors,), *_ = experiments.decompose_samples(
+        samples, dataclasses.replace(cfg, methods=("cstm",)))
     t_decompose = time.perf_counter() - t0
-    model = experiments.fit_cstm(factors, labels, cfg, 0)
+    model = experiments.fit_method(factors, labels, cfg, 0)
     t_total = time.perf_counter() - t0
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
     container.write_manifest(
@@ -143,7 +145,8 @@ def cmd_predict(args) -> int:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
-    factors, *_ = experiments.decompose_samples(samples, params, prune_rel, args.seed)
+    (factors,), *_ = experiments.decompose_samples(samples, experiments.ExperimentConfig(
+        acmtf=params, prune_rel=prune_rel, seed=args.seed, methods=("cstm",)))
     scores = stm.decision_many(model, factors)
     finite = np.isfinite(scores)
     if not finite.all():
@@ -203,6 +206,8 @@ def cmd_benchmark(args) -> int:
             repr(v) for v in summary.lambdas[method]
         )
         entries[f"mean_accuracy.{method}"] = repr(summary.mean(method, "accuracy"))
+    if "cstm" in summary.methods:
+        entries["weights.cstm"] = "; ".join(", ".join(map(repr, w)) for w in summary.weights)
     container.write_manifest(os.path.join(args.out, "manifest.txt"), entries)
     for method in summary.methods:
         print(f"{method}: accuracy {summary.mean(method, 'accuracy'):.4f} "

@@ -6,15 +6,14 @@ plus a 50x10 matrix per sample; the tensor's third-mode factors and the
 matrix's second-mode factors are the same draws (the shared role).  Class 1
 is labeled -1 and class 2 (the shifted one) +1.
 
-The experiment harness decomposes every sample once (the factorizations do
-not depend on the train/test split), then repeats: stratified split,
-bandwidth fit and lambda cross-validation on the training part only, dual
-solve, and test-set scoring.  ``cstm fit`` and ``cstm predict`` share its
-stages: :func:`decompose_samples` runs one job per worker, each of
-``threads`` workers taking a contiguous slice of the samples and running
-one batched ACMTF (:func:`acmtf_decompose_many`, then pruning) and one
-batched CP-ALS (:func:`cp_als_many`) on it, for the methods that need
-them; :func:`fit_cstm` tunes and fits C-STM on a training part.
+The experiment harness decomposes every sample once (the representations
+do not depend on the train/test split), then repeats: stratified split,
+and for each method kernel fit, lambda cross-validation and dual solve on
+the training part only, then test-set scoring.  ``cstm fit`` and ``cstm
+predict`` share its two steps: :func:`decompose_samples` gives each of
+``threads`` workers a contiguous slice of the samples and computes every
+representation the methods need (CP-ALS, pruned ACMTF, truncated SVD);
+:func:`fit_method` tunes and fits any method on a training part.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import numpy as np
 
 from . import stm
 from .acmtf import (  # noqa: F401 - acmtf_decompose is re-exported
+    AcmtfFactors,
     AcmtfHyperParams,
     CoupledSample,
     acmtf_decompose,
@@ -118,13 +118,23 @@ def gen_case(case: int, n_per_class: int, seed: int) -> list[CoupledSample]:
     return samples
 
 
+def _test_count(n_class: int, test_fraction: float, who: str) -> int:
+    """Test samples of a class of ``n_class``; both parts must keep one."""
+    n_test = round(n_class * test_fraction)
+    if not 0 < n_test < n_class:
+        raise ValueError(f"test_fraction {test_fraction} leaves {who} (n = {n_class}) "
+                         f"no {'test' if n_test == 0 else 'training'} sample")
+    return n_test
+
+
 def stratified_split(
     labels, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class random split into (train_idx, test_idx) index arrays.
 
     The test count per class is ``round(n_class * test_fraction)`` (ties
-    round half to even).  Indices partition ``range(len(labels))``.
+    round half to even); a class it leaves without a test or a training
+    sample is a ``ValueError``.  Indices partition ``range(len(labels))``.
     """
     y = np.asarray(labels)
     if not 0 < test_fraction < 1:
@@ -137,7 +147,7 @@ def stratified_split(
     for cls in classes:
         idx = np.flatnonzero(y == cls)
         idx = idx[rng.permutation(idx.size)]
-        n_test = round(idx.size * test_fraction)
+        n_test = _test_count(idx.size, test_fraction, f"class {cls:+g}")
         test.extend(idx[:n_test])
         train.extend(idx[n_test:])
     return np.sort(np.array(train, dtype=int)), np.sort(np.array(test, dtype=int))
@@ -237,6 +247,8 @@ class ExperimentConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
+        if self.case is not None:
+            _test_count(self.n_per_class, self.test_fraction, "each class")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for m in self.methods:
@@ -244,6 +256,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; valid: {METHODS}")
         if len(self.methods) == 0:
             raise ValueError("at least one method is required")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"duplicate method in {self.methods}")
         if not self.lambda_grid:
             raise ValueError("lambda grid is empty")
         if any(not g > 0 for g in self.lambda_grid):
@@ -268,7 +282,8 @@ class MetricsSummary:
     methods: tuple[str, ...]
     rows: dict[str, list[MetricsRow]] = field(default_factory=dict)
     lambdas: dict[str, list[float]] = field(default_factory=dict)
-    weights: dict[str, list[tuple[float, float, float]]] = field(default_factory=dict)
+    # C-STM's kernel weights, one triple per recorded repetition.
+    weights: list[tuple[float, float, float]] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
     decompose_seconds: float = 0.0
     repetitions_seconds: float = 0.0
@@ -312,55 +327,51 @@ class MetricsSummary:
 
 def _decompose_job(args):
     """One worker's share of :func:`decompose_samples`: the slice that
-    starts at sample ``offset``.  Returns its pruned factors and CP tensors
-    (or None) and the seconds each batched call took."""
-    samples, offset, seed, params, prune_rel, cp_rank = args
+    starts at sample ``offset``."""
+    samples, offset, cfg = args
     index = range(offset, offset + len(samples))
-    coupled = tensors = None
+    rank = cfg.acmtf.rank
+    reps = {}
     acmtf_s = cp_als_s = 0.0
     # CP-ALS goes first: ACMTF's larger batch then reuses the memory CP-ALS
     # freed.  In the other order a study worker (20 case-3 samples) peaked
     # 0.9 MB higher (37.4 against 36.5 MB).
-    if cp_rank is not None:
-        seeds = [derive_seed(seed, _ROLE_CPALS, i) for i in index]
+    if "cpstm_tensor" in cfg.methods:
+        seeds = [derive_seed(cfg.seed, _ROLE_CPALS, i) for i in index]
         t0 = time.perf_counter()
-        tensors = cp_als_many([s.tensor for s in samples], cp_rank, seeds,
-                              tol=1e-8, max_iter=100)
+        reps["cpstm_tensor"] = cp_als_many([s.tensor for s in samples], rank, seeds,
+                                           tol=1e-8, max_iter=100)
         cp_als_s = time.perf_counter() - t0
-    if params is not None:
-        seeds = [derive_seed(seed, _ROLE_DECOMPOSE, i) for i in index]
+    if "cstm" in cfg.methods:
+        seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in index]
         t0 = time.perf_counter()
-        raw = acmtf_decompose_many(samples, params, seeds)
+        raw = acmtf_decompose_many(samples, cfg.acmtf, seeds)
         acmtf_s = time.perf_counter() - t0
-        coupled = [f.pruned(prune_rel) for f in raw]
-    return coupled, tensors, acmtf_s, cp_als_s
+        reps["cstm"] = [f.pruned(cfg.prune_rel) for f in raw]
+    if "cpstm_matrix" in cfg.methods:
+        reps["cpstm_matrix"] = [stm.matrix_to_kruskal(s.matrix, rank) for s in samples]
+    return [reps[m] for m in cfg.methods], acmtf_s, cp_als_s
 
 
-def decompose_samples(samples, params: AcmtfHyperParams | None, prune_rel: float,
-                      seed: int, threads: int = 1, cp_rank: int | None = None):
-    """Stage 1: pruned ACMTF factors and CP-ALS tensors of every sample.
+def decompose_samples(samples, cfg: ExperimentConfig):
+    """Stage 1: pruned ACMTF factors, CP-ALS tensors or matrix SVDs of
+    every sample, at rank ``cfg.acmtf.rank``, for each of ``cfg.methods``.
 
-    ``params`` None skips ACMTF and ``cp_rank`` None skips CP-ALS; sample
-    i's seeds derive from ``seed`` and i.  One job per worker process, of
-    ``threads`` contiguous slices, run inline when there is one job; a
-    sample's results do not depend on its slice.  Returns ``(factors,
-    tensors, acmtf_s, cp_als_s)``, None where skipped, with the seconds
-    spent in the batched calls summed over workers.
+    Sample i's seeds derive from ``cfg.seed`` and i.  One job per worker,
+    of ``cfg.threads`` contiguous slices, run inline when there is one job;
+    a sample's results do not depend on its slice.  Returns one list per
+    method, then the seconds of the ACMTF and CP-ALS calls summed over jobs.
     """
-    if params is None and cp_rank is None:
-        return None, None, 0.0, 0.0
     n = len(samples)
-    cuts = [n * k // threads for k in range(threads + 1)]
-    jobs = [(samples[a:b], a, seed, params, prune_rel, cp_rank)
-            for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
+    cuts = [n * k // cfg.threads for k in range(cfg.threads + 1)]
+    jobs = [(samples[a:b], a, cfg) for a, b in zip(cuts[:-1], cuts[1:]) if b > a]
     if len(jobs) <= 1:
         done = [_decompose_job(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             done = list(pool.map(_decompose_job, jobs))
-    factors = None if params is None else [f for d in done for f in d[0]]
-    tensors = None if cp_rank is None else [t for d in done for t in d[1]]
-    return factors, tensors, sum(d[2] for d in done), sum(d[3] for d in done)
+    reps = [[r for d in done for r in d[0][k]] for k in range(len(cfg.methods))]
+    return reps, sum(d[1] for d in done), sum(d[2] for d in done)
 
 
 _WEIGHT_GRID_STEP = 0.1
@@ -383,56 +394,48 @@ def _fixed_kernel(cfg: ExperimentConfig) -> KernelSpec:
                       cfg.kernel_degree, cfg.kernel_offset)
 
 
-def _coupled_spec_for(cfg: ExperimentConfig, train_factors) -> CoupledKernelSpec:
-    """The coupled kernels, under default weights that :func:`_tune_cstm` replaces."""
+def _kernel_for(cfg: ExperimentConfig, train):
+    """The configured kernel of a training part, coupled for ACMTF factors
+    and one spec per mode for Kruskal tensors."""
+    coupled = isinstance(train[0], AcmtfFactors)
     if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
-        return default_coupled_spec(train_factors)
+        return default_coupled_spec(train) if coupled else default_cp_specs(train)
     k = _fixed_kernel(cfg)
-    return CoupledKernelSpec(k, k, k, k)
+    return CoupledKernelSpec(k, k, k, k) if coupled else (k,) * train[0].order
 
 
-def _cp_specs_for(cfg: ExperimentConfig, train_tensors):
-    if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
-        return default_cp_specs(train_tensors)
-    return (_fixed_kernel(cfg),) * train_tensors[0].order
-
-
-def _tune_cstm(train_factors, y_tr, cfg: ExperimentConfig, cv_seed: int):
-    """Pick kernel weights and lambda on the training part.
-
-    The weight candidates are the configured weights, or the simplex grid
-    under ``tune_weights``.  The coupled kernel is linear in its three
-    weights, so the per-part Gram matrices are assembled once and each
-    candidate's Gram is their weighted sum, which equals
-    :func:`gram_matrix` of the weighted spec bit for bit.
+def _tune(train, y_tr, cfg: ExperimentConfig, cv_seed: int):
+    """``(spec, gram, lam)`` of the first candidate Gram with the best lambda
+    CV accuracy.  A CP kernel is one candidate.  C-STM's are the configured
+    weights, or the simplex grid under ``tune_weights``: the coupled kernel
+    is linear in its weights, so each candidate's Gram is a weighted sum of
+    three part Grams, equal to :func:`gram_matrix` of its spec bit for bit.
     """
-    base = _coupled_spec_for(cfg, train_factors)
-    parts = [
-        gram_matrix(train_factors, replace(base, weights=m))
-        for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    ]
-    best = None
-    for w in _weight_grid() if cfg.tune_weights else [cfg.kernel_weights]:
-        gram = w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2]
-        lam, acc = stm._cv_lambda(
-            gram, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed
+    base = _kernel_for(cfg, train)
+    if isinstance(base, CoupledKernelSpec):
+        parts = [gram_matrix(train, replace(base, weights=m))
+                 for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+        candidates = (
+            (replace(base, weights=w), w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2])
+            for w in (_weight_grid() if cfg.tune_weights else [cfg.kernel_weights])
         )
-        if best is None or acc > best[0]:
-            best = (acc, w, gram, lam)
-    _, w, gram, lam = best
-    return w, replace(base, weights=w), gram, lam
+    else:
+        candidates = [(base, cp_gram(train, base))]
+    scored = ((stm._cv_lambda(gram, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed), spec, gram)
+              for spec, gram in candidates)
+    (lam, _), spec, gram = max(scored, key=lambda s: s[0][1])  # max keeps the first best
+    return spec, gram, lam
 
 
-def fit_cstm(train_factors, y_tr, cfg: ExperimentConfig, rep: int) -> stm.StmModel:
-    """C-STM of one training part: :func:`_tune_cstm`, then the dual solve.
+def fit_method(train, y_tr, cfg: ExperimentConfig, rep: int) -> stm.StmModel:
+    """One method's classifier on a training part: :func:`_tune`, then the
+    dual solve.
 
     The cross-validation seed is repetition ``rep``'s; ``cstm fit`` fits
     as repetition 0.
     """
-    _, kernel, gram, lam = _tune_cstm(
-        train_factors, y_tr, cfg, derive_seed(cfg.seed, _ROLE_CV, rep)
-    )
-    return stm.fit(train_factors, y_tr, kernel, lam, gram=gram)
+    spec, gram, lam = _tune(train, y_tr, cfg, derive_seed(cfg.seed, _ROLE_CV, rep))
+    return stm.fit(train, y_tr, spec, lam, gram=gram)
 
 
 def run_experiment(
@@ -441,8 +444,8 @@ def run_experiment(
     """Run the repeated benchmark for one case (or a supplied dataset).
 
     Decomposes every sample once (:func:`decompose_samples`), then for
-    each repetition: stratified split, median-heuristic bandwidths and
-    lambda CV on the training part, dual solve, test scoring.
+    each repetition: stratified split, and for each method
+    :func:`fit_method` on the training part and test scoring.
     """
     if samples is None:
         if cfg.case is None:
@@ -452,23 +455,17 @@ def run_experiment(
     if np.any(labels == 0):
         raise ValueError("all samples must be labeled")
 
-    rank = cfg.acmtf.rank
     t0 = time.perf_counter()
-    coupled, tensors_cp, acmtf_s, cp_als_s = decompose_samples(
-        samples, cfg.acmtf if "cstm" in cfg.methods else None, cfg.prune_rel,
-        cfg.seed, cfg.threads, rank if "cpstm_tensor" in cfg.methods else None,
-    )
-    mean_final = (float("nan") if coupled is None
-                  else float(np.mean([f.objective_history[-1] for f in coupled])))
-    matrices_cp = ([stm.matrix_to_kruskal(s.matrix, rank) for s in samples]
-                   if "cpstm_matrix" in cfg.methods else None)
+    per_method, acmtf_s, cp_als_s = decompose_samples(samples, cfg)
+    pools = dict(zip(cfg.methods, per_method))
+    mean_final = (float(np.mean([f.objective_history[-1] for f in pools["cstm"]]))
+                  if "cstm" in pools else float("nan"))
     t_decompose = time.perf_counter() - t0
 
     summary = MetricsSummary(
         methods=cfg.methods,
         rows={m: [] for m in cfg.methods},
         lambdas={m: [] for m in cfg.methods},
-        weights={m: [] for m in cfg.methods},
         decompose_seconds=t_decompose,
         acmtf_seconds=acmtf_s,
         cp_als_seconds=cp_als_s,
@@ -477,9 +474,7 @@ def run_experiment(
     t1 = time.perf_counter()
     for rep in range(cfg.repetitions):
         try:
-            _run_repetition(
-                cfg, rep, labels, coupled, tensors_cp, matrices_cp, summary
-            )
+            _run_repetition(cfg, rep, labels, pools, summary)
         except Exception as exc:  # noqa: BLE001 - recorded or re-raised below
             if cfg.tolerate_failures:
                 seed = derive_seed(cfg.seed, _ROLE_SPLIT, rep)
@@ -492,31 +487,20 @@ def run_experiment(
     return summary
 
 
-def _run_repetition(cfg, rep, labels, coupled, tensors_cp, matrices_cp, summary):
+def _run_repetition(cfg, rep, labels, pools, summary):
     split_seed = derive_seed(cfg.seed, _ROLE_SPLIT, rep)
     tr, te = stratified_split(labels, cfg.test_fraction, split_seed)
     y_tr, y_te = labels[tr], labels[te]
 
     staged = {}
-    for method in cfg.methods:
-        pool = {"cstm": coupled, "cpstm_tensor": tensors_cp,
-                "cpstm_matrix": matrices_cp}[method]
-        train = [pool[i] for i in tr]
-        if method == "cstm":
-            model = fit_cstm(train, y_tr, cfg, rep)
-            w = model.kernel.weights
-        else:
-            kernel = _cp_specs_for(cfg, train)
-            gram = cp_gram(train, kernel)
-            lam = stm.select_lambda(gram, y_tr, cfg.lambda_grid, k=cfg.cv_folds,
-                                    seed=derive_seed(cfg.seed, _ROLE_CV, rep))
-            model = stm.fit(train, y_tr, kernel, lam, gram=gram)
-            w = (float("nan"),) * 3
+    for method, pool in pools.items():
+        model = fit_method([pool[i] for i in tr], y_tr, cfg, rep)
         scores = stm.decision_many(model, [pool[i] for i in te])
-        staged[method] = (compute_metrics(y_te, scores), model.lam, w)
+        staged[method] = (compute_metrics(y_te, scores), model.lam, model.kernel)
     # All methods succeeded: merge so per-method lists stay aligned even
     # when a repetition fails under tolerate_failures.
-    for method, (row, lam, w) in staged.items():
+    for method, (row, lam, kernel) in staged.items():
         summary.rows[method].append(row)
         summary.lambdas[method].append(lam)
-        summary.weights[method].append(w)
+        if isinstance(kernel, CoupledKernelSpec):
+            summary.weights.append(kernel.weights)

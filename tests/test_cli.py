@@ -2,11 +2,14 @@
 
 import csv
 import dataclasses
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cstm
 from cstm import container, experiments
 from cstm.acmtf import (
     AcmtfFactors,
@@ -17,7 +20,7 @@ from cstm.acmtf import (
 )
 from cstm.cli import main
 from cstm.config import parse_config
-from cstm.experiments import _ROLE_CV, _ROLE_DECOMPOSE, _tune_cstm, derive_seed
+from cstm.experiments import _ROLE_CV, _ROLE_DECOMPOSE, _tune, derive_seed
 from cstm.kernels import CoupledKernelSpec, KernelSpec
 from cstm.stm import StmModel
 from cstm.tensor_core import KruskalTensor
@@ -196,7 +199,7 @@ class TestFitPredict:
         assert correct == 8
 
     def test_tune_weights_picks_weights_and_lambda_as_the_study(self, tmp_path):
-        # `cstm fit` selects through experiments._tune_cstm; with
+        # `cstm fit` selects through experiments._tune; with
         # tune_weights on, the model carries its pick on the same factors.
         data = tmp_path / "train"
         data.mkdir()
@@ -215,9 +218,8 @@ class TestFitPredict:
         seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
         factors = [f.pruned(cfg.prune_rel)
                    for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)]
-        w, spec, _, lam = _tune_cstm(factors, labels, cfg,
-                                     derive_seed(cfg.seed, _ROLE_CV, 0))
-        assert w != cfg.kernel_weights
+        spec, _, lam = _tune(factors, labels, cfg, derive_seed(cfg.seed, _ROLE_CV, 0))
+        assert spec.weights != cfg.kernel_weights
         model, _, _ = container.read_model(model_path)
         assert model.kernel == spec
         assert model.lam == lam
@@ -225,7 +227,7 @@ class TestFitPredict:
             line.split(" = ", 1)
             for line in (tmp_path / "model.cstm.manifest.txt").read_text().splitlines()
         )
-        assert manifest["weights"] == ", ".join(repr(v) for v in w)
+        assert manifest["weights"] == ", ".join(repr(v) for v in spec.weights)
         assert manifest["lambda"] == repr(lam)
 
     @pytest.mark.parametrize("kernel, want", [
@@ -284,6 +286,25 @@ class TestFitPredict:
         assert main(["fit", "--train", str(data), "--config", str(cfg),
                      "--out", str(model_path)]) == 1
         assert f"unlabeled training sample: {path}" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_one_class_training_set_exit1_before_decomposing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        for path in sorted(data.glob("*.cstm"))[:4]:  # the +1 samples
+            path.unlink()
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_samples called")
+        monkeypatch.setattr(experiments, "decompose_samples", refuse)
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 1
+        assert f"{data}: training set needs +1 and -1 samples" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_non_finite_scores_exit3_without_predictions(self, tmp_path, capsys):
@@ -415,6 +436,21 @@ class TestBenchmark:
         assert float(manifest["acmtf_s"]) >= 0
         assert float(manifest["cp_als_s"]) >= 0
 
+    def test_manifest_records_tuned_cstm_weights(self, tmp_path):
+        text = CONFIG_SMALL + "\n[kernel]\ntune_weights = true\n"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        manifest = dict(
+            line.split(" = ", 1)
+            for line in (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+        )
+        picked = [tuple(float(v) for v in triple.split(", "))
+                  for triple in manifest["weights.cstm"].split("; ")]
+        assert picked == experiments.run_experiment(parse_config(text)).weights
+        assert len(picked) == 2 and all(abs(sum(w) - 1.0) < 1e-9 for w in picked)
+        assert not any(key.startswith("weights.cpstm") for key in manifest)
+
     @pytest.mark.parametrize("kernel, want", [
         ("bandwidth = 0.8\n", KernelSpec("rbf", 0.8)),
         ("kind = linear\n", KernelSpec("linear")),
@@ -489,8 +525,12 @@ class TestBenchmark:
         no_samples = CONFIG_SMALL.replace("n_per_class = 4", "n_per_class = 0")
         zero_weights = CONFIG_SMALL + "\n[kernel]\nw1 = 0\nw2 = 0\nw3 = 0\n"
         negative_weight = CONFIG_SMALL + "\n[kernel]\nw1 = -0.5\n"
+        no_test_part = CONFIG_SMALL.replace("n_per_class = 4", "n_per_class = 2")
+        no_training_part = CONFIG_SMALL.replace("n_per_class = 4", "n_per_class = 3").replace(
+            "test_fraction = 0.25", "test_fraction = 0.9")
+        twice = CONFIG_SMALL.replace("seed = 5\n", "seed = 5\nmethods = cstm, cstm\n")
         for text in ("[acmtf]\nbeta = -1\n", empty_grid, no_samples, zero_weights,
-                     negative_weight):
+                     negative_weight, no_test_part, no_training_part, twice):
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(text)
             out = tmp_path / "run"
@@ -528,3 +568,13 @@ class TestInspect:
             "n_train: 2", "support_vectors: 1",
             "weights: 0.3333333333333333, 0.3333333333333333, 0.3333333333333333",
         ]
+
+
+def test_one_version_string(tmp_path):
+    # A regex, not tomllib, reads pyproject.toml: tomllib needs Python 3.11.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    version = re.search(r'(?m)^version = "([^"]+)"$', text).group(1)
+    assert version == cstm.__version__
+    out = tmp_path / "data"
+    assert main(["simulate", "--case", "1", "--n-per-class", "1", "--out", str(out)]) == 0
+    assert f"version = cstm {version}\n" in (out / "manifest.txt").read_text()

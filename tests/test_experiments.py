@@ -1,5 +1,6 @@
 """Benchmark harness tests: generation, splitting, metrics, orchestration."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from cstm.experiments import (
     SIM_CASES,
     TENSOR_DIMS,
     ExperimentConfig,
-    _tune_cstm,
+    _tune,
     _weight_grid,
     compute_metrics,
     derive_seed,
@@ -132,6 +133,14 @@ class TestStratifiedSplit:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             stratified_split(np.array([1, 1, 1]), 0.5, seed=0)
+
+    @pytest.mark.parametrize("labels, fraction, message", [
+        ([1, 1, -1, -1, -1, -1], 0.2, "leaves class +1 (n = 2) no test sample"),
+        ([1, 1, 1, 1, -1, -1, -1], 0.9, "leaves class -1 (n = 3) no training sample"),
+    ], ids=["no_test", "no_training"])
+    def test_class_without_a_part_rejected(self, labels, fraction, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            stratified_split(np.array(labels), fraction, seed=0)
 
     def test_round_half_to_even(self):
         labels = np.array([1] * 5 + [-1] * 5)
@@ -289,6 +298,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             tiny_config(lambda_grid=(0.0, 1.0))
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n_per_class=2, test_fraction=0.2), "leaves each class (n = 2) no test sample"),
+        (dict(n_per_class=3, test_fraction=0.9), "leaves each class (n = 3) no training sample"),
+        (dict(methods=("cstm", "cstm")), "duplicate method"),
+    ], ids=["no_test", "no_training", "duplicate_method"])
+    def test_degenerate_study_rejected_at_config_time(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**kw)
+        if "n_per_class" in kw:
+            # Without a case the class sizes come from the data, and the
+            # split checks them.
+            ExperimentConfig(**kw)
+
     def test_threads_match_serial(self):
         # 8 samples: 3 workers get uneven slices (2, 3, 3) and 9 threads
         # leave one empty slice, which starts no worker.
@@ -309,7 +331,7 @@ class TestRunExperiment:
     def test_weight_tuning_runs_and_records(self):
         cfg = tiny_config(methods=("cstm",), repetitions=1, tune_weights=True)
         s = run_experiment(cfg)
-        w = s.weights["cstm"][0]
+        (w,) = s.weights
         assert len(w) == 3
         assert abs(sum(w) - 1.0) < 1e-9
 
@@ -331,10 +353,9 @@ class TestRunExperiment:
             case=3, tune_weights=True, cv_folds=4,
             lambda_grid=(1e-3, 1e-2, 1e-1, 1.0),
         )
-        w, spec, gram, lam = _tune_cstm(fs, y, cfg, cv_seed=11)
-        assert np.allclose(w, (0.6, 0.2, 0.2), atol=1e-12)
+        spec, gram, lam = _tune(fs, y, cfg, cv_seed=11)
+        assert np.allclose(spec.weights, (0.6, 0.2, 0.2), atol=1e-12)
         assert lam == 0.1
-        assert spec.weights == w
         np.testing.assert_allclose(gram, gram_matrix(fs, spec), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", [
@@ -356,25 +377,25 @@ class TestRunExperiment:
             fs.append(AcmtfFactors.from_kruskals(u1.normalized(), u2.normalized()))
         cfg = ExperimentConfig(lambda_grid=(1.0,), cv_folds=2, **kernel)
         for weights in _weight_grid() + [(1 / 3, 1 / 3, 1 / 3), (0.25, 0.0, 2.0)]:
-            w, spec, gram, _ = _tune_cstm(fs, y, replace(cfg, kernel_weights=weights), 1)
-            assert w == weights and spec.weights == weights
+            spec, gram, _ = _tune(fs, y, replace(cfg, kernel_weights=weights), 1)
+            assert spec.weights == weights
             assert gram.tobytes() == gram_matrix(fs, spec).tobytes()
 
     def test_tolerated_failures_are_recorded(self):
-        # One +1 sample goes to the test part of every split, so no
-        # training part has a +1 sample.
+        # The one +1 sample would go to the test part of every split, so
+        # every split is refused.
         rng = np.random.default_rng(8)
         samples = [CoupledSample(rng.standard_normal((4, 3, 5)),
                                  rng.standard_normal((6, 5)), label)
                    for label in (-1, -1, 1, -1, -1)]
         cfg = tiny_config(test_fraction=0.6, repetitions=3,
                           acmtf=AcmtfHyperParams(rank=2, max_iters=20))
-        with pytest.raises(ValueError, match=r"no \+1 samples"):
+        message = "test_fraction 0.6 leaves class +1 (n = 1) no training sample"
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(cfg, samples)
         s = run_experiment(replace(cfg, tolerate_failures=True), samples)
         assert s.failures == [
-            (rep, f"seed {derive_seed(cfg.seed, _ROLE_SPLIT, rep)}: "
-                  "ValueError: training set has no +1 samples")
+            (rep, f"seed {derive_seed(cfg.seed, _ROLE_SPLIT, rep)}: ValueError: {message}")
             for rep in range(3)
         ]
         assert all(s.rows[m] == [] and s.lambdas[m] == [] for m in cfg.methods)
