@@ -178,7 +178,15 @@ def cmd_benchmark(args) -> int:
         cfg = dataclasses.replace(cfg, threads=args.threads)
     samples = None
     if cfg.dataset is not None:
-        samples = [container.read_sample(p) for p in _sample_paths(cfg.dataset)]
+        paths = _sample_paths(cfg.dataset)
+        samples = [container.read_sample(p) for p in paths]
+        labels = np.array([s.label for s in samples], dtype=np.float64)
+        if np.any(labels == 0):
+            bad = paths[int(np.flatnonzero(labels == 0)[0])]
+            raise ConfigError(f"unlabeled sample: {bad}")
+        # The per-class split counts do not depend on the seed, so one split
+        # refuses every repetition's.
+        experiments.stratified_split(labels, cfg.test_fraction, cfg.seed)
     elif cfg.case is None:
         raise ConfigError("missing: case")
     os.makedirs(args.out, exist_ok=True)

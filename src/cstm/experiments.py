@@ -405,26 +405,23 @@ def _kernel_for(cfg: ExperimentConfig, train):
 
 
 def _tune(train, y_tr, cfg: ExperimentConfig, cv_seed: int):
-    """``(spec, gram, lam)`` of the first candidate Gram with the best lambda
-    CV accuracy.  A CP kernel is one candidate.  C-STM's are the configured
-    weights, or the simplex grid under ``tune_weights``: the coupled kernel
-    is linear in its weights, so each candidate's Gram is a weighted sum of
-    three part Grams, equal to :func:`gram_matrix` of its spec bit for bit.
+    """``(spec, gram, lam)`` that one :func:`stm._cv_lambda` pass picks from
+    the candidate Grams.  A CP kernel is one candidate.  C-STM's are the
+    configured weights, or the simplex grid under ``tune_weights``: the coupled
+    kernel is linear in its weights, so each candidate's Gram is a weighted sum
+    of three part Grams, equal to :func:`gram_matrix` of its spec bit for bit.
     """
     base = _kernel_for(cfg, train)
     if isinstance(base, CoupledKernelSpec):
         parts = [gram_matrix(train, replace(base, weights=m))
                  for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
-        candidates = (
-            (replace(base, weights=w), w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2])
-            for w in (_weight_grid() if cfg.tune_weights else [cfg.kernel_weights])
-        )
+        weights = _weight_grid() if cfg.tune_weights else [cfg.kernel_weights]
+        specs = [replace(base, weights=w) for w in weights]
+        grams = [w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2] for w in weights]
     else:
-        candidates = [(base, cp_gram(train, base))]
-    scored = ((stm._cv_lambda(gram, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed), spec, gram)
-              for spec, gram in candidates)
-    (lam, _), spec, gram = max(scored, key=lambda s: s[0][1])  # max keeps the first best
-    return spec, gram, lam
+        specs, grams = [base], [cp_gram(train, base)]
+    best, lam, _ = stm._cv_lambda(grams, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed)
+    return specs[best], grams[best], lam
 
 
 def fit_method(train, y_tr, cfg: ExperimentConfig, rep: int) -> stm.StmModel:

@@ -13,12 +13,13 @@ The decision value for a new input is sum_i alpha_i y_i K(train_i, input)
 plus the intercept the equality constraint implies (recovered from the
 margin support vectors at fit time); ties (exactly zero) predict +1.
 
-Lambda is chosen by stratified k-fold cross-validation over a grid.  All
-fold x lambda duals of one cross-validation are independent, so
-:func:`solve_qp_many` solves them as one batch: each problem is a row of
-array state, every round makes one pair update per live row, and a row
-leaves the batch when it stops.  A model fit solves a single dual with
-:func:`solve_qp`, the same steps on one problem without batch overhead.
+Lambda, and the best of several candidate Gram matrices, is chosen by
+stratified k-fold cross-validation over a grid.  All candidate x fold x
+lambda duals are independent, so :func:`solve_qp_many` solves them as one
+batch: each problem is a row of array state, every round makes one pair
+update per live row, and a row leaves the batch when it stops.  A model
+fit solves a single dual with :func:`solve_qp`, the same steps on one
+problem without batch overhead.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
     ``max_passes * n`` updates runs out first, returns the current iterate
     with ``converged=False``.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     k = p.gram
     y = p.labels
     n = y.size
@@ -479,18 +482,19 @@ def _stratified_folds(labels: np.ndarray, k: int, rng) -> list[np.ndarray]:
 
 
 def _cv_lambda(
-    gram: np.ndarray, labels, grid: Sequence[float], k: int, seed: int
-) -> tuple[float, float]:
-    """Fold loop behind :func:`select_lambda`: the chosen lambda and its CV
-    accuracy, which is -1 when a class has a single sample.
-
-    The Gram matrix is checked once here; every fold x lambda dual is cut
-    from it unchecked and all of them are solved in one
-    :func:`solve_qp_many` batch, each fold's sub-Gram shared by its lambdas.
+    grams: Sequence[np.ndarray], labels, grid: Sequence[float], k: int, seed: int
+) -> tuple[int, float, float]:
+    """One cross-validation pass over candidate Gram matrices of one training
+    part: ``(index, lam, acc)`` of the first best candidate and lambda, in
+    candidate-then-grid order; ``(0, grid[0], -1.0)`` when a class has a
+    single sample.  Each Gram is checked once and the folds are drawn once;
+    every candidate x fold x lambda dual is cut unchecked and solved in one
+    :func:`solve_qp_many` batch, so memory grows with candidates x folds.
     """
-    gram = np.asarray(gram, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    _check_dual_data(gram, y)
+    grams = [np.asarray(g, dtype=np.float64) for g in grams]
+    for gram in grams:
+        _check_dual_data(gram, y)
     _check_two_classes(y)
     grid = tuple(grid)
     if not grid:
@@ -500,28 +504,27 @@ def _cv_lambda(
     rng = np.random.default_rng(seed)
     k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
     if k < 2:
-        return grid[0], -1.0
-    splits = []
-    for te in _stratified_folds(y, k, rng):
-        tr = np.setdiff1d(np.arange(y.size), te)
-        splits.append((gram[np.ix_(tr, tr)], y[tr], gram[np.ix_(tr, te)], y[te]))
-    problems = [
-        QpProblem._unchecked(sub, y_tr, lam) for lam in grid for sub, y_tr, _, _ in splits
-    ]
+        return 0, grid[0], -1.0
+    folds = [(np.setdiff1d(np.arange(y.size), te), te)
+             for te in _stratified_folds(y, k, rng)]
+    splits = [[(g[np.ix_(tr, tr)], y[tr], g[np.ix_(tr, te)], y[te]) for tr, te in folds]
+              for g in grams]
+    problems = [QpProblem._unchecked(sub, y_tr, lam)
+                for cand in splits for lam in grid for sub, y_tr, _, _ in cand]
     solutions = iter(solve_qp_many(problems))
-    best_lam, best_acc = grid[0], -1.0
-    for lam in grid:
-        correct = 0
-        for sub, y_tr, cross, y_te in splits:
-            sol = next(solutions)
-            bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
-            scores = (sol.alpha * y_tr) @ cross + bias
-            pred = np.where(scores >= 0, 1.0, -1.0)
-            correct += int(np.sum(pred == y_te))
-        acc = correct / y.size
-        if acc > best_acc:
-            best_acc, best_lam = acc, lam
-    return best_lam, best_acc
+    best = (0, grid[0], -1.0)
+    for index, cand in enumerate(splits):
+        for lam in grid:
+            correct = 0
+            for sub, y_tr, cross, y_te in cand:
+                sol = next(solutions)
+                bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
+                scores = (sol.alpha * y_tr) @ cross + bias
+                correct += int(np.sum(np.where(scores >= 0, 1.0, -1.0) == y_te))
+            acc = correct / y.size
+            if acc > best[2]:  # strict: the first best wins
+                best = (index, lam, acc)
+    return best
 
 
 def select_lambda(
@@ -538,6 +541,7 @@ def select_lambda(
     returned.  Ties keep the first (smallest) grid value.  The Gram matrix
     covers the training samples only.  Raises ``ValueError`` for an empty
     grid, a non-positive grid value, a Gram matrix that is not square,
-    finite and symmetric, or labels that are not +-1 of both classes.
+    finite and symmetric, or labels that are not +-1 of both classes.  It
+    is :func:`_cv_lambda` with one candidate.
     """
-    return _cv_lambda(gram, labels, grid, k, seed)[0]
+    return _cv_lambda([gram], labels, grid, k, seed)[1]

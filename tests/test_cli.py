@@ -520,6 +520,30 @@ class TestBenchmark:
                      "--out", str(tmp_path / "none")]) == 2
         assert not (tmp_path / "none").exists()
 
+    def test_dataset_split_refused_before_decomposing(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose_samples called")
+        monkeypatch.setattr(experiments, "decompose_samples", refuse)
+        small = tmp_path / "small"  # 2 per class: round(2 * 0.25) = 0 test samples
+        assert main(["simulate", "--case", "1", "--n-per-class", "2",
+                     "--out", str(small)]) == 0
+        unlabeled = tmp_path / "unlabeled"
+        assert main(["simulate", "--case", "1", "--n-per-class", "4",
+                     "--out", str(unlabeled)]) == 0
+        path = unlabeled / "sample_0002.cstm"
+        s = container.read_sample(path)
+        container.write_sample(path, CoupledSample(s.tensor, s.matrix, 0))
+        for data, message in (
+            (small, "test_fraction 0.25 leaves class -1 (n = 2) no test sample"),
+            (unlabeled, f"unlabeled sample: {path}"),
+        ):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {data}"))
+            out = tmp_path / "run"
+            assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
     def test_invalid_config_exit1_no_outputs(self, tmp_path):
         empty_grid = CONFIG_SMALL.replace("lambda_grid = 0.01, 1", "lambda_grid = ,")
         no_samples = CONFIG_SMALL.replace("n_per_class = 4", "n_per_class = 0")

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cstm import stm
 from cstm.acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample
 from cstm.experiments import (
     _ROLE_SPLIT,
@@ -336,8 +337,8 @@ class TestRunExperiment:
         assert abs(sum(w) - 1.0) < 1e-9
 
     def test_weight_tuning_pick_is_pinned(self):
-        # One CV pass per weight candidate picks what the former separate
-        # select_lambda + accuracy passes picked on this input.
+        # One CV pass over all weight candidates picks what the former
+        # separate select_lambda + accuracy passes picked on this input.
         rng = np.random.default_rng(2024)
         y = np.array([-1.0, 1.0] * 10)
         fs = []
@@ -357,6 +358,31 @@ class TestRunExperiment:
         assert np.allclose(spec.weights, (0.6, 0.2, 0.2), atol=1e-12)
         assert lam == 0.1
         np.testing.assert_allclose(gram, gram_matrix(fs, spec), rtol=1e-12, atol=1e-12)
+
+    def test_one_solve_batch_per_tune(self, monkeypatch):
+        # Every weight candidate x fold x lambda dual of a tune goes into
+        # one solve_qp_many call, for one candidate and for the whole grid.
+        batches = []
+        solve_many = stm.solve_qp_many
+
+        def counting(problems, **kw):
+            batches.append(len(problems))
+            return solve_many(problems, **kw)
+        monkeypatch.setattr(stm, "solve_qp_many", counting)
+        rng = np.random.default_rng(5)
+        y = np.array([-1.0, 1.0] * 6)
+        fs = []
+        for lab in y:
+            cols = [rng.standard_normal((d, 2)) + 0.5 * (lab > 0) for d in (6, 5, 4, 7)]
+            u1 = KruskalTensor(np.ones(2), tuple(cols[:3])).normalized()
+            u2 = KruskalTensor(np.ones(2), (cols[3], cols[2])).normalized()
+            fs.append(AcmtfFactors.from_kruskals(u1, u2))
+        cfg = ExperimentConfig(lambda_grid=(0.1, 1.0, 10.0), cv_folds=2)
+        for tune, candidates in ((False, 1), (True, 66)):
+            batches.clear()
+            _tune(fs, y, replace(cfg, tune_weights=tune), 1)
+            assert batches == [candidates * 2 * 3]
+        assert len(_weight_grid()) == 66
 
     @pytest.mark.parametrize("kernel", [
         dict(), dict(kernel_bandwidth=0.7), dict(kernel_kind="linear"),

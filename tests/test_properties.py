@@ -319,8 +319,10 @@ class TestSolveQp:
     def test_batch_edge_cases(self):
         assert solve_qp_many([]) == []
         p = QpProblem(np.eye(2), np.array([1.0, -1.0]), lam=0.25)
-        with pytest.raises(ValueError, match="tol"):
-            solve_qp_many([p], tol=-1.0)
+        for solve in (solve_qp, lambda p, tol: solve_qp_many([p], tol=tol)):
+            for tol in (-1.0, np.nan):
+                with pytest.raises(ValueError, match="tol must be >= 0"):
+                    solve(p, tol=tol)
 
 
 # ---------------------------------------------------------------------------

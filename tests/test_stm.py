@@ -443,6 +443,33 @@ class TestLambdaUtilities:
         lam = select_lambda(gram, y, grid=(1e-3, 1e-1, 10.0), k=4, seed=0)
         assert lam in (1e-3, 1e-1, 10.0)
 
+    def test_cv_over_candidates_scores_each_as_alone(self):
+        # One pass over several candidate Grams gives each the lambda and
+        # accuracy of a one-candidate pass, and picks the first best.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((24, 5))
+        y = np.where(x[:, 0] + 0.5 * rng.standard_normal(24) > 0, 1.0, -1.0)
+        grams = [x[:, c] @ x[:, c].T for c in ([1, 2], [0, 3], [0], [0, 1, 2, 3, 4], [0])]
+        grid = (1e-3, 1e-1, 10.0)
+        alone = [stm._cv_lambda([g], y, grid, 4, 3) for g in grams]
+        assert [a[0] for a in alone] == [0] * 5
+        accs = [a[2] for a in alone]
+        best = accs.index(max(accs))
+        assert best == 1 and len(set(accs)) == 3  # pins a non-trivial input
+        assert stm._cv_lambda(grams, y, grid, 4, 3) == (best, *alone[best][1:])
+
+    def test_cv_first_best_candidate_wins(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((12, 3))
+        gram = x @ x.T
+        y = np.array([1.0, -1.0] * 6)
+        lam, acc = stm._cv_lambda([gram], y, (0.01, 1.0), 3, 0)[1:]
+        assert stm._cv_lambda([gram, gram.copy()], y, (0.01, 1.0), 3, 0) == (0, lam, acc)
+        # A class of one sample leaves no fold to score: candidate 0, the
+        # first grid value, accuracy -1.
+        one = np.array([1.0] + [-1.0] * 11)
+        assert stm._cv_lambda([gram, 2 * gram], one, (0.01, 1.0), 3, 0) == (0, 0.01, -1.0)
+
     def test_select_lambda_rejects_bad_grid(self):
         gram = np.eye(6)
         y = np.array([1.0, -1.0] * 3)
