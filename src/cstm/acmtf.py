@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import KruskalTensor, _keep_rows
+from .tensor_core import KruskalTensor, SolveStats, _keep_rows
 
 # Guard for the Hestenes-Stiefel denominator; below this the direction
 # update is replaced by steepest descent.
@@ -128,22 +128,6 @@ class AcmtfHyperParams:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-
-
-@dataclass(frozen=True)
-class SolveStats:
-    """How one decomposition's CG loop ended.
-
-    ``iterations`` counts the steps taken and ``evaluations`` the objective
-    and gradient evaluations, the starting point included.  ``stop`` is the
-    reason the loop ended: ``"tol"`` (the objective changed by less than
-    ``cg_tol``), ``"max_iters"``, ``"no_descent"`` (no step decreased the
-    objective, steepest descent included) or ``"zero_grad"``.
-    """
-
-    iterations: int
-    evaluations: int
-    stop: str
 
 
 @dataclass(frozen=True, eq=False)

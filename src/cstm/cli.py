@@ -154,9 +154,8 @@ def cmd_predict(args) -> int:
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("file", "score", "label"))
-        for p, score in zip(paths, scores):
-            w.writerow([os.path.basename(p), repr(float(score)),
-                        stm.predict_label(float(score))])
+        for p, score, label in zip(paths, scores, stm.predict_label(scores)):
+            w.writerow([os.path.basename(p), repr(float(score)), label])
     container.write_manifest(
         args.out + ".manifest.txt",
         {
@@ -216,6 +215,10 @@ def cmd_benchmark(args) -> int:
         entries[f"mean_accuracy.{method}"] = repr(summary.mean(method, "accuracy"))
     if "cstm" in summary.methods:
         entries["weights.cstm"] = "; ".join(", ".join(map(repr, w)) for w in summary.weights)
+    for key, stops in (("acmtf_stops", summary.acmtf_stops),
+                       ("cp_als_stops", summary.cp_als_stops)):
+        if stops:
+            entries[key] = ", ".join(f"{stop}: {n}" for stop, n in stops.items())
     container.write_manifest(os.path.join(args.out, "manifest.txt"), entries)
     for method in summary.methods:
         print(f"{method}: accuracy {summary.mean(method, 'accuracy'):.4f} "

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -182,8 +183,9 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricsRow))
 def compute_metrics(labels, scores) -> MetricsRow:
     """Classification metrics from decision scores against +1/-1 labels.
 
-    Predictions are sign(score) with ties mapped to +1.  AUC is the rank
-    statistic over positive-negative pairs with 0.5 credit for tied scores.
+    Predictions are :func:`stm.predict_label`'s, ties mapped to +1.  AUC
+    is the rank statistic over positive-negative pairs with 0.5 credit for
+    tied scores.
     """
     y = np.asarray(labels, dtype=np.float64)
     s = np.asarray(scores, dtype=np.float64)
@@ -191,7 +193,7 @@ def compute_metrics(labels, scores) -> MetricsRow:
         raise ValueError("labels and scores must have equal length")
     if not np.all(np.abs(y) == 1.0):
         raise ValueError("labels must be +1 or -1")
-    pred = np.where(s >= 0, 1.0, -1.0)
+    pred = stm.predict_label(s)
     tp = float(np.sum((pred > 0) & (y > 0)))
     tn = float(np.sum((pred < 0) & (y < 0)))
     fp = float(np.sum((pred > 0) & (y < 0)))
@@ -290,6 +292,9 @@ class MetricsSummary:
     # Time spent inside the ACMTF and CP-ALS calls, summed over workers.
     acmtf_seconds: float = 0.0
     cp_als_seconds: float = 0.0
+    # Samples per stop reason of the ACMTF (cstm) and CP-ALS (cpstm_tensor) fits.
+    acmtf_stops: dict[str, int] = field(default_factory=dict)
+    cp_als_stops: dict[str, int] = field(default_factory=dict)
     mean_final_objective: float = float("nan")
 
     def mean(self, method: str, metric: str) -> float:
@@ -458,6 +463,8 @@ def run_experiment(
     mean_final = (float(np.mean([f.objective_history[-1] for f in pools["cstm"]]))
                   if "cstm" in pools else float("nan"))
     t_decompose = time.perf_counter() - t0
+    stops = {m: dict(sorted(Counter(r.stats.stop for r in pools[m]).items()))
+             for m in ("cstm", "cpstm_tensor") if m in pools}
 
     summary = MetricsSummary(
         methods=cfg.methods,
@@ -466,6 +473,8 @@ def run_experiment(
         decompose_seconds=t_decompose,
         acmtf_seconds=acmtf_s,
         cp_als_seconds=cp_als_s,
+        acmtf_stops=stops.get("cstm", {}),
+        cp_als_stops=stops.get("cpstm_tensor", {}),
         mean_final_objective=mean_final,
     )
     t1 = time.perf_counter()

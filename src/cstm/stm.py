@@ -15,11 +15,11 @@ margin support vectors at fit time); ties (exactly zero) predict +1.
 
 Lambda, and the best of several candidate Gram matrices, is chosen by
 stratified k-fold cross-validation over a grid.  All candidate x fold x
-lambda duals are independent, so :func:`solve_qp_many` solves them as one
-batch: each problem is a row of array state, every round makes one pair
-update per live row, and a row leaves the batch when it stops.  A model
-fit solves a single dual with :func:`solve_qp`, the same steps on one
-problem without batch overhead.
+lambda duals are independent, so :func:`solve_qp_many` solves them in
+batches: each problem is a row of array state, every round makes one pair
+update per live row, and a row leaves the batch when it stops.  It is the
+one SMO entry point: a model fit's :func:`solve_qp` is a batch of one, and
+the last live row of any batch finishes with scalar steps.
 """
 
 from __future__ import annotations
@@ -129,33 +129,25 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
     Stops when the maximal KKT violation (the gap between the most violating
     up/low candidates) drops below ``tol``.  If the budget of
     ``max_passes * n`` updates runs out first, returns the current iterate
-    with ``converged=False``.
+    with ``converged=False``.  This is :func:`solve_qp_many` on a batch of
+    one.
     """
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
-    k = p.gram
-    y = p.labels
-    n = y.size
-    c = p.box
-    alpha = np.zeros(n)
+    return solve_qp_many([p], tol, max_passes)[0]
+
+
+def _finish_alone(p: QpProblem, alpha, minus_yg, up, low, updates: int,
+                  max_passes: int, gap: float, tol: float) -> QpSolution:
+    """Solution of ``p`` by SMO updates on scalars, from a row of
+    :func:`solve_qp_many`'s state: ``alpha``, ``minus_yg`` (-y * gradient
+    of the dual objective), the additive candidate masks ``up`` (0 or
+    -inf) and ``low`` (0 or +inf), the updates made and the last gap.  Its
+    steps are the batch's, so a row that has stopped stops here at once."""
+    k, y, c = p.gram, p.labels, p.box
+    budget = max_passes * y.size
     feas = 1e-12 * max(c, 1.0)
     hi = c - feas
     pos = y > 0
-    # -y * gradient of the dual objective; the gradient starts at -1.  An
-    # update adds delta * y * (k_i - k_j) to the gradient, and since y is
-    # +-1 that is exactly delta * (k_i - k_j) taken off this vector.
-    minus_yg = y.copy()
-    # Candidates to move up (alpha_i += y_i d) and down (alpha_j -= y_j d)
-    # inside the box, as additive masks: 0 for a candidate, -inf/+inf for
-    # an index at its bound.  Only the two updated entries change per step.
-    below, above = alpha < hi, alpha > feas
-    up = np.where(np.where(pos, below, above), 0.0, -np.inf)
-    low = np.where(np.where(pos, above, below), 0.0, np.inf)
-
-    updates = 0
-    budget = max_passes * n
     converged = False
-    gap = np.inf
     while updates < budget:
         i = int((minus_yg + up).argmax())
         j = int((minus_yg + low).argmin())
@@ -179,6 +171,8 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
             break
         alpha[i] += y[i] * delta
         alpha[j] -= y[j] * delta
+        # Since y is +-1, the gradient's change delta * y * (k_i - k_j)
+        # is exactly delta * (k_i - k_j) taken off minus_yg.
         minus_yg -= delta * (k[:, i] - k[:, j])
         for t in (i, j):
             below, above = alpha[t] < hi, alpha[t] > feas
@@ -212,13 +206,14 @@ def solve_qp_many(
 
     Each round picks the maximal violating pair of every live row with one
     argmax and makes every row's pair update with masked array operations;
-    a row leaves the batch when it stops, for the reasons and with the
-    results of :func:`solve_qp`.  Rows are padded to the largest problem,
-    and a padded entry is never a candidate.  Problems that share one Gram
+    a row leaves the batch when it stops, for the reasons
+    :func:`solve_qp` states.  Rows are padded to the largest problem, and
+    a padded entry is never a candidate.  Problems that share one Gram
     array, such as the lambda grid of one cross-validation fold, share its
-    stored copy.  Each row does the arithmetic of :func:`solve_qp` on its
-    own problem, so every solution equals ``solve_qp``'s bit for bit,
-    whatever else is in the batch.
+    stored copy.  Once one row is left, from the start for a batch of one,
+    :func:`_finish_alone` goes on with it without the cost of array rounds.
+    A row's arithmetic depends on its own problem only, so its solution
+    does not depend on its batch, bit for bit.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -253,10 +248,10 @@ def solve_qp_many(
     # The state is two halves, [v, -v], of shape (2, rows, m), so that one
     # argmax over both picks i (the largest -y*gradient among up
     # candidates) and j (the smallest among low candidates).  Negation is
-    # exact, so every value and tie is the single loop's.
+    # exact, so every value and tie is the scalar loop's.
     #   grad: -y * gradient of the dual, starting at y, and its negation.
     #   z:    y * alpha and its negation; alpha_i += y_i d is z_i += d.
-    #   mask: 0 for a candidate, -inf otherwise: up and -low of solve_qp.
+    #   mask: 0 for a candidate, -inf otherwise: up and -low of _finish_alone.
     # An entry is a candidate while its z is below ``bound``, which says
     # alpha < hi or alpha > feas per label in terms of +-z; padded entries
     # have bound -inf.  The box caps of a pick are ``top`` - z: c - alpha
@@ -272,7 +267,18 @@ def solve_qp_many(
     base, other = _batch_offsets(rows.size, m)
     last_gap = np.full(len(problems), np.inf)
     it = 0  # every live row has made ``it`` updates
+
+    def finish(q):
+        # Row q's solution; + 0.0 turns the -0.0 of z = 0 at a -1 label into 0.0.
+        r, n = rows[q], size[rows[q]]
+        return _finish_alone(
+            problems[r], z[0, q, :n] * y[r, :n] + 0.0, grad[0, q, :n].copy(),
+            mask[0, q, :n].copy(), 0.0 - mask[1, q, :n], it, max_passes, last_gap[q], tol)
+
     while True:
+        if rows.size == 1:
+            out[rows[0]] = finish(0)
+            return out
         both = grad + mask
         ij = both.argmax(2)  # (i, j) per row
         at = base + ij  # flat positions of (0, i) and (1, j)
@@ -285,20 +291,10 @@ def solve_qp_many(
         delta = np.where(quad > 1e-12, gap / quad, np.inf)
         caps = top.reshape(-1)[at] - z.reshape(-1)[at]
         delta = np.minimum(delta, np.minimum(caps[0], caps[1]))
-        spent = budget <= it
-        leave = spent | (gap <= tol) | (delta <= 0)
+        leave = (budget <= it) | (gap <= tol) | (delta <= 0)
         if leave.any():
             for q in np.flatnonzero(leave):
-                r = rows[q]
-                n = size[r]
-                # + 0.0 turns the -0.0 that z = 0 gives a -1 label into 0.0.
-                alpha = z[0, q, :n] * y[r, :n] + 0.0
-                np.clip(alpha, 0.0, c[r], out=alpha)
-                if spent[q]:
-                    kkt = last_gap[q]
-                else:
-                    kkt = 0.0 if gap[q] == -np.inf else gap[q]
-                out[r] = QpSolution(alpha, not spent[q], max(kkt, 0.0), it)
+                out[rows[q]] = finish(q)
             keep = ~leave
             rows, gram_row, budget = rows[keep], gram_row[keep], budget[keep]
             if not rows.size:
@@ -444,9 +440,10 @@ cpstm_fit = fit
 cpstm_decision_many = decision_many
 
 
-def predict_label(score: float) -> int:
-    """Sign rule with ties mapped to +1."""
-    return 1 if score >= 0 else -1
+def predict_label(scores) -> np.ndarray:
+    """Labels of decision scores: +1 where a score is >= 0 (ties too),
+    -1 elsewhere, NaN included."""
+    return np.where(np.asarray(scores) >= 0, 1, -1)
 
 
 def matrix_to_kruskal(matrix: np.ndarray, rank: int) -> KruskalTensor:
@@ -469,6 +466,10 @@ def matrix_to_kruskal(matrix: np.ndarray, rank: int) -> KruskalTensor:
 # ---------------------------------------------------------------------------
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+# Cap on the duals of one solve_qp_many call in _cv_lambda.  A batch's
+# memory grows with its duals x (fold training size)^2, so candidates are
+# solved in chunks of at most this many duals (but at least one candidate).
+CV_BATCH_DUALS = 400
 
 
 def _stratified_folds(labels: np.ndarray, k: int, rng) -> list[np.ndarray]:
@@ -488,8 +489,9 @@ def _cv_lambda(
     part: ``(index, lam, acc)`` of the first best candidate and lambda, in
     candidate-then-grid order; ``(0, grid[0], -1.0)`` when a class has a
     single sample.  Each Gram is checked once and the folds are drawn once;
-    every candidate x fold x lambda dual is cut unchecked and solved in one
-    :func:`solve_qp_many` batch, so memory grows with candidates x folds.
+    the candidate x fold x lambda duals are cut unchecked and solved by
+    :func:`solve_qp_many` in chunks of whole candidates, at most
+    ``CV_BATCH_DUALS`` duals each where a candidate fits.
     """
     y = np.asarray(labels, dtype=np.float64)
     grams = [np.asarray(g, dtype=np.float64) for g in grams]
@@ -507,23 +509,25 @@ def _cv_lambda(
         return 0, grid[0], -1.0
     folds = [(np.setdiff1d(np.arange(y.size), te), te)
              for te in _stratified_folds(y, k, rng)]
-    splits = [[(g[np.ix_(tr, tr)], y[tr], g[np.ix_(tr, te)], y[te]) for tr, te in folds]
-              for g in grams]
-    problems = [QpProblem._unchecked(sub, y_tr, lam)
-                for cand in splits for lam in grid for sub, y_tr, _, _ in cand]
-    solutions = iter(solve_qp_many(problems))
+    chunk = max(1, CV_BATCH_DUALS // (k * len(grid)))
     best = (0, grid[0], -1.0)
-    for index, cand in enumerate(splits):
-        for lam in grid:
-            correct = 0
-            for sub, y_tr, cross, y_te in cand:
-                sol = next(solutions)
-                bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
-                scores = (sol.alpha * y_tr) @ cross + bias
-                correct += int(np.sum(np.where(scores >= 0, 1.0, -1.0) == y_te))
-            acc = correct / y.size
-            if acc > best[2]:  # strict: the first best wins
-                best = (index, lam, acc)
+    for first in range(0, len(grams), chunk):
+        splits = [[(g[np.ix_(tr, tr)], y[tr], g[np.ix_(tr, te)], y[te]) for tr, te in folds]
+                  for g in grams[first:first + chunk]]
+        problems = [QpProblem._unchecked(sub, y_tr, lam)
+                    for cand in splits for lam in grid for sub, y_tr, _, _ in cand]
+        solutions = iter(solve_qp_many(problems))
+        for index, cand in enumerate(splits, first):
+            for lam in grid:
+                correct = 0
+                for sub, y_tr, cross, y_te in cand:
+                    sol = next(solutions)
+                    bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
+                    scores = (sol.alpha * y_tr) @ cross + bias
+                    correct += int(np.sum(predict_label(scores) == y_te))
+                acc = correct / y.size
+                if acc > best[2]:  # strict: the first best wins
+                    best = (index, lam, acc)
     return best
 
 

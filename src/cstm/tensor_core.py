@@ -8,12 +8,13 @@ order.  Mode-n unfoldings place the mode-n fibers as columns, with the
 remaining modes ordered so that lower-numbered modes vary fastest.
 
 :func:`cp_als_many` runs CP-ALS on a batch of equally shaped tensors with
-stacked products and solves; :func:`cp_als` is its batch of one.
+stacked products and solves; :func:`cp_als` is its batch of one.  Every
+result records its error history and stop reason (:class:`SolveStats`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -65,17 +66,33 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / safe[..., None, :], norms
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """How one iterative solve ended: ``iterations`` steps taken (CG
+    iterations, ALS sweeps), ``evaluations`` of the objective (CP-ALS: one
+    per sweep; ACMTF: with gradient, the start included) and the ``stop``
+    reason: ``"tol"``, ``"max_iters"``, or for ACMTF ``"no_descent"`` (no
+    step decreased the objective, steepest descent included) or
+    ``"zero_grad"``."""
+
+    iterations: int
+    evaluations: int
+    stop: str
+
+
 @dataclass(frozen=True, eq=False)
 class KruskalTensor:
     """CP decomposition as per-component weights plus factor matrices.
 
     ``factors[j]`` has shape ``(I_j, r)`` and ``weights`` has length r.
     The represented tensor is ``sum_k weights[k] * outer(factors[0][:, k],
-    ..., factors[-1][:, k])``.
+    ..., factors[-1][:, k])``; :func:`cp_als_many` sets the solver record.
     """
 
     weights: np.ndarray
     factors: tuple[np.ndarray, ...]
+    objective_history: tuple[float, ...] = field(default=(), compare=False)
+    stats: SolveStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         w = _as_float_array(self.weights, "weights")
@@ -111,7 +128,8 @@ class KruskalTensor:
 
         Every nonzero factor column comes out with unit norm and nonnegative
         entry sum; norms and sign flips are absorbed into the weights so the
-        represented tensor is unchanged.  Zero columns get weight 0.
+        represented tensor and the solver record are unchanged.  Zero
+        columns get weight 0.
         """
         w = self.weights.copy()
         out = []
@@ -122,7 +140,7 @@ class KruskalTensor:
             unit = unit * signs
             w = w * signs
             out.append(unit)
-        return KruskalTensor(w, tuple(out))
+        return KruskalTensor(w, tuple(out), self.objective_history, self.stats)
 
 
 def _full(weights: np.ndarray, factors) -> np.ndarray:
@@ -138,8 +156,7 @@ def cp_als(
     tol: float = 1e-8,
     max_iter: int = 200,
     seed: int = 0,
-    return_history: bool = False,
-):
+) -> KruskalTensor:
     """Rank-``rank`` CP decomposition by alternating least squares.
 
     Factors are initialized from a seeded Gaussian with unit-norm columns.
@@ -148,16 +165,17 @@ def cp_als(
     Iteration stops when the relative reconstruction error drops by less
     than ``tol`` between sweeps, or after ``max_iter`` sweeps.
 
-    Returns a column-normalized :class:`KruskalTensor`; with
-    ``return_history=True``, also the per-sweep relative errors.  The
-    error after a sweep is that of the last mode's unfolding,
-    ``||X_(N) - (F_N w) kr^T||`` with the Khatri-Rao product ``kr`` that
-    mode's update just used, so no dense reconstruction is formed.
+    Returns a column-normalized :class:`KruskalTensor` with the relative
+    error after each sweep as ``objective_history`` and ``stats`` =
+    ``SolveStats(sweeps, sweeps, "tol" | "max_iters")``.  That error is the
+    last mode's unfolding's, ``||X_(N) - (F_N w) kr^T||`` with the
+    Khatri-Rao product ``kr`` that mode's update just used, so no dense
+    reconstruction is formed.
 
     This is :func:`cp_als_many` on a batch of one, which also validates
     the arguments.
     """
-    return cp_als_many([tensor], rank, [seed], tol, max_iter, return_history)[0]
+    return cp_als_many([tensor], rank, [seed], tol, max_iter)[0]
 
 
 def cp_als_many(
@@ -166,14 +184,13 @@ def cp_als_many(
     seeds,
     tol: float = 1e-8,
     max_iter: int = 200,
-    return_history: bool = False,
-) -> list:
+) -> list[KruskalTensor]:
     """:func:`cp_als` of many tensors of one shape, as one batch.
 
-    Returns a list with what ``cp_als(tensor, rank, tol, max_iter, seed,
-    return_history)`` returns for each ``(tensor, seed)`` pair, bit for
-    bit, so a tensor's result does not depend on the rest of its batch.
-    An empty batch returns ``[]``.
+    Returns a list with what ``cp_als(tensor, rank, tol, max_iter, seed)``
+    returns for each ``(tensor, seed)`` pair, bit for bit, so a tensor's
+    result does not depend on the rest of its batch.  An empty batch
+    returns ``[]``.
 
     The arguments are checked once, here: ``rank >= 1``, ``tol > 0``,
     ``max_iter >= 1``, one seed per tensor, and finite tensors of one
@@ -221,7 +238,7 @@ def cp_als_many(
     resid = np.empty(unfoldings[-1].shape)
     live = np.arange(len(ts))
     prev_err = np.full(len(ts), np.inf)
-    histories: list[list] = [[] for _ in ts]
+    history = np.empty((len(ts), max_iter))
     results: list = [None] * len(ts)
     for sweep in range(max_iter):
         for n in range(n_modes):
@@ -240,14 +257,16 @@ def cp_als_many(
         res = np.subtract(unfoldings[-1], model, out=model).reshape(live.size, 1, -1)
         err = np.sqrt((res @ res.transpose(0, 2, 1)).reshape(-1))
         np.divide(err, norm_x, out=err, where=norm_x > 0)
-        for row, e in zip(live, err):
-            histories[row].append(e)
-        done = (prev_err - err < tol) | (sweep == max_iter - 1)
+        history[live, sweep] = err
+        small = prev_err - err < tol
+        done = small | (sweep == max_iter - 1)
         prev_err = err
         if done.any():
             for i in np.flatnonzero(done):
                 results[live[i]] = KruskalTensor(
-                    weights[i], tuple(f[i] for f in factors)
+                    weights[i], tuple(f[i] for f in factors),
+                    tuple(history[live[i], : sweep + 1].tolist()),
+                    SolveStats(sweep + 1, sweep + 1, "tol" if small[i] else "max_iters"),
                 ).normalized()
             stay = np.flatnonzero(~done)
             live, prev_err, norm_x = live[stay], prev_err[stay], norm_x[stay]
@@ -255,8 +274,6 @@ def cp_als_many(
             unfoldings = _keep_rows(unfoldings, stay)
         if live.size == 0:
             break
-    if return_history:
-        return list(zip(results, histories))
     return results
 
 

@@ -230,6 +230,23 @@ class TestFitPredict:
         assert manifest["weights"] == ", ".join(repr(v) for v in spec.weights)
         assert manifest["lambda"] == repr(lam)
 
+    def test_manifest_records_stop_histograms(self, tmp_path):
+        # Every decomposed sample counts once, under its solver's stop
+        # reason; a study without a method has no histogram for its solver.
+        cfg = tmp_path / "cfg.txt"
+        for methods, keys in (("cstm, cpstm_tensor", {"acmtf_stops", "cp_als_stops"}),
+                              ("cpstm_matrix", set())):
+            cfg.write_text(CONFIG_SMALL.replace("[acmtf]", f"methods = {methods}\n\n[acmtf]"))
+            out = tmp_path / methods.replace(", ", "_")
+            assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = dict(line.split(" = ", 1)
+                            for line in (out / "manifest.txt").read_text().splitlines())
+            assert {k for k in manifest if k.endswith("_stops")} == keys
+            for key in keys:
+                counts = dict(item.split(": ") for item in manifest[key].split(", "))
+                assert set(counts) <= {"tol", "max_iters", "no_descent", "zero_grad"}
+                assert sum(map(int, counts.values())) == 8  # 4 per class
+
     @pytest.mark.parametrize("kernel, want", [
         ("bandwidth = 0.8\n", KernelSpec("rbf", 0.8)),
         ("kind = polynomial\ndegree = 3\noffset = 0.5\n",
@@ -450,6 +467,23 @@ class TestBenchmark:
         assert picked == experiments.run_experiment(parse_config(text)).weights
         assert len(picked) == 2 and all(abs(sum(w) - 1.0) < 1e-9 for w in picked)
         assert not any(key.startswith("weights.cpstm") for key in manifest)
+
+    def test_manifest_records_stop_histograms(self, tmp_path):
+        # Every decomposed sample counts once, under its solver's stop
+        # reason; a study without a method has no histogram for its solver.
+        cfg = tmp_path / "cfg.txt"
+        for methods, keys in (("cstm, cpstm_tensor", {"acmtf_stops", "cp_als_stops"}),
+                              ("cpstm_matrix", set())):
+            cfg.write_text(CONFIG_SMALL.replace("[acmtf]", f"methods = {methods}\n\n[acmtf]"))
+            out = tmp_path / methods.replace(", ", "_")
+            assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
+            manifest = dict(line.split(" = ", 1)
+                            for line in (out / "manifest.txt").read_text().splitlines())
+            assert {k for k in manifest if k.endswith("_stops")} == keys
+            for key in keys:
+                counts = dict(item.split(": ") for item in manifest[key].split(", "))
+                assert set(counts) <= {"tol", "max_iters", "no_descent", "zero_grad"}
+                assert sum(map(int, counts.values())) == 8  # 4 per class
 
     @pytest.mark.parametrize("kernel, want", [
         ("bandwidth = 0.8\n", KernelSpec("rbf", 0.8)),

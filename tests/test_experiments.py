@@ -361,7 +361,9 @@ class TestRunExperiment:
 
     def test_one_solve_batch_per_tune(self, monkeypatch):
         # Every weight candidate x fold x lambda dual of a tune goes into
-        # one solve_qp_many call, for one candidate and for the whole grid.
+        # one solve_qp_many call, for one candidate and for the whole grid,
+        # as long as they fit the cap on duals per call.
+        assert 66 * 2 * 3 <= stm.CV_BATCH_DUALS
         batches = []
         solve_many = stm.solve_qp_many
 

@@ -1,22 +1,25 @@
 """Property tests: the Gram engine against a pairwise reference, the SMO
 solver against a reference copy of its plain masked-index loop, batched SMO
-against single solves, the KKT conditions of every converged SMO solution,
+against single solves (also where the last row finishes alone), the KKT
+conditions of every converged SMO solution,
 batched ACMTF decomposition against single-sample runs, degenerate ACMTF
-samples, batched CP-ALS against single runs and a reference copy of the
-one-tensor loop, and container readers on corrupted files."""
+samples, batched CP-ALS (factors, error history and stop) against single
+runs and a reference copy of the one-tensor loop, and container readers on
+corrupted files."""
 
 import os
 import tempfile
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from cstm import container  # noqa: E402
+from cstm import container, stm  # noqa: E402
 from cstm.acmtf import (  # noqa: E402
     AcmtfFactors,
     AcmtfHyperParams,
@@ -40,6 +43,7 @@ from cstm.stm import QpProblem, StmModel, solve_qp, solve_qp_many  # noqa: E402
 from cstm.tensor_core import (  # noqa: E402
     ALS_RIDGE,
     KruskalTensor,
+    SolveStats,
     cp_als,
     cp_als_many,
 )
@@ -316,6 +320,37 @@ class TestSolveQp:
             if single.converged:
                 assert_kkt(p, single)
 
+    @settings(PROPS, max_examples=60)
+    @given(qp_batches())
+    def test_last_row_finishes_alone_as_single_solve(self, case):
+        # A row is left alone, and goes on with scalar steps, once every
+        # other row has stopped; that happens after at least one array
+        # round when one problem needs strictly more updates than the rest.
+        problems, max_passes = case
+        singles = [solve_qp(p, max_passes=max_passes) for p in problems]
+        counts = sorted(s.n_updates for s in singles)
+        assume(len(counts) >= 2 and counts[-1] > counts[-2])
+        calls = []
+        finish = stm._finish_alone
+
+        def recording(p, alpha, minus_yg, up, low, updates, *rest):
+            sol = finish(p, alpha, minus_yg, up, low, updates, *rest)
+            calls.append((updates, sol.n_updates))
+            return sol
+        with mock.patch.object(stm, "_finish_alone", recording):
+            batch = solve_qp_many(problems, max_passes=max_passes)
+        # A row that stops in the batch is packed where it stopped.  The
+        # others leave in the round after their last update, and the last
+        # row makes that round's update in the array state before it goes
+        # on alone.
+        assert all(start == end for start, end in calls[:-1])
+        assert calls[-1] == (counts[-2] + 1, counts[-1])
+        for sol, ref in zip(batch, singles):
+            assert sol.alpha.tobytes() == ref.alpha.tobytes()
+            assert sol.n_updates == ref.n_updates
+            assert sol.converged == ref.converged
+            assert sol.kkt_violation == ref.kkt_violation
+
     def test_batch_edge_cases(self):
         assert solve_qp_many([]) == []
         p = QpProblem(np.eye(2), np.array([1.0, -1.0]), lam=0.25)
@@ -459,15 +494,19 @@ def ref_cp_als(t, rank, tol, max_iter, seed):
             err /= norm_x
         history.append(err)
         if prev - err < tol:
+            stop = "tol"
             break
         prev = err
-    return KruskalTensor(weights, tuple(factors)).normalized(), history
+    else:
+        stop = "max_iters"
+    stats = SolveStats(len(history), len(history), stop)
+    return KruskalTensor(weights, tuple(factors), tuple(history), stats).normalized()
 
 
 def same_cp(a, b):
-    (ka, ha), (kb, hb) = a, b
-    return (ha == hb and ka.weights.tobytes() == kb.weights.tobytes()
-            and all(x.tobytes() == y.tobytes() for x, y in zip(ka.factors, kb.factors)))
+    return (a.objective_history == b.objective_history and a.stats == b.stats
+            and a.weights.tobytes() == b.weights.tobytes()
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a.factors, b.factors)))
 
 
 @st.composite
@@ -497,11 +536,11 @@ def cp_batches(draw):
 @given(cp_batches())
 def test_cp_als_batch_matches_single_runs(case):
     tensors, rank, seeds, tol, max_iter, cut = case
-    full = cp_als_many(tensors, rank, seeds, tol, max_iter, return_history=True)
-    halves = (cp_als_many(tensors[:cut], rank, seeds[:cut], tol, max_iter, True)
-              + cp_als_many(tensors[cut:], rank, seeds[cut:], tol, max_iter, True))
+    full = cp_als_many(tensors, rank, seeds, tol, max_iter)
+    halves = (cp_als_many(tensors[:cut], rank, seeds[:cut], tol, max_iter)
+              + cp_als_many(tensors[cut:], rank, seeds[cut:], tol, max_iter))
     for t, seed, a, b in zip(tensors, seeds, full, halves):
-        single = cp_als(t, rank, tol, max_iter, seed, return_history=True)
+        single = cp_als(t, rank, tol, max_iter, seed)
         assert same_cp(a, single) and same_cp(b, single)
         assert same_cp(single, ref_cp_als(t, rank, tol, max_iter, seed))
 
@@ -513,10 +552,12 @@ def test_cp_batches_mix_stop_sweeps():
     exact = np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((d, 2)) + 1.0 for d in (4, 3, 5)))
     noisy = exact + 0.3 * rng.standard_normal(exact.shape)
     out = cp_als_many([exact, noisy, np.zeros(exact.shape)], 2, [1, 2, 3],
-                      tol=1e-4, max_iter=20, return_history=True)
-    sweeps = [len(h) for _, h in out]
+                      tol=1e-4, max_iter=20)
+    sweeps = [len(k.objective_history) for k in out]
     assert sweeps[0] == 20 and len(set(sweeps)) == 3, sweeps
-    assert np.all(out[2][0].weights == 0)
+    assert np.all(out[2].weights == 0)
+    # ... and that they stop for both reasons.
+    assert [k.stats.stop for k in out] == ["max_iters", "tol", "tol"]
 
 
 # ---------------------------------------------------------------------------

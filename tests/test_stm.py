@@ -208,6 +208,10 @@ class TestFitDecision:
         assert decision(model, f) == 0.0
         assert predict_label(decision(model, f)) == 1
 
+    def test_predict_label_maps_ties_to_plus_one(self):
+        scores = np.array([-2.0, -0.0, 0.0, 1e-300, np.nan])
+        assert predict_label(scores).tolist() == [-1, 1, 1, 1, -1]
+
     def test_single_support_sample(self):
         from cstm.kernels import coupled_kernel
 
@@ -457,6 +461,34 @@ class TestLambdaUtilities:
         best = accs.index(max(accs))
         assert best == 1 and len(set(accs)) == 3  # pins a non-trivial input
         assert stm._cv_lambda(grams, y, grid, 4, 3) == (best, *alone[best][1:])
+
+    def test_cv_in_chunks_picks_as_one_batch(self, monkeypatch):
+        # Candidates are solved in chunks of at most CV_BATCH_DUALS duals;
+        # the pick does not depend on the chunks, here with the best
+        # candidate (index 4) in the last one.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((24, 5))
+        y = np.where(x[:, 0] + 0.5 * rng.standard_normal(24) > 0, 1.0, -1.0)
+        grams = [x[:, c] @ x[:, c].T for c in ([1, 2], [0], [0, 1, 2, 3, 4], [0], [0, 3])]
+        grid = (1e-3, 1e-1, 10.0)
+        batches = []
+        solve_many = stm.solve_qp_many
+
+        def counting(problems, **kw):
+            batches.append(len(problems))
+            return solve_many(problems, **kw)
+        monkeypatch.setattr(stm, "solve_qp_many", counting)
+        picks, calls = {}, {}
+        for cap in (10**9, 24, 5):
+            batches.clear()
+            monkeypatch.setattr(stm, "CV_BATCH_DUALS", cap)
+            picks[cap] = stm._cv_lambda(grams, y, grid, 4, 3)
+            calls[cap] = list(batches)
+        # 4 folds x 3 lambdas = 12 duals per candidate; a cap below that
+        # still solves one whole candidate per call.
+        assert calls == {10**9: [60], 24: [24, 24, 12], 5: [12] * 5}
+        assert picks[10**9][0] == 4
+        assert picks[24] == picks[5] == picks[10**9]
 
     def test_cv_first_best_candidate_wins(self):
         rng = np.random.default_rng(16)

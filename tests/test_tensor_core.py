@@ -245,14 +245,14 @@ class TestCpAls:
         for t in (exact, exact + 0.1 * rng.standard_normal(exact.shape)):
             norm = np.linalg.norm(t)
             for sweeps in (1, 2, 5, 20):
-                k, history = cp_als(t, 3, max_iter=sweeps, seed=1, return_history=True)
+                k = cp_als(t, 3, max_iter=sweeps, seed=1)
                 dense = np.linalg.norm(t - k.full())
-                assert abs(history[-1] * norm - dense) <= 1e-12 * norm
+                assert abs(k.objective_history[-1] * norm - dense) <= 1e-12 * norm
 
     def test_error_history_non_increasing(self):
         rng = np.random.default_rng(10)
         t = rng.standard_normal((5, 6, 4))
-        _, history = cp_als(t, 3, tol=1e-12, max_iter=60, seed=3, return_history=True)
+        history = cp_als(t, 3, tol=1e-12, max_iter=60, seed=3).objective_history
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-12)
 
@@ -317,4 +317,3 @@ class TestCpAls:
         with pytest.raises(ValueError, match="seeds"):
             cp_als_many([], 1, [0])
         assert cp_als_many([], 1, []) == []
-        assert cp_als_many([], 1, [], return_history=True) == []
