@@ -25,13 +25,16 @@ scalable optimization approach for fitting canonical tensor
 decompositions"; Acar, Kolda & Dunlavy 2011, "All-at-once optimization for
 coupled matrix and tensor factorizations"): the data enter only through
 MTTKRPs (matricized tensor times Khatri-Rao products), the model through
-r x r Grams.  The CG loop (:func:`_conjugate_gradient`) and its line
-search (:class:`_LineSearch`) hold a whole batch's state as arrays, one
-row or column per sample, so :func:`acmtf_decompose_many` advances every
-unfinished sample by one evaluator call and one pass of masked array
-operations per round, and reports each sample's iterations, evaluations
-and stop reason as :class:`SolveStats`.  :func:`acmtf_decompose` runs
-the same code on a batch of one.  Inputs are
+r x r Grams.  A flat vector holds the factors component-major (see
+:func:`pack`), so in the evaluator the rank is the middle axis of every
+stacked array and the mode dims run along the last.  The CG loop
+(:func:`_conjugate_gradient`) holds a whole batch's points, gradients and
+directions as rows of arrays, and one :class:`_LineSearch` of Python
+floats per sample, so :func:`acmtf_decompose_many` advances every
+unfinished sample by one evaluator call and a few array operations per
+round, and reports each sample's iterations, evaluations and stop reason
+as :class:`SolveStats`.  :func:`acmtf_decompose` runs the same code on a
+batch of one.  Inputs are
 validated at the boundary, by :class:`CoupledSample` and the public
 functions; the CG loop raises :class:`NumericalError` on a non-finite
 starting objective or gradient, and nothing inside it checks further.
@@ -39,8 +42,11 @@ starting objective or gradient, and nothing inside it checks further.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -211,52 +217,85 @@ class AcmtfFactors:
 # ---------------------------------------------------------------------------
 
 def pack(blocks) -> np.ndarray:
-    """Concatenate (A, B, C, U, V, zeta, sigma) into one flat vector."""
-    return np.concatenate([np.asarray(b, dtype=np.float64).ravel() for b in blocks])
+    """Flatten (A, B, C, U, V, zeta, sigma) into one vector.
+
+    The factor part comes first and is component-major: for k = 0..r-1,
+    column k of A, B, C, U and V in turn.  The weights zeta and sigma follow.
+    """
+    *factors, zeta, sigma = (np.asarray(b, dtype=np.float64) for b in blocks)
+    return np.concatenate((np.concatenate(factors).T.ravel(), zeta.ravel(), sigma.ravel()))
 
 
 def unpack(x: np.ndarray, dims: tuple[int, int, int, int], rank: int):
-    """Split a flat vector back into (A, B, C, U, V, zeta, sigma)."""
+    """Split a flat vector back into (A, B, C, U, V, zeta, sigma), as views."""
     i1, i2, i3, i4 = dims
     rows = (i1, i2, i3, i4, i3)
-    size = rank * (sum(rows) + 2)
-    if x.size != size:
-        raise ValueError(f"parameter vector has size {x.size}, expected {size}")
-    parts = np.split(x, rank * np.cumsum(rows + (1,)))
-    return (*(p.reshape(-1, rank) for p in parts[:5]), parts[5], parts[6])
+    nf = rank * sum(rows)
+    if x.size != nf + 2 * rank:
+        raise ValueError(f"parameter vector has size {x.size}, expected {nf + 2 * rank}")
+    parts = np.split(x[:nf].reshape(rank, -1), np.cumsum(rows[:-1]), axis=1)
+    return (*(p.T for p in parts), x[nf:nf + rank], x[nf + rank:])
+
+
+@functools.lru_cache(maxsize=8)
+def _row_layout(dims):
+    """The factor slices of a row of F, and the row's 0/1 block indicator.
+
+    ``expand[j, l]`` is 1 where entry l of a row of F belongs to factor j.
+    A product by ``expand^T`` sums each factor column's entries; one by
+    ``expand`` spreads a value per factor column over its entries, exactly,
+    as every other term is a zero.  Cached per dims: building it is a few
+    microseconds of a batch-of-one call.
+    """
+    i1, i2, i3, i4 = dims
+    bounds = list(accumulate((i1, i2, i3, i4, i3), initial=0))
+    blocks = tuple(slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+    expand = np.zeros((len(blocks), bounds[-1]))
+    for j, s in enumerate(blocks):
+        expand[j, s] = 1.0
+    expand.flags.writeable = False
+    return blocks, expand
 
 
 class _Evaluator:
     """Objective and gradient of Q for a batch of samples of equal dims.
 
     A call maps a ``(b, n)`` block of flat parameter vectors, row k for
-    sample k, to ``(b,)`` objectives and ``(b, n)`` gradients.  Every
-    product is a stacked ``matmul`` or an elementwise operation along the
-    sample axis, so row k's arithmetic is the same whatever else is in the
-    batch: a sample's values do not depend on its batch.
+    sample k, to ``(b,)`` objectives and ``(b, n)`` gradients.  The
+    gradients are a block the evaluator owns and rewrites on its next
+    call.  Every product is a stacked ``matmul`` or ``einsum``, or an
+    elementwise operation along the sample axis, so row k's arithmetic is
+    the same whatever else is in the batch: a sample's values do not
+    depend on its batch.
 
-    The five factor blocks of a row are consecutive C-ordered ``(rows, r)``
-    slices, so ``x[:, :nf].reshape(b, -1, r)`` stacks the factor matrices
-    F.  All column norms come from one ``np.add.reduceat`` of F*F over the
-    block offsets, and the five unit-norm penalty gradients from one
-    expression written straight into the gradient block; the two weight
-    vectors share one smoothed-l1 expression the same way.
+    The factor part of a row is component-major (see :func:`pack`), so
+    ``F = x[:, :nf].reshape(b, r, L)``, with L = I1 + I2 + I3 + I4 + I3,
+    holds component k of all five factors in ``F[:, k]``, and each factor
+    is a slice of the last axis: A^T = ``F[..., :I1]`` and so on.  The rank
+    is the middle axis of every stacked array here, and the data and mode
+    dims run along the last, so the Khatri-Rao product, the weight
+    scalings and the row sums stream along rows of 10 to 50 entries rather
+    than along an axis of r.  The squared column norms of all five factors
+    are one product of F*F by a 0/1 block indicator, and the five unit-norm
+    penalty gradients one product of F by the coefficients that the same
+    indicator spreads over the blocks, written straight into the gradient
+    block.
 
     The tensor term takes the residual-free CP-OPT form (Acar, Dunlavy &
     Kolda 2011): with W = A diag(zeta) and H = B^T B * C^T C,
 
         ||X1 - [[zeta; A, B, C]]||^2 = ||X1||^2 - 2 <W, M1> + sum(W^T W * H)
 
-    where M1 = X1_(1) (B kr C) is the mode-1 MTTKRP.  ||X1||^2 is computed
+    where M1 = X1_(1) (C kr B) is the mode-1 MTTKRP.  ||X1||^2 is computed
     once per sample; the data enter a call only through M1 and through
     T = W^T X1_(1), whose small contractions with C and with B are the
     mode-2 and mode-3 MTTKRPs.  The model part of every gradient comes from
-    r x r Grams, so the tensor residual is never formed.  Here the mode-1
-    unfolding keeps the tensor's C order (mode 3 fastest), which is why the
-    Khatri-Rao product is B kr C.  The matrix residual is only (I4, I3)
-    and is formed directly.  Near an exact fit the three tensor terms
-    cancel, so the tensor term carries rounding of order 1e-16 ||X1||^2 and
-    may read a few ulps below zero.
+    r x r Grams, so the tensor residual is never formed.  The mode-1
+    unfolding is stored once per sample with mode 2 fastest, so the
+    Khatri-Rao product is C kr B and its broadcast runs along rows of I2.
+    The matrix residual is only (I4, I3) and is formed directly.  Near an
+    exact fit the three tensor terms cancel, so the tensor term carries
+    rounding of order 1e-16 ||X1||^2 and may read a few ulps below zero.
 
     The samples are validated once, by :class:`CoupledSample`; a call
     checks nothing, so the caller tests the results for finiteness.
@@ -270,17 +309,18 @@ class _Evaluator:
         self.h = h
         self.dims = samples[0].dims
         self.rank = r
-        rows = (i1, i2, i3, i4, i3)
-        bounds = np.cumsum((0,) + rows)
-        self.blocks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-        self.rows = rows
-        self.offsets = bounds[:-1]
-        self.nf = int(bounds[-1]) * r
+        self.blocks, self.expand = _row_layout(self.dims)
+        self.nf = self.expand.shape[1] * r
         n = len(samples)
-        self.x1 = np.empty((n, i1, i2 * i3))
+        # Buffers for the Khatri-Rao product C kr B, then for T, and the
+        # gradients: allocated once, not once per call, as are the data.
+        # Fresh arrays of this size cost a page fault per 4 KiB each call.
+        self.work = np.empty((n, r, i3 * i2))
+        self.grad = np.empty((n, self.nf + 2 * r))
+        self.x1 = np.empty((n, i1, i3 * i2))
         self.x2 = np.empty((n, i4, i3))
         for k, (s, (st, sm)) in enumerate(zip(samples, scales or [(1.0, 1.0)] * n)):
-            np.divide(s.tensor.reshape(i1, -1), st, out=self.x1[k])
+            np.divide(s.tensor.transpose(0, 2, 1), st, out=self.x1[k].reshape(i1, i3, i2))
             np.divide(s.matrix, sm, out=self.x2[k])
         self.x1_sq = np.array([np.vdot(t, t) for t in self.x1])
 
@@ -300,69 +340,94 @@ class _Evaluator:
         h, r, nf = self.h, self.rank, self.nf
         _, i2, i3, _ = self.dims
         b = x.shape[0]
-        F = x[:, :nf].reshape(b, -1, r)
-        A, B, C, U, V = (F[:, s] for s in self.blocks)
+        F = x[:, :nf].reshape(b, r, -1)
+        A, B, C, U, V = (F[..., s] for s in self.blocks)  # (b, r, rows) each
         w = x[:, nf:]  # (zeta, sigma) per row
-        zeta, sigma = w[:, None, :r], w[:, None, r:]
+        zeta, sigma = w[:, :r, None], w[:, r:, None]
         W = A * zeta
-        kr_bc = (B[:, :, None, :] * C[:, None, :, :]).reshape(b, i2 * i3, r)
-        m1 = self.x1 @ kr_bc
+        kr_cb = self.work[:b]
+        np.einsum("bkl,bkj->bklj", C, B, out=kr_cb.reshape(b, r, i3, i2))
+        m1 = kr_cb @ self.x1.transpose(0, 2, 1)  # (b, r, I1)
         grams = [_gram(M) for M in (A, B, C)]
-        wtw = grams[0] * (zeta.transpose(0, 2, 1) * zeta)
+        wtw = grams[0] * (zeta * zeta.transpose(0, 2, 1))
         hbc = grams[1] * grams[2]
         us = U * sigma
-        f2 = us @ V.transpose(0, 2, 1)
+        f2 = us.transpose(0, 2, 1) @ V  # (b, I4, I3)
         f2 -= self.x2
         cv = C - V
-        norms = np.sqrt(np.add.reduceat(F * F, self.offsets, axis=1))
+        g = self.grad[:b]
+        # F * F, then the factor gradient, in the factor part of g.  Both
+        # products run over whole rows, one contiguous block, where the
+        # factor part alone is a strided block that numpy takes several
+        # times longer over; the weight part of g is rewritten below.
+        np.multiply(x, x, out=g)
+        gF = g[:, :nf].reshape(b, r, -1)
+        norms = np.sqrt(gF @ self.expand.T)  # (b, r, 5)
         dn = norms - 1.0
         root_w = np.sqrt(w * w + h.epsilon)
-        fit1 = self.x1_sq - 2.0 * _row_sum(W * m1) + _row_sum(wtw * hbc)
-        q = h.gamma * (fit1 + _row_sum(f2 * f2))
-        q += h.xi * _row_sum(cv * cv)
+        wm, wh, ff, cc, dd = (
+            np.matmul(u.reshape(b, 1, -1), v.reshape(b, -1, 1))[:, 0, 0]  # row dots
+            for u, v in ((W, m1), (wtw, hbc), (f2, f2), (cv, cv), (dn, dn)))
+        q = h.gamma * (self.x1_sq - 2.0 * wm + wh + ff)
+        q += h.xi * cc
         q += h.beta * root_w.sum(axis=1)
-        q += h.theta * _row_sum(dn * dn)
+        q += h.theta * dd
         if not need_grad:
             return q, None
 
-        g = np.empty(x.shape)
-        gF = g[:, :nf].reshape(b, -1, r)
-        gA, gB, gC, gU, gV = (gF[:, s] for s in self.blocks)
-        # d/dF theta (||f_k|| - 1)^2 = 2 theta (F - Fbar), Fbar column-
-        # normalized.  Zero columns sit at a non-differentiable point and
-        # take the 0 subgradient: dividing them by 1 keeps Fbar = F = 0.
-        safe = np.where(norms > 0, norms, 1.0)
-        np.subtract(F, F / np.repeat(safe, self.rows, axis=1), out=gF)
-        gF *= 2.0 * h.theta
+        gA, gB, gC, gU, gV = (gF[..., s] for s in self.blocks)
+        # d/df theta (||f|| - 1)^2 = 2 theta (1 - 1/||f||) f for each factor
+        # column f.  Zero columns sit at a non-differentiable point and take
+        # the 0 subgradient: dividing by 1 there makes the coefficient 0.
+        two_theta = 2.0 * h.theta
+        coef = np.divide(two_theta, np.where(norms > 0, norms, 1.0))
+        np.subtract(two_theta, coef, out=coef)
+        np.matmul(coef, self.expand, out=gF)
+        g *= x
         g2 = 2.0 * h.gamma
-        # E1 (B kr C) without E1: shared by the A-block and zeta gradients.
-        core1 = W @ hbc
+        g2w = g2 * w[..., None]  # 2 gamma (zeta, sigma)
+        # E1 (C kr B) without E1: shared by the A-block and zeta gradients.
+        # The Grams are symmetric, so a product by one on either side is
+        # the other's transpose.
+        core1 = hbc @ W
         core1 -= m1
-        gA += g2 * core1 * zeta
-        t = (W.transpose(0, 2, 1) @ self.x1).reshape(b, r, i2, i3)
-        m2 = t @ C.transpose(0, 2, 1)[..., None]  # (b, r, I2, 1)
-        m3 = B.transpose(0, 2, 1)[:, :, None, :] @ t  # (b, r, 1, I3)
-        gB += g2 * (B @ (wtw * grams[2]) - m2[..., 0].transpose(0, 2, 1))
-        gC += g2 * (C @ (wtw * grams[1]) - m3[:, :, 0].transpose(0, 2, 1))
-        gC += (2.0 * h.xi) * cv
-        core2 = f2 @ V  # shared by the U-block and sigma gradients
-        gU += g2 * core2 * sigma
-        gV += g2 * (f2.transpose(0, 2, 1) @ us)
-        gV -= (2.0 * h.xi) * cv
         gw = g[:, nf:]
-        gw[:, :r] = (A * core1).sum(axis=1)
-        gw[:, r:] = (U * core2).sum(axis=1)
+        gw[:, :r] = _pair_dots(A, core1)
+        core1 *= g2w[:, :r]
+        gA += core1
+        # T = W^T X1_(1) in the rows of kr_cb, which m1 no longer needs.  Its
+        # contractions with C and B are the mode-2 and mode-3 MTTKRPs, which
+        # the factor 2 gamma scales with it.
+        t = np.matmul(W * g2, self.x1, out=kr_cb).reshape(b, r, i3, i2)
+        g2wtw = g2 * wtw
+        model = (g2wtw * grams[2]) @ B
+        model -= (C[:, :, None, :] @ t)[:, :, 0]  # (b, r, I2)
+        gB += model
+        model = (g2wtw * grams[1]) @ C
+        model -= (t @ B[..., None])[..., 0]  # (b, r, I3)
+        gC += model
+        cv *= 2.0 * h.xi
+        gC += cv
+        core2 = V @ f2.transpose(0, 2, 1)  # (b, r, I4): shared by U and sigma
+        gw[:, r:] = _pair_dots(U, core2)
+        core2 *= g2w[:, r:]
+        gU += core2
+        model = us @ f2  # (b, r, I3)
+        model *= g2
+        gV += model
+        gV -= cv
         gw *= g2
         gw += h.beta * w / root_w
         return q, g
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    return m.transpose(0, 2, 1) @ m
+    return m @ m.transpose(0, 2, 1)
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    return a.reshape(a.shape[0], -1).sum(axis=1)
+def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(b, r)`` dot products of the rows of two ``(b, r, n)`` stacks."""
+    return (a[:, :, None, :] @ b[..., None])[:, :, 0, 0]
 
 
 def _evaluate(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams, need_grad: bool):
@@ -385,7 +450,7 @@ def acmtf_objective(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> f
 
 
 def acmtf_gradient(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> np.ndarray:
-    """Exact gradient of Q, flattened as (A, B, C, U, V, zeta, sigma)."""
+    """Exact gradient of Q, laid out as :func:`pack` lays out the factors."""
     return _evaluate(s, f, h, need_grad=True)[1]
 
 
@@ -403,7 +468,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-# Phase of one column's line search.
+# Phase of a line search.
 _BRACKET, _ZOOM, _FALLBACK = 0, 1, 2
 # Strong-Wolfe constants: sufficient decrease, curvature, and the
 # evaluations after which a search falls back to backtracking.
@@ -411,166 +476,126 @@ _C1, _C2, _MAX_EVALS = 1e-4, 0.1, 50
 
 
 class _LineSearch:
-    """Strong-Wolfe line searches (bracket + zoom), one per column of a batch.
+    """One strong-Wolfe line search (bracket + zoom), one trial step at a time.
 
-    Each search runs from its own point along its own direction; its state
-    is one column of every array here, so one :meth:`advance` moves all of
-    them by one trial point with masked array operations.  A search
-    brackets by extrapolating the step: it takes the secant step on the
-    slope through the previous bracket point and the trial (More & Thuente
-    1994, "Line search algorithms with guaranteed sufficient decrease"),
-    clamped to 1.1 to 4 times the trial step, and doubles the step where
-    the slope did not rise.  It zooms by quadratic interpolation with a
-    bisection safeguard, and after ``_MAX_EVALS`` evaluations, or once the
-    bracket is narrower than 1e-16, falls back to backtracking for plain
-    decrease.  A trial point whose value or slope is not finite fails
-    sufficient decrease, so the search zooms or backs off from it and never
-    returns it.
+    The search runs from step 0, of value ``f0`` and slope ``dphi0``, and
+    takes ``init`` as its first trial step, or 1 where ``init`` is not
+    finite and positive.  :meth:`advance` takes the value and slope at the
+    trial step ``step`` and sets the next one.  The search brackets by
+    extrapolating the step: it takes the secant step on the slope through
+    the previous bracket point and the trial (More & Thuente 1994, "Line
+    search algorithms with guaranteed sufficient decrease"), clamped to
+    1.1 to 4 times the trial step, and doubles the step where the slope did
+    not rise.  It zooms by quadratic interpolation with a bisection
+    safeguard, and after ``_MAX_EVALS`` evaluations, or once the bracket is
+    narrower than 1e-16, falls back to backtracking for plain decrease.  A
+    trial point whose value or slope is not finite fails sufficient
+    decrease, so the search zooms or backs off from it and never returns it.
+
+    Its state is Python floats: (step, value, slope) at lo, the bracket end
+    of lower value (while bracketing, the previous step); (step, value) at
+    the other end, hi, whose step is +inf while bracketing, and at
+    ``best``, the lowest finite value seen and the result once done.  The
+    CG loop runs one search per row of its batch.  A search's update is
+    about a microsecond of scalar arithmetic, where the same decisions as
+    masked operations on ``(b,)`` arrays take some seventy numpy calls per
+    round whatever the batch size.  Python floats are IEEE doubles, so the
+    steps are those of the same formulas on float64 arrays, bit for bit.
     """
 
-    def __init__(self, b: int):
-        self.phase = np.full(b, _BRACKET, dtype=np.int8)
-        self.evals = np.zeros(b, dtype=np.int64)
-        # (step, value, slope) at the trial step under evaluation and at lo,
-        # the bracket end of lower value (while bracketing, the previous
-        # step); (step, value) at the other end, hi, whose step is +inf
-        # while bracketing, and at the best point: the lowest finite value
-        # seen, and the result once done.
-        self.trial, self.lo = np.zeros((3, b)), np.zeros((3, b))
-        self.hi, self.best = np.zeros((2, b)), np.zeros((2, b))
-        # Value and slope at step 0, and the curvature bound -c2 * slope.
-        self.origin = np.zeros((3, b))
+    __slots__ = ("step", "lo", "hi", "best", "f0", "d0", "curv", "phase", "evals")
 
-    def keep(self, rows):
-        """Drop every search but those at ``rows``."""
-        for name in ("phase", "evals", "trial", "lo", "hi", "best", "origin"):
-            setattr(self, name, getattr(self, name)[..., rows])
+    def __init__(self, f0: float, dphi0: float, init: float):
+        self.step = init if math.isfinite(init) and init > 0 else 1.0
+        self.lo = (0.0, f0, dphi0)
+        self.hi = (math.inf, math.inf)
+        self.best = (0.0, math.inf)
+        self.f0, self.d0, self.curv = f0, dphi0, -_C2 * dphi0
+        self.phase = _BRACKET
+        self.evals = 0
 
-    def start(self, rows, f0, dphi0, init):
-        """Begin searching in ``rows`` from value ``f0`` and slope ``dphi0``.
+    def advance(self, value: float, slope: float) -> bool:
+        """Take the value and slope at ``step``; True once the search is done.
 
-        The first trial step is ``init``, or 1 where ``init`` is not finite
-        and positive.
-        """
-        self.phase[rows] = _BRACKET
-        self.evals[rows] = 0
-        self.origin[0, rows] = self.lo[1, rows] = f0
-        self.origin[1, rows] = self.lo[2, rows] = dphi0
-        self.origin[2, rows] = -_C2 * dphi0
-        self.lo[0, rows] = 0.0
-        self.hi[0, rows] = self.best[1, rows] = np.inf
-        self.trial[0, rows] = np.where(np.isfinite(init) & (init > 0), init, 1.0)
-
-    # While bracketing, hi is at +inf: a zero slope times +inf, and the
-    # interpolated steps of searches not taking them, make NaNs and
-    # infinities that no result uses.
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def advance(self, q, slope):
-        """Take the value ``q`` and slope at every trial step.
-
-        Returns the mask of searches that are done.  A done search's step
-        and value are in ``best``, and its step meets the strong Wolfe
-        conditions unless its phase is ``_FALLBACK``.  If that value is
-        below the starting value, the step is the trial step just
+        A done search's step and value are in ``best``, and its step meets
+        the strong Wolfe conditions unless its phase is ``_FALLBACK``.  If
+        that value is below ``f0``, the step is the trial step just
         evaluated: a fallback that starts from an earlier step evaluates it
         again and stops there.  A search that saw no finite trial point
-        returns the zero step at its starting value.  Every other search
-        has its next trial step in ``trial[0]``.
+        returns the zero step at ``f0``.  Until it is done, the next trial
+        step is in ``step``.
         """
-        t, lo, hi, best, origin = self.trial, self.lo, self.hi, self.best, self.origin
-        a, fa, f0 = t[0], t[1], origin[0]
-        phase = self.phase
+        a, f0 = self.step, self.f0
         self.evals += 1
-        t[1] = np.where(np.isfinite(q) & np.isfinite(slope), q, np.inf)
-        t[2] = slope
-        fallback = phase == _FALLBACK
-        falling = np.count_nonzero(fallback)
-        better = fa < best[1]
+        if not (math.isfinite(value) and math.isfinite(slope)):
+            value = math.inf
+        if value < self.best[1]:
+            self.best = (a, value)
+        if self.phase == _FALLBACK:
+            if value > f0 and a > 1e-16:  # backtrack further
+                self.step = a * 0.5
+                return False
+            if self.best[1] == math.inf:
+                self.best = (0.0, f0)
+            return True
+        lo_a, lo_f, lo_d = self.lo
+        grow = False
         # Sufficient decrease fails, or (past the first bracket step) the
         # value does not improve on lo: the trial step becomes hi.
-        high = (fa > f0 + _C1 * a * origin[1]) | ((fa >= lo[1]) & (self.evals > 1))
-        if falling:
-            high &= ~fallback
-            low = ~(high | fallback)
+        if value > f0 + _C1 * a * self.d0 or (value >= lo_f and self.evals > 1):
+            self.hi = (a, value)
+        elif abs(slope) <= self.curv:
+            self.best = (a, value)
+            return True
         else:
-            low = ~high
-        wolfe = low & (np.abs(slope) <= origin[2])
-        low ^= wolfe
-        # A low step whose slope points back past lo, towards hi (while
-        # bracketing, a slope >= 0): lo becomes hi.
-        flip = low & ~(slope * (hi[0] - lo[0]) < 0.0)
-        # The next bracketing step, from lo before it moves: the root of the
-        # secant through (lo step, lo slope) and (a, slope), clamped to
-        # [1.1a, 4a], where the slope rose; twice a where it did not.  The
-        # searches that go on bracketing are low steps with a negative
-        # slope, so their lo slope is finite and below zero too.
-        rise = slope - lo[2]
-        grow_to = a - lo[0]
-        grow_to *= slope
-        grow_to /= rise
-        np.subtract(a, grow_to, out=grow_to)
-        np.maximum(grow_to, 1.1 * a, out=grow_to)
-        np.minimum(grow_to, 4.0 * a, out=grow_to)
-        np.copyto(grow_to, 2.0 * a, where=rise <= 0)
-        np.copyto(hi, lo[:2], where=flip)
-        np.copyto(hi, t[:2], where=high)
-        np.copyto(lo, t, where=low)
-        np.copyto(best, t[:2], where=better | wolfe)
-        grow = low & (hi[0] == np.inf)  # bracketing goes on
-        zooming = ~(wolfe | grow)
-        done = wolfe
-        if falling:
-            back = fallback & (fa > f0) & (a > 1e-16)  # backtrack further
-            settled = fallback ^ back
-            done = wolfe | settled
-            zooming &= ~fallback
-            unfound = settled & (best[1] == np.inf)
-            best[0, unfound] = 0.0
-            best[1, unfound] = f0[unfound]
-            a[back] *= 0.5
-        # From here on, a (the trial step row) takes each next step in place.
-        np.copyto(a, grow_to, where=grow)
-        # Out of evaluations, or a zoom whose bracket has shrunk below
-        # 1e-16 (both rare: test for any first).
-        width = hi[0] - lo[0]
-        span = np.abs(width)
-        narrow = span < 1e-16
-        if np.count_nonzero(narrow) or self.evals.max() >= _MAX_EVALS:
-            to_fallback = (high | low) & (self.evals >= _MAX_EVALS)
-            to_fallback |= zooming & (phase == _ZOOM) & narrow
-            zooming &= ~to_fallback
-            phase[to_fallback] = _FALLBACK
+            # A slope that points back past lo, towards hi (while
+            # bracketing, a slope >= 0): lo becomes hi.
+            if not slope * (self.hi[0] - lo_a) < 0.0:
+                self.hi = (lo_a, lo_f)
+            self.lo = (a, value, slope)
+            grow = self.hi[0] == math.inf  # bracketing goes on
+        # Out of evaluations, or a zoom whose bracket has shrunk below 1e-16.
+        if self.evals >= _MAX_EVALS or (
+                not grow and self.phase == _ZOOM
+                and abs(self.hi[0] - self.lo[0]) < 1e-16):
+            self.phase = _FALLBACK
             # Backtrack from the best step seen if it decreased, else from 1.
-            np.copyto(a, np.where(best[1] < f0, best[0], 1.0), where=to_fallback)
-        if np.count_nonzero(zooming):
-            phase[zooming] = _ZOOM
-            np.copyto(a, self._zoom_step(width, span), where=zooming)
-        return done
+            best_a, best_f = self.best
+            self.step = best_a if best_f < f0 else 1.0
+        elif grow:
+            # The root of the secant through (lo step, lo slope) and (a,
+            # slope), clamped to [1.1a, 4a], where the slope rose; twice a
+            # where it did not.
+            rise = slope - lo_d
+            if rise > 0:
+                self.step = min(max(a - (a - lo_a) * slope / rise, 1.1 * a), 4.0 * a)
+            else:
+                self.step = 2.0 * a
+        else:
+            self.phase = _ZOOM
+            self.step = self._zoom_step()
+        return False
 
-    def _zoom_step(self, width, span) -> np.ndarray:
+    def _zoom_step(self) -> float:
         """Minimizer of the quadratic through lo (value, slope) and hi (value).
 
-        ``width`` is hi's step minus lo's, and ``span`` its absolute value.
         Bisects where the minimizer is undefined or outside the middle 80 %
         of the bracket.
         """
-        lo, hi = self.lo, self.hi
-        lo_a, hi_a, lo_d = lo[0], hi[0], lo[2]
-        denom = hi[1] - lo[1]
-        denom -= lo_d * width
-        denom *= 2.0
-        # Where the denominator is zero the step is not finite, so it fails
-        # the test below too.  float_power squares as Python's ** does.
-        a = np.float_power(width, 2)
-        a *= lo_d
-        a /= denom
-        a = lo_a - a
-        mid = lo_a + hi_a
-        mid *= 0.5
-        tenth = span * 0.1
-        inside = np.minimum(lo_a, hi_a) + tenth <= a
-        inside &= a <= np.maximum(lo_a, hi_a) - tenth
-        np.copyto(mid, a, where=inside)
+        lo_a, lo_f, lo_d = self.lo
+        hi_a, hi_f = self.hi
+        width = hi_a - lo_a
+        mid = (lo_a + hi_a) * 0.5
+        denom = (hi_f - lo_f - lo_d * width) * 2.0
+        if denom == 0:
+            return mid
+        try:
+            a = lo_a - width ** 2 * lo_d / denom
+        except OverflowError:  # width ** 2 beyond the float64 range
+            return mid
+        tenth = abs(width) * 0.1
+        if min(lo_a, hi_a) + tenth <= a <= max(lo_a, hi_a) - tenth:
+            return a
         return mid
 
 
@@ -587,21 +612,17 @@ def _initial_point(dims, rank: int, seed: int) -> np.ndarray:
     return pack(blocks)
 
 
-# Why a CG row stopped, by code; 0 while it runs.
-_STOPS = ("", "tol", "max_iters", "no_descent", "zero_grad")
-_TOL, _MAX_ITERS, _NO_DESCENT, _ZERO_GRAD = 1, 2, 3, 4
-
-
 def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     """The Hestenes-Stiefel CG loop from every row of ``x``, as one batch.
 
     Row k runs from ``x[k]`` on sample k of ``ev``.  Its point, direction
-    and gradient are rows of ``(b, n)`` arrays and its scalars entries of
-    ``(b,)`` arrays; its line search is a column of one :class:`_LineSearch`.
-    Each round evaluates every row's trial point, written into one
-    preallocated block, in one ``ev`` call and advances every row with
-    masked array operations.  A row that stops leaves the batch, and ``ev``
-    with it.
+    and gradient are rows of ``(b, n)`` arrays; its objective history, a
+    Python list, grows with the iterations it takes; its line search is one
+    :class:`_LineSearch`.  Each round evaluates every row's trial point,
+    written into one preallocated block, in one ``ev`` call; the line
+    searches take the values and slopes, and the rows whose searches
+    accepted a step update their point, gradient and direction in one
+    gathered block.  A row that stops leaves the batch, and ``ev`` with it.
 
     An iteration takes steepest descent on its first step and whenever the
     direction is not a descent direction.  When the line search finds no
@@ -617,9 +638,11 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     :class:`NumericalError` if a starting objective or gradient is not
     finite; later points are finite, because the line search accepts only
     points of finite value and slope, and a finite slope needs a finite
-    gradient.
+    gradient.  Trial points may overflow, and the Hestenes-Stiefel ratio
+    divides by the denominator that the guard then replaces, so the run
+    ignores floating-point warnings, under one ``np.errstate``.
     """
-    b, n = x.shape
+    b = x.shape[0]
     f, G = ev(x)
     bad = ~(np.isfinite(f) & np.isfinite(G).all(axis=1))
     if bad.any():
@@ -627,106 +650,101 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
         if not np.isfinite(f[k]):
             raise NumericalError("non-finite objective at initialization", 0)
         raise NumericalError("non-finite objective or gradient", 0)
-    history = np.empty((b, h.max_iters + 1))
-    history[:, 0] = f
-    results = [None] * b
-    ids = np.arange(b)  # each row's position in x
-    it = np.zeros(b, dtype=np.int64)  # iteration number = steps taken
+    G = G.copy()  # ev rewrites its gradient block on the next call
     X, D, P = x.copy(), -G, np.empty_like(x)
-    stop = np.zeros(b, dtype=np.int8)  # the row's _STOPS code once it stops
+    histories = [[v] for v in f.tolist()]
+    searches = [None] * b
+    ids = list(range(b))  # each row's position in x
+    results = [None] * b
+    stopped = {}  # row -> stop reason, for the rows that stopped this round
     rounds = 0
-    ls = _LineSearch(b)
 
-    def begin(rows, g_rows, d_rows, decrease=None):
-        # Start iteration it[rows], whose gradients and directions are
-        # g_rows and d_rows: zero-gradient stop, descent check, and the
-        # initial step guess.  That is 1/||g|| on the first iteration and
-        # later keeps the directional decrease step * dphi of the previous
-        # accepted step (dphi < 0 here).
-        grad_norm = np.sqrt(_row_dot(g_rows, g_rows))
-        dphi = _row_dot(g_rows, d_rows)
-        if np.count_nonzero(grad_norm) < rows.size:
-            zero = grad_norm == 0.0
-            stop[rows[zero]] = _ZERO_GRAD
-            on = ~zero
-            rows, grad_norm, dphi = rows[on], grad_norm[on], dphi[on]
-            decrease = None if decrease is None else decrease[on]
-        reset = dphi >= 0
-        if np.count_nonzero(reset):  # restart on a non-descent direction
-            r = rows[reset]
-            D[r] = -G[r]
-            dphi[reset] = _row_dot(G[r], D[r])
-        init = 1.0 / grad_norm if decrease is None else decrease / dphi
-        ls.start(rows, f[rows], dphi, init)
+    def steepest(k):
+        # Row k's direction becomes steepest descent; returns its slope.
+        D[k] = -G[k]
+        return _row_dot(G[k:k + 1], D[k:k + 1]).item()
 
-    begin(ids, G, D)
-    while True:
-        if np.count_nonzero(stop):
-            for k in stop.nonzero()[0]:
-                results[ids[k]] = (
-                    X[k].copy(), tuple(history[ids[k], : it[k] + 1].tolist()),
-                    SolveStats(int(it[k]), rounds + 1, _STOPS[stop[k]]),
-                )
-            rows = (stop == 0).nonzero()[0]
-            if not rows.size:
-                return results
-            X, D, G, f, it, ids, stop = (
-                v[rows] for v in (X, D, G, f, it, ids, stop)
-            )
-            P = np.empty_like(X)
-            ls.keep(rows)
-            ev.keep(rows)
+    def begin(k, norm, dphi, decrease):
+        # Start row k's next iteration, from the norm of its gradient and
+        # the slope dphi along its direction: zero-gradient stop, descent
+        # check, and the initial step guess.  That is 1/||g|| on the first
+        # iteration (decrease None) and later keeps the directional
+        # decrease step * dphi of the previous accepted step (dphi < 0 here).
+        if norm == 0.0:
+            stopped[k] = "zero_grad"
+            return
+        if dphi >= 0:  # restart on a non-descent direction
+            dphi = steepest(k)
+        init = 1.0 / norm if decrease is None else decrease / dphi
+        searches[k] = _LineSearch(histories[k][-1], dphi, init)
 
-        np.multiply(D, ls.trial[0][:, None], out=P)  # x + a d, a the trial step
-        P += X
-        q, g = ev(P)
-        rounds += 1
-        done = ls.advance(q, _row_dot(g, D))
-        rows = done.nonzero()[0]
-        if not rows.size:
-            continue
-        step, value, f_old = ls.best[0, rows], ls.best[1, rows], f[rows]
-        move = value < f_old
-        if not move.all():
-            fail = rows[~move]
-            steepest = (D[fail] == -G[fail]).all(axis=1)
-            stop[fail[steepest]] = _NO_DESCENT
-            fail = fail[~steepest]
-            if fail.size:  # stagnant CG direction: retry along steepest descent
-                D[fail] = -G[fail]
-                ls.start(fail, f[fail], _row_dot(G[fail], D[fail]), 1.0)
-            rows, step, value, f_old = rows[move], step[move], value[move], f_old[move]
-            if not rows.size:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norms = np.sqrt(_row_dot(G, G)).tolist()
+        for k, (norm, dphi) in enumerate(zip(norms, _row_dot(G, D).tolist())):
+            begin(k, norm, dphi, None)
+        while True:
+            if stopped:
+                for k, stop in stopped.items():
+                    history = histories[k]
+                    results[ids[k]] = (X[k].copy(), tuple(history),
+                                       SolveStats(len(history) - 1, rounds + 1, stop))
+                rows = [k for k in range(len(ids)) if k not in stopped]
+                stopped.clear()
+                if not rows:
+                    return results
+                X, D, G = X[rows], D[rows], G[rows]
+                P = np.empty_like(X)
+                ids, histories, searches = (
+                    [v[k] for k in rows] for v in (ids, histories, searches))
+                ev.keep(rows)
+
+            steps = np.array([ls.step for ls in searches])
+            np.einsum("ij,i->ij", D, steps, out=P)  # x + a d, a the trial step
+            P += X
+            q, g = ev(P)
+            rounds += 1
+            move = []
+            for k, (ls, value, slope) in enumerate(
+                    zip(searches, q.tolist(), _row_dot(g, D).tolist())):
+                if not ls.advance(value, slope):
+                    continue
+                if ls.best[1] < ls.f0:
+                    move.append(k)
+                elif (D[k] == -G[k]).all():
+                    stopped[k] = "no_descent"
+                else:  # stagnant CG direction: retry along steepest descent
+                    searches[k] = _LineSearch(ls.f0, steepest(k), 1.0)
+            if not move:
                 continue
 
-        # The rows that move, gathered.  A step that decreases the objective
-        # is the trial step just evaluated, so P and g hold the new x and
-        # gradient.
-        X[rows] = P[rows]
-        g_new, d_new = g[rows], D[rows]
-        it_new = it[rows] + 1
-        it[rows] = it_new
-        history[ids[rows], it_new] = value
-        tol = np.abs(value - f_old) < h.cg_tol
-        # Hestenes-Stiefel: with y = g_new - g, beta = g_new.y / d.y and
-        # d_new = beta d - g_new, or steepest descent at a small d.y.
-        y = g_new - G[rows]
-        denom = _row_dot(d_new, y)
-        guard = np.abs(denom) < HS_DENOM_GUARD
-        beta = np.divide(_row_dot(g_new, y), denom, out=np.zeros_like(denom),
-                         where=~guard)
-        d_new *= beta[:, None]
-        d_new -= g_new
-        if np.count_nonzero(guard):
-            d_new[guard] = -g_new[guard]
-        D[rows], G[rows], f[rows] = d_new, g_new, value
-        decrease = step * ls.origin[1, rows]
-        ended = tol | (it_new == h.max_iters)
-        if np.count_nonzero(ended):
-            stop[rows[ended]] = np.where(tol[ended], _TOL, _MAX_ITERS)
-            on = ~ended
-            rows, g_new, d_new, decrease = rows[on], g_new[on], d_new[on], decrease[on]
-        begin(rows, g_new, d_new, decrease)
+            # The rows that move, gathered.  A step that decreases the
+            # objective is the trial step just evaluated, so P and g hold
+            # the new x and gradient.
+            rows = np.array(move)
+            X[rows] = P[rows]
+            g_new, d_new = g[rows], D[rows]
+            # Hestenes-Stiefel: with y = g_new - g, beta = g_new.y / d.y and
+            # d_new = beta d - g_new, or steepest descent at a small d.y.
+            y = g_new - G[rows]
+            denom = _row_dot(d_new, y)
+            d_new *= (_row_dot(g_new, y) / denom)[:, None]
+            d_new -= g_new
+            guard = np.abs(denom) < HS_DENOM_GUARD
+            if guard.any():
+                d_new[guard] = -g_new[guard]
+            D[rows], G[rows] = d_new, g_new
+            norms = np.sqrt(_row_dot(g_new, g_new)).tolist()
+            for k, norm, dphi in zip(move, norms, _row_dot(g_new, d_new).tolist()):
+                ls = searches[k]
+                step, value = ls.best
+                history = histories[k]
+                history.append(value)
+                if abs(value - ls.f0) < h.cg_tol:
+                    stopped[k] = "tol"
+                elif len(history) > h.max_iters:
+                    stopped[k] = "max_iters"
+                else:
+                    begin(k, norm, dphi, step * ls.d0)
 
 
 def acmtf_decompose(s: CoupledSample, h: AcmtfHyperParams, seed: int = 0) -> AcmtfFactors:
@@ -809,7 +827,8 @@ def acmtf_decompose_many(samples, h: AcmtfHyperParams, seeds) -> list[AcmtfFacto
     for (x, history, stats), (scale_t, scale_m) in zip(
         _conjugate_gradient(ev, x, h), scales
     ):
-        A, B, C, U, V, zeta, sigma = unpack(x, dims, h.rank)
+        *factors, zeta, sigma = unpack(x, dims, h.rank)
+        A, B, C, U, V = map(np.ascontiguousarray, factors)
         u1 = KruskalTensor(zeta * scale_t, (A, B, C)).normalized()
         u2 = KruskalTensor(sigma * scale_m, (U, V)).normalized()
         out.append(AcmtfFactors(u1, u2, history, stats))

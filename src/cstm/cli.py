@@ -13,6 +13,7 @@ import dataclasses
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -55,6 +56,11 @@ def _sample_paths(directory: str) -> list[str]:
     if not paths:
         raise FileNotFoundError(f"no .cstm sample files in {directory}")
     return paths
+
+
+def _stop_histogram(counts) -> str:
+    """``"max_iters: 6, tol: 10"`` from a mapping of stop reason to count."""
+    return ", ".join(f"{stop}: {n}" for stop, n in sorted(counts.items()))
 
 
 def cmd_simulate(args) -> int:
@@ -129,6 +135,7 @@ def cmd_fit(args) -> int:
             "weights": ", ".join(repr(w) for w in model.kernel.weights),
             "wall_clock_decompose_s": f"{t_decompose:.3f}",
             "wall_clock_total_s": f"{t_total:.3f}",
+            "acmtf_stops": _stop_histogram(Counter(f.stats.stop for f in factors)),
         },
     )
     print(f"fit {len(samples)} samples -> {args.out} (lambda {model.lam:g})")
@@ -145,8 +152,10 @@ def cmd_predict(args) -> int:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
+    t0 = time.perf_counter()
     (factors,), *_ = experiments.decompose_samples(samples, experiments.ExperimentConfig(
         acmtf=params, prune_rel=prune_rel, seed=args.seed, methods=("cstm",)))
+    t_decompose = time.perf_counter() - t0
     scores = stm.decision_many(model, factors)
     finite = np.isfinite(scores)
     if not finite.all():
@@ -165,6 +174,8 @@ def cmd_predict(args) -> int:
             "input": args.infile,
             "seed": args.seed,
             "n_samples": len(paths),
+            "wall_clock_decompose_s": f"{t_decompose:.3f}",
+            "acmtf_stops": _stop_histogram(Counter(f.stats.stop for f in factors)),
         },
     )
     print(f"wrote predictions for {len(paths)} samples to {args.out}")
@@ -218,7 +229,7 @@ def cmd_benchmark(args) -> int:
     for key, stops in (("acmtf_stops", summary.acmtf_stops),
                        ("cp_als_stops", summary.cp_als_stops)):
         if stops:
-            entries[key] = ", ".join(f"{stop}: {n}" for stop, n in stops.items())
+            entries[key] = _stop_histogram(stops)
     container.write_manifest(os.path.join(args.out, "manifest.txt"), entries)
     for method in summary.methods:
         print(f"{method}: accuracy {summary.mean(method, 'accuracy'):.4f} "

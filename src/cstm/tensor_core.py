@@ -238,9 +238,13 @@ def cp_als_many(
     resid = np.empty(unfoldings[-1].shape)
     live = np.arange(len(ts))
     prev_err = np.full(len(ts), np.inf)
-    history = np.empty((len(ts), max_iter))
+    # Doubles when the sweeps reach it, so its size follows the sweeps
+    # taken, not max_iter.
+    history = np.empty((len(ts), min(max_iter, 64)))
     results: list = [None] * len(ts)
     for sweep in range(max_iter):
+        if sweep == history.shape[1]:
+            history = np.concatenate((history, np.empty_like(history)), axis=1)
         for n in range(n_modes):
             others = [factors[j] for j in range(n_modes - 1, -1, -1) if j != n]
             kr = reduce(_khatri_rao, others)

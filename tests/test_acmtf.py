@@ -324,6 +324,28 @@ class TestEvaluatorAgainstReference:
             self.check([s for s, _, _ in batch], [self.point(f) for _, f, _ in batch],
                        batch[0][2])
 
+    def test_batch_independence_at_real_dims(self):
+        # Case-3 dims at the default rank: each row of a batch of 1, 7 or 32
+        # is byte-equal to its own batch-of-one call, whatever blocking the
+        # stacked products pick for the batch, and within 1e-12 of the
+        # reference.
+        rng = np.random.default_rng(48)
+        dims = (30, 20, 10, 50)
+        batch = [random_instance(rng, rank=5, dims=dims) for _ in range(32)]
+        h = batch[0][2]
+        samples = [s for s, _, _ in batch]
+        xs = [self.point(f) for _, f, _ in batch]
+        alone = [_Evaluator([s], h)(x[None]) for s, x in zip(samples, xs)]
+        for sample, x, (q, g) in zip(samples, xs, alone):
+            want_q, want_g = reference_evaluation(sample, unpack(x, dims, 5), h)
+            assert abs(q[0] - want_q) <= 1e-12 * max(1.0, abs(want_q))
+            assert np.all(np.abs(g[0] - want_g) <= 1e-12 * np.maximum(1.0, np.abs(want_g)))
+        for b in (1, 7, 32):
+            q, g = _Evaluator(samples[:b], h)(np.stack(xs[:b]))
+            for k in range(b):
+                assert q[k].tobytes() == alone[k][0][0].tobytes()
+                assert g[k].tobytes() == alone[k][1][0].tobytes()
+
     def test_zero_factor_column(self):
         # A zero column sits where the unit-norm penalty is not
         # differentiable; both forms take the 0 subgradient there.
@@ -349,25 +371,24 @@ Search = namedtuple("Search", "step value gradient wolfe_satisfied")
 
 
 def wolfe_search(fg, x, direction, f0, g0, init_step=1.0):
-    """One strong-Wolfe search along ``direction``: a one-column _LineSearch.
+    """One strong-Wolfe search along ``direction``: one _LineSearch.
 
     Every trial point is evaluated by ``fg(x) -> (value, gradient)``.  A
     search that saw no finite trial point returns the zero step at
     ``(f0, g0)``.
     """
     d = direction[None]
-    ls = _LineSearch(1)
-    ls.start(0, f0, _row_dot(g0[None], d)[0], init_step)
+    ls = _LineSearch(f0, _row_dot(g0[None], d)[0], init_step)
     done = False
     while not done:
-        value, grad = fg(x + ls.trial[0, 0] * direction)
-        (done,) = ls.advance(np.array([value]), _row_dot(np.asarray(grad)[None], d))
-    step, value = ls.best[:, 0].tolist()
+        value, grad = fg(x + ls.step * direction)
+        done = ls.advance(value, _row_dot(np.asarray(grad)[None], d)[0])
+    step, value = ls.best
     if step == 0.0:
         return Search(0.0, f0, g0, False)
-    if value >= f0 and step != ls.trial[0, 0]:  # no decrease: an earlier step
+    if value >= f0 and step != ls.step:  # no decrease: an earlier step
         grad = fg(x + step * direction)[1]
-    return Search(step, value, grad, bool(ls.phase[0] != _FALLBACK))
+    return Search(step, value, grad, ls.phase != _FALLBACK)
 
 
 def sample_fg(sample, h):
@@ -465,16 +486,15 @@ class TestLineSearch:
     def test_bracket_steps_grow_by_1_1_to_4(self):
         # A quartic whose slope flattens towards its minimizer at 30: the
         # secant steps are sometimes clamped and sometimes taken as is.
-        ls = _LineSearch(1)
-        ls.start(np.array([0]), 30.0 ** 4, -4 * 30.0 ** 3, 1.0)
+        ls = _LineSearch(30.0 ** 4, -4 * 30.0 ** 3, 1.0)
         factors = []
-        done = [False]
-        while not done[0]:
-            a = ls.trial[0, 0]
-            bracketing = ls.phase[0] == _BRACKET
-            done = ls.advance(np.array([(a - 30.0) ** 4]), np.array([4 * (a - 30.0) ** 3]))
-            if bracketing and not done[0] and ls.phase[0] == _BRACKET:
-                factors.append(ls.trial[0, 0] / a)
+        done = False
+        while not done:
+            a = ls.step
+            bracketing = ls.phase == _BRACKET
+            done = ls.advance((a - 30.0) ** 4, 4 * (a - 30.0) ** 3)
+            if bracketing and not done and ls.phase == _BRACKET:
+                factors.append(ls.step / a)
         assert len(factors) >= 2
         assert all(1.1 <= k <= 4.0 for k in factors), factors
         assert min(factors) < 2.0, factors  # a secant step; doubling never is

@@ -294,3 +294,20 @@ def test_non_finite_objective_at_iteration_zero_raises():
             pytest.raises(NumericalError) as err:
         _conjugate_gradient(_Evaluator(samples, h), x, h)
     assert err.value.iteration == 0
+
+
+def test_a_large_iteration_cap_allocates_nothing_for_it():
+    # The objective histories grow with the iterations taken, so a cap of
+    # 10**12 runs as a cap the rows never reach.  The third row takes more
+    # than 128 iterations, past two doublings of the history.
+    rng = np.random.default_rng(5)
+    samples = _samples(rng, 3, (0.0, 0.3, 1.0))
+    runs = [acmtf_decompose_many(samples, AcmtfHyperParams(rank=2, cg_tol=1e-6,
+                                                           max_iters=cap), [1, 2, 3])
+            for cap in (10**12, 1000)]
+    assert max(f.stats.iterations for f in runs[1]) > 128
+    for big, small in zip(*runs):
+        assert big.stats == small.stats and big.stats.stop == "tol"
+        assert big.objective_history == small.objective_history
+        for a, b in zip(_arrays(big), _arrays(small)):
+            assert a.tobytes() == b.tobytes()

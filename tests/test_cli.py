@@ -198,6 +198,25 @@ class TestFitPredict:
         correct = sum(int(r["label"]) == truth[r["file"]] for r in rows)
         assert correct == 8
 
+    def test_fit_and_predict_manifests_record_stop_histograms(self, tmp_path):
+        # Each decomposed sample counts once, under its stop reason.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG)
+        model_path, out_csv = tmp_path / "model.cstm", tmp_path / "pred.csv"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 0
+        assert main(["predict", "--model", str(model_path), "--in", str(data),
+                     "--seed", "0", "--out", str(out_csv)]) == 0
+        for path in (tmp_path / "model.cstm.manifest.txt", tmp_path / "pred.csv.manifest.txt"):
+            manifest = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+            counts = dict(item.split(": ") for item in manifest["acmtf_stops"].split(", "))
+            assert set(counts) <= {"tol", "max_iters", "no_descent", "zero_grad"}
+            assert sum(map(int, counts.values())) == 8
+            assert float(manifest["wall_clock_decompose_s"]) >= 0
+
     def test_tune_weights_picks_weights_and_lambda_as_the_study(self, tmp_path):
         # `cstm fit` selects through experiments._tune; with
         # tune_weights on, the model carries its pick on the same factors.

@@ -308,6 +308,20 @@ class TestCpAls:
         with pytest.raises(ValueError, match="non-finite"):
             cp_als_many([np.ones((2, 3, 2)), t], 1, [0, 1])
 
+    def test_a_large_sweep_cap_allocates_nothing_for_it(self):
+        # The error histories grow with the sweeps taken, so a cap of 10**12
+        # runs as a cap the tensors never reach, past several doublings.
+        ts = [np.random.default_rng(k).standard_normal((5, 6, 4)) for k in range(3)]
+        big, small = (cp_als_many(ts, 3, [1, 2, 3], tol=1e-8, max_iter=cap)
+                      for cap in (10**12, 5000))
+        assert max(k.stats.iterations for k in small) > 1000
+        for a, b in zip(big, small):
+            assert a.stats == b.stats and a.stats.stop == "tol"
+            assert a.objective_history == b.objective_history
+            assert a.weights.tobytes() == b.weights.tobytes()
+            for fa, fb in zip(a.factors, b.factors):
+                assert fa.tobytes() == fb.tobytes()
+
     def test_batch_arguments(self):
         a, b = np.ones((2, 3, 2)), np.ones((2, 3, 3))
         with pytest.raises(ValueError, match="one shape"):
