@@ -44,6 +44,19 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}; use one of {_KINDS}")
         if self.kind == "rbf" and not self.bandwidth > 0:
             raise ValueError("rbf bandwidth must be > 0")
+        if self.kind == "rbf":
+            # The kernel divides by 2 bw^2: at 0 every self-similarity is
+            # 0/0, and a float square out of range raises OverflowError.
+            try:
+                scale = 2.0 * float(self.bandwidth) ** 2
+            except OverflowError:
+                raise ValueError(
+                    f"rbf bandwidth {self.bandwidth!r} is too large: 2 bw^2 overflows"
+                ) from None
+            if not scale > 0:
+                raise ValueError(
+                    f"rbf bandwidth {self.bandwidth!r} is too small: 2 bw^2 underflows to 0"
+                )
         if self.kind == "polynomial":
             if self.degree < 1:
                 raise ValueError("polynomial degree must be >= 1")
@@ -77,25 +90,50 @@ class CoupledKernelSpec:
         object.__setattr__(self, "weights", w)
 
 
+# Entries of the |a_i|^2 + |b_j|^2 sums that _sq_dists forms per step.  A
+# full (m x n) temporary beside the product would double a kernel
+# matrix's memory, and a freed large block that the allocator returns to
+# the system is paid for again in page faults by the next one.
+_SUM_BLOCK = 1 << 13
+
+
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of a and b, clamped at 0."""
-    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :] - 2.0 * (a.T @ b)
+    """Squared Euclidean distances between the columns of a and b, clamped at 0.
+
+    Each entry is ``(|a_i|^2 + |b_j|^2) - 2 a_i.b_j``, computed in the
+    array ``a.T @ b`` returns, a few rows of the norm sums at a time, so
+    that the only (m x n) allocation is that product's.
+    """
+    na, nb = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
+    sq = a.T @ b
+    sq *= 2.0
+    step = max(1, _SUM_BLOCK // max(nb.size, 1))
+    for r in range(0, na.size, step):
+        np.subtract(na[r:r + step, None] + nb, sq[r:r + step], out=sq[r:r + step])
     np.maximum(sq, 0.0, out=sq)
     return sq
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Pairwise kernel values between the columns of two (p x m), (p x n) arrays."""
+    """Pairwise kernel values between the columns of two (p x m), (p x n) arrays.
+
+    The result is a new array that the caller may overwrite.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if spec.kind == "rbf":
-        return np.exp(-_sq_dists(a, b) / (2.0 * spec.bandwidth**2))
+        # exp(-sq / (2 bw^2)); sq / -(2 bw^2) is the same value, bit for bit.
+        k = _sq_dists(a, b)
+        k /= -(2.0 * spec.bandwidth**2)
+        return np.exp(k, out=k)
     inner = a.T @ b
     if spec.kind == "linear":
         return inner
-    return (inner + spec.offset) ** spec.degree
+    inner += spec.offset
+    inner **= spec.degree
+    return inner
 
 
 def vector_kernel(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
@@ -109,7 +147,7 @@ def _check_dims(a: Sequence, b: Sequence, dims) -> None:
     if len(a) == 0 or len(b) == 0:
         raise ValueError("factor lists must be nonempty")
     ref = dims(a[0])
-    for name, seq in (("a", a), ("b", b)):
+    for name, seq in (("a", a), ("b", b)) if b is not a else (("a", a),):
         for i, x in enumerate(seq):
             if dims(x) != ref:
                 raise ValueError(
@@ -141,22 +179,31 @@ def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np
     the stacked columns of all samples, then segment-summed to sample
     pairs: the components are placed into ``max(rank)`` zero-padded slots
     per sample and each (slots x slots) block is summed.  Any mix of ranks,
-    rank 0 included, takes this one path; at uniform rank the padding is
-    empty.  The symmetric form (``b`` is ``a``) mirrors the lower triangle,
-    so the result is exactly symmetric.
+    rank 0 included, takes this one path; at uniform rank the slots are
+    the stacked order itself, so the kernel matrix is summed as it is.
+    The symmetric form (``b`` is ``a``) mirrors the lower triangle, so the
+    result is exactly symmetric.
     """
     ra, xa = _columns(a, modes)
     rb, xb = (ra, xa) if symmetric else _columns(b, modes)
     (sa, wa), (sb, wb) = _slots(ra), _slots(rb)
+    padded = None
+    if (ra < wa).any() or (rb < wb).any():
+        padded = np.zeros((ra.size * wa, rb.size * wb))
+        at = np.ix_(sa, sb)
     out = np.zeros((ra.size, rb.size))
-    padded = np.zeros((ra.size * wa, rb.size * wb))
     for weight, terms in roles:
         if weight > 0:
-            prod = 1.0
-            for mode, spec in terms:
-                prod = prod * kernel_matrix(xa[mode], xb[mode], spec)
-            padded[np.ix_(sa, sb)] = prod
-            out += weight * padded.reshape(ra.size, wa, rb.size, wb).sum(axis=(1, 3))
+            (mode, spec), *rest = terms
+            prod = kernel_matrix(xa[mode], xb[mode], spec)
+            for mode, spec in rest:
+                prod *= kernel_matrix(xa[mode], xb[mode], spec)
+            if padded is not None:
+                padded[at] = prod
+                prod = padded
+            block = prod.reshape(ra.size, wa, rb.size, wb).sum(axis=(1, 3))
+            block *= weight
+            out += block
     if symmetric:
         return np.tril(out) + np.tril(out, -1).T
     return out
@@ -239,13 +286,22 @@ def median_bandwidth(columns: np.ndarray) -> float:
     """Median pairwise distance between columns; the usual rbf heuristic.
 
     Zero distances are excluded; if every pair coincides, returns 1.0.
+    Square roots keep the order of the squared distances, so the median is
+    found among those, and only the one or two middle values are rooted.
     """
     c = np.asarray(columns, dtype=np.float64)
-    d = np.sqrt(_sq_dists(c, c)[np.triu_indices(c.shape[1], k=1)])
-    d = d[d > 0]
+    sq = _sq_dists(c, c)
+    upper = np.arange(c.shape[1])[:, None] < np.arange(c.shape[1])
+    upper &= sq > 0
+    d = sq[upper]
     if d.size == 0:
         return 1.0
-    return float(np.median(d))
+    mid = d.size // 2
+    if d.size % 2:
+        d.partition(mid)
+        return float(np.sqrt(d[mid]))
+    d.partition(mid - 1)
+    return float((np.sqrt(d[mid - 1]) + np.sqrt(d[mid:].min())) / 2.0)
 
 
 def default_coupled_spec(factors: Sequence[AcmtfFactors]) -> CoupledKernelSpec:

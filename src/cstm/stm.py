@@ -130,57 +130,64 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
     up/low candidates) drops below ``tol``.  If the budget of
     ``max_passes * n`` updates runs out first, returns the current iterate
     with ``converged=False``.  This is :func:`solve_qp_many` on a batch of
-    one.
+    one, and raises ``ValueError`` as that does.
     """
     return solve_qp_many([p], tol, max_passes)[0]
 
 
 def _finish_alone(p: QpProblem, alpha, minus_yg, up, low, updates: int,
-                  max_passes: int, gap: float, tol: float) -> QpSolution:
+                  max_passes: int, gap: float, tol: float, cols: np.ndarray) -> QpSolution:
     """Solution of ``p`` by SMO updates on scalars, from a row of
     :func:`solve_qp_many`'s state: ``alpha``, ``minus_yg`` (-y * gradient
     of the dual objective), the additive candidate masks ``up`` (0 or
-    -inf) and ``low`` (0 or +inf), the updates made and the last gap.  Its
-    steps are the batch's, so a row that has stopped stops here at once."""
-    k, y, c = p.gram, p.labels, p.box
-    budget = max_passes * y.size
+    -inf) and ``low`` (0 or +inf), the updates made and the last gap.
+    ``cols[i]`` is column i of the Gram matrix.  Its steps are the batch's,
+    so a row that has stopped stops here at once.  Scalars are read out as
+    Python floats, whose arithmetic is numpy's float64 arithmetic."""
+    y = p.labels.tolist()
+    c = float(p.box)
+    budget = max_passes * len(y)
     feas = 1e-12 * max(c, 1.0)
     hi = c - feas
-    pos = y > 0
+    a = alpha.tolist()
+    buf = np.empty(len(y))
     converged = False
     while updates < budget:
-        i = int((minus_yg + up).argmax())
-        j = int((minus_yg + low).argmin())
+        i = int(np.add(minus_yg, up, out=buf).argmax())
+        j = int(np.add(minus_yg, low, out=buf).argmin())
         if up[i] or low[j]:
             # The best pick is at a bound: one side has no candidate.
             converged = True
             gap = 0.0
             break
-        gap = minus_yg[i] - minus_yg[j]
+        gap = minus_yg.item(i) - minus_yg.item(j)
         if gap <= tol:
             converged = True
             break
-        quad = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        quad = cols.item(i, i) + cols.item(j, j) - 2.0 * cols.item(j, i)
         delta = gap / quad if quad > 1e-12 else np.inf
         # Box caps along the feasible direction (alpha_i += y_i d, alpha_j -= y_j d).
-        cap_i = (c - alpha[i]) if pos[i] else alpha[i]
-        cap_j = alpha[j] if pos[j] else (c - alpha[j])
+        cap_i = (c - a[i]) if y[i] > 0 else a[i]
+        cap_j = a[j] if y[j] > 0 else (c - a[j])
         delta = min(delta, cap_i, cap_j)
         if delta <= 0:
             converged = True
             break
-        alpha[i] += y[i] * delta
-        alpha[j] -= y[j] * delta
+        a[i] += y[i] * delta
+        a[j] -= y[j] * delta
         # Since y is +-1, the gradient's change delta * y * (k_i - k_j)
         # is exactly delta * (k_i - k_j) taken off minus_yg.
-        minus_yg -= delta * (k[:, i] - k[:, j])
+        np.subtract(cols[i], cols[j], out=buf)
+        buf *= delta
+        minus_yg -= buf
         for t in (i, j):
-            below, above = alpha[t] < hi, alpha[t] > feas
-            if not pos[t]:
+            below, above = a[t] < hi, a[t] > feas
+            if y[t] < 0:
                 below, above = above, below
             up[t] = 0.0 if below else -np.inf
             low[t] = 0.0 if above else np.inf
         updates += 1
+    alpha[:] = a
     np.clip(alpha, 0.0, c, out=alpha)
     return QpSolution(alpha, converged, max(gap, 0.0), updates)
 
@@ -189,13 +196,16 @@ def _finish_alone(p: QpProblem, alpha, minus_yg, up, low, updates: int,
 _HALVES = np.array([[[1.0]], [[-1.0]]])
 # How an update moves z at (0, i), (1, j), (1, i), (0, j).
 _STEPS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+# Which pick, i or j, each of those four entries holds.
+_PICKS = np.array([0, 1, 0, 1])
+# Mask values of a non-candidate and a candidate, indexed by candidacy.
+_MASK = np.array([-np.inf, 0.0])
 
 
-def _batch_offsets(rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat offsets into ``(2, rows, m)`` state: the start of each half-row,
-    and the step from a pick (0, i) / (1, j) to its other half."""
-    base = m * np.arange(rows) + np.array([[0], [rows * m]])
-    return base, np.array([[rows * m], [-rows * m]])
+def _batch_offsets(rows: int, m: int) -> np.ndarray:
+    """Flat offsets into ``(2, rows, m)`` state of the rows that hold
+    (0, i), (1, j), (1, i), (0, j): ``offsets + ij.take(_PICKS, 0)``."""
+    return m * np.arange(rows) + np.array([[0], [rows * m], [rows * m], [0]])
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -213,10 +223,13 @@ def solve_qp_many(
     stored copy.  Once one row is left, from the start for a batch of one,
     :func:`_finish_alone` goes on with it without the cost of array rounds.
     A row's arithmetic depends on its own problem only, so its solution
-    does not depend on its batch, bit for bit.
+    does not depend on its batch, bit for bit.  Raises ``ValueError`` for a
+    negative or NaN ``tol`` and for ``max_passes < 1``.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
+    if not max_passes >= 1:
+        raise ValueError("max_passes must be >= 1")
     out: list[QpSolution] = [None] * len(problems)  # type: ignore[list-item]
     if not problems:
         return out
@@ -235,8 +248,19 @@ def solve_qp_many(
     for r, p in enumerate(problems):
         y[r, :p.labels.size] = p.labels
     # Row f * m + i of ``cols`` is column i of Gram f: an update reads
-    # k[:, i] - k[:, j], and k[i, j] is entry i of column j.
-    diag = cols.diagonal(axis1=1, axis2=2).reshape(-1)
+    # k[:, i] - k[:, j].  Entry (f * m + i, j) of ``quad`` is the pair's
+    # curvature k[i, i] + k[j, j] - 2 k[i, j], or 0 where that is not above
+    # 1e-12: then a step's gap / quad is inf, as in _finish_alone, for
+    # every gap that moves a row on.  Only array rounds read it, so a batch
+    # of one has none; it is filled one Gram at a time.
+    if len(problems) > 1:
+        quad = np.empty_like(cols)
+        for q, k in zip(quad, cols):
+            d = k.diagonal()
+            np.add(d[:, None], d, out=q)
+            q -= 2.0 * k.T
+            q[~(q > 1e-12)] = 0.0
+        quad = quad.reshape(-1)
     cols = cols.reshape(-1, m)
     gram_row = m * np.array([slot[id(p.gram)] for p in problems])
     c = np.array([p.box for p in problems])
@@ -261,10 +285,10 @@ def solve_qp_many(
     bound = np.stack([np.where(pos, hi, -feas), np.where(pos, -feas, hi)])
     bound[:, np.arange(m) >= size[:, None]] = -np.inf
     top = np.stack([np.where(pos, c[:, None], 0.0), np.where(pos, 0.0, c[:, None])])
-    mask = np.log(z < bound, dtype=np.float64)
+    mask = _MASK.take(z < bound)
 
     rows = np.arange(len(problems))  # each live row's index in ``problems``
-    base, other = _batch_offsets(rows.size, m)
+    offsets = _batch_offsets(rows.size, m)
     last_gap = np.full(len(problems), np.inf)
     it = 0  # every live row has made ``it`` updates
 
@@ -273,7 +297,8 @@ def solve_qp_many(
         r, n = rows[q], size[rows[q]]
         return _finish_alone(
             problems[r], z[0, q, :n] * y[r, :n] + 0.0, grad[0, q, :n].copy(),
-            mask[0, q, :n].copy(), 0.0 - mask[1, q, :n], it, max_passes, last_gap[q], tol)
+            mask[0, q, :n].copy(), 0.0 - mask[1, q, :n], it, max_passes,
+            float(last_gap[q]), tol, cols[gram_row[q]:gram_row[q] + n, :n])
 
     while True:
         if rows.size == 1:
@@ -281,18 +306,19 @@ def solve_qp_many(
             return out
         both = grad + mask
         ij = both.argmax(2)  # (i, j) per row
-        at = base + ij  # flat positions of (0, i) and (1, j)
-        picked = both.reshape(-1)[at]
-        gap = picked[0] + picked[1]  # -inf when a side has no candidate
         kc = gram_row + ij
-        k_cols = cols.take(kc, 0)
-        k_diag = diag[kc]
-        quad = k_diag[0] + k_diag[1] - 2.0 * k_cols.reshape(-1)[at[0] + other[0]]
-        delta = np.where(quad > 1e-12, gap / quad, np.inf)
-        caps = top.reshape(-1)[at] - z.reshape(-1)[at]
-        delta = np.minimum(delta, np.minimum(caps[0], caps[1]))
+        # Flat positions of (0, i), (1, j), (1, i), (0, j); the first two
+        # are the picks.
+        moved = offsets + ij.take(_PICKS, 0)
+        at = moved[:2]
+        picked = both.take(at)
+        gap = picked[0] + picked[1]  # -inf when a side has no candidate
+        delta = gap / quad.take(kc[0] * m + ij[1])
+        z_moved = z.take(moved)
+        caps = top.take(at) - z_moved[:2]
+        delta = np.minimum(delta, np.minimum(*caps))
         leave = (budget <= it) | (gap <= tol) | (delta <= 0)
-        if leave.any():
+        if np.count_nonzero(leave):
             for q in np.flatnonzero(leave):
                 out[rows[q]] = finish(q)
             keep = ~leave
@@ -300,20 +326,20 @@ def solve_qp_many(
             if not rows.size:
                 return out
             # compress, not a[:, keep]: the state must stay C-contiguous,
-            # because updates write through flat views of it.
-            grad, z, mask, bound, top, ij, k_cols = (
-                a.compress(keep, axis=1) for a in (grad, z, mask, bound, top, ij, k_cols)
+            # because updates write through flat positions in it.
+            grad, z, mask, bound, top, ij, kc, z_moved = (
+                a.compress(keep, axis=1)
+                for a in (grad, z, mask, bound, top, ij, kc, z_moved)
             )
             delta, gap = delta[keep], gap[keep]
-            base, other = _batch_offsets(rows.size, m)
-            at = base + ij
+            offsets = _batch_offsets(rows.size, m)
+            moved = offsets + ij.take(_PICKS, 0)
         # A row moves on only while gap > tol >= 0, so i != j and the four
         # entries (0, i), (1, j), (1, i), (0, j) are distinct.
-        moved = np.concatenate([at, at + other])
-        z.reshape(-1)[moved] += delta * _STEPS
-        mask.reshape(-1)[moved] = np.log(
-            z.reshape(-1)[moved] < bound.reshape(-1)[moved], dtype=np.float64
-        )
+        z_moved += delta * _STEPS
+        z.put(moved, z_moved)
+        mask.put(moved, _MASK.take(z_moved < bound.take(moved)))
+        k_cols = cols.take(kc, 0)
         step = delta[:, None] * (k_cols[0] - k_cols[1])
         grad[0] -= step
         grad[1] += step
@@ -467,7 +493,8 @@ def matrix_to_kruskal(matrix: np.ndarray, rank: int) -> KruskalTensor:
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 # Cap on the duals of one solve_qp_many call in _cv_lambda.  A batch's
-# memory grows with its duals x (fold training size)^2, so candidates are
+# memory grows with its duals x (fold training size)^2 (two (m x m) arrays
+# per fold Gram, its columns and its curvature table), so candidates are
 # solved in chunks of at most this many duals (but at least one candidate).
 CV_BATCH_DUALS = 400
 

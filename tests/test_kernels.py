@@ -13,6 +13,7 @@ from cstm.kernels import (
     default_cp_specs,
     gram_cross,
     gram_matrix,
+    kernel_matrix,
     median_bandwidth,
     vector_kernel,
 )
@@ -103,6 +104,19 @@ class TestVectorKernel:
             KernelSpec("polynomial", degree=0)
         with pytest.raises(ValueError):
             KernelSpec("sigmoid")
+
+    def test_rbf_bandwidth_whose_square_underflows_rejected(self):
+        # 2 * (1e-170)^2 is 0.0: every self-similarity would be 0/0 = NaN.
+        with pytest.raises(ValueError, match="underflows"):
+            KernelSpec("rbf", 1e-170)
+        # (1e200)^2 is out of float range, which Python reports as OverflowError.
+        for big in (1e200, np.float64(1e200), 10**400):
+            with pytest.raises(ValueError, match="overflows"):
+                KernelSpec("rbf", big)
+        # The smallest bandwidths kept still give finite kernel values.
+        spec = KernelSpec("rbf", 1e-150)
+        x = np.array([[0.0, 1e-150]])
+        assert np.isfinite(kernel_matrix(x, x, spec)).all()
 
 
 class TestCpKernel:
@@ -276,6 +290,30 @@ class TestGram:
         for i in range(2):
             for j in range(2):
                 assert abs(g[i, j] - coupled_kernel(fs[i], fs[j], spec)) < 1e-12
+
+    def test_uniform_rank_skips_the_padded_scatter(self, monkeypatch):
+        # At one rank the stacked components are already the padded slots,
+        # so the kernel matrix is summed without the np.ix_ scatter.
+        calls = []
+        ix = np.ix_
+        monkeypatch.setattr(np, "ix_", lambda *a: calls.append(1) or ix(*a))
+        rng = np.random.default_rng(18)
+        fs = [random_coupled_factors(rng, rank=3) for _ in range(4)]
+        spec = default_coupled_spec(fs)
+        g = gram_matrix(fs, spec)
+        cross = gram_cross(fs[:3], fs[1:], spec)
+        assert not calls
+        for i in range(4):
+            for j in range(4):
+                want = brute_coupled_kernel(fs[i], fs[j], spec)
+                assert abs(g[i, j] - want) < 1e-12 * max(1.0, abs(want))
+        np.testing.assert_allclose(cross, g[:3, 1:], rtol=0, atol=1e-12)
+        # Mixed ranks on either side take the padded path.
+        mixed = [random_coupled_factors(rng, rank=2), fs[0]]
+        gram_cross(fs, mixed, spec)
+        assert len(calls) == 1
+        gram_cross(mixed, fs, spec)
+        assert len(calls) == 2
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(12)

@@ -1,4 +1,5 @@
-"""Property tests: the Gram engine against a pairwise reference, the SMO
+"""Property tests: the Gram engine against a pairwise reference, vector
+kernels and the median bandwidth against reference formulas bit for bit, the SMO
 solver against a reference copy of its plain masked-index loop, batched SMO
 against single solves (also where the last row finishes alone), the KKT
 conditions of every converged SMO solution,
@@ -38,6 +39,7 @@ from cstm.kernels import (  # noqa: E402
     gram_cross,
     gram_matrix,
     kernel_matrix,
+    median_bandwidth,
 )
 from cstm.stm import QpProblem, StmModel, solve_qp, solve_qp_many  # noqa: E402
 from cstm.tensor_core import (  # noqa: E402
@@ -163,6 +165,65 @@ def test_spec_count_must_match_order():
     t = coupled_factors(rng, 2).u1
     with pytest.raises(ValueError, match="kernel specs"):
         cp_gram([t, t], (KernelSpec("linear"),) * 2)
+
+
+# ---------------------------------------------------------------------------
+# Vector kernels and the median heuristic: reference formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+def ref_sq_dists(a, b):
+    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :] - 2.0 * (a.T @ b)
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def ref_kernel_matrix(a, b, spec):
+    if spec.kind == "rbf":
+        return np.exp(-ref_sq_dists(a, b) / (2.0 * spec.bandwidth**2))
+    inner = a.T @ b
+    if spec.kind == "linear":
+        return inner
+    return (inner + spec.offset) ** spec.degree
+
+
+def ref_median_bandwidth(c):
+    d = np.sqrt(ref_sq_dists(c, c)[np.triu_indices(c.shape[1], k=1)])
+    d = d[d > 0]
+    return float(np.median(d)) if d.size else 1.0
+
+
+@st.composite
+def column_sets(draw):
+    """Columns with odd and even pair counts, repeated columns, and sets
+    whose distances are all 0; up to 150 columns, so that the norm sums of
+    a distance block are formed in several row blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 150))
+    shape = draw(st.sampled_from(("random", "repeats", "all equal")))
+    if shape == "all equal":
+        return np.repeat(rng.standard_normal((rows, 1)), n, axis=1)
+    cols = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 3)
+    if shape == "repeats":
+        cols = cols[:, rng.integers(0, max(1, n // 3), n)]
+    return cols
+
+
+class TestKernelReferences:
+    @PROPS
+    @example(np.zeros((3, 4)))
+    @example(np.ones((2, 2)))
+    @given(column_sets())
+    def test_median_bandwidth_matches_reference_bit_for_bit(self, cols):
+        got = median_bandwidth(cols)
+        assert np.float64(got).tobytes() == np.float64(ref_median_bandwidth(cols)).tobytes()
+
+    @PROPS
+    @given(column_sets(), column_sets(), kernel_specs)
+    def test_kernel_matrix_matches_reference_bit_for_bit(self, a, b, spec):
+        b = np.resize(b, (a.shape[0], b.shape[1]))
+        for x, z in ((a, b), (a, a), (b, a)):
+            assert kernel_matrix(x, z, spec).tobytes() == ref_kernel_matrix(x, z, spec).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,18 @@ class TestSolveQp:
         x = rng.standard_normal((n, n))
         gram = x @ x.T
         y = np.array([1.0, -1.0] * 5)
-        sol = solve_qp(QpProblem(gram, y, lam=0.01), tol=1e-14, max_passes=0)
+        sol = solve_qp(QpProblem(gram, y, lam=0.01), tol=1e-14, max_passes=1)
         assert not sol.converged
+        assert sol.n_updates == n
+
+    @pytest.mark.parametrize("max_passes", [0, -3])
+    def test_max_passes_below_one_rejected(self, max_passes):
+        # A zero or negative budget used to return alpha = 0, unconverged.
+        p = QpProblem(np.eye(2), np.array([1.0, -1.0]), lam=0.25)
+        with pytest.raises(ValueError, match="max_passes must be >= 1"):
+            solve_qp(p, max_passes=max_passes)
+        with pytest.raises(ValueError, match="max_passes must be >= 1"):
+            stm.solve_qp_many([p], max_passes=max_passes)
 
     def test_invalid_labels(self):
         with pytest.raises(ValueError):
