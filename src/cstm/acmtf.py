@@ -178,7 +178,7 @@ class AcmtfFactors:
     def rank(self) -> int:
         return self.u1.rank
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, int, int, int]:
         return (*self.u1.shape, self.u2.shape[0])
 

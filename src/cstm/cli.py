@@ -120,7 +120,7 @@ def cmd_fit(args) -> int:
     (factors,), *_ = experiments.decompose_samples(
         samples, dataclasses.replace(cfg, methods=("cstm",)))
     t_decompose = time.perf_counter() - t0
-    model = experiments.fit_method(factors, labels, cfg, 0)
+    model = experiments.fit_methods({"cstm": factors}, labels, cfg, 0)["cstm"]
     t_total = time.perf_counter() - t0
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
     container.write_manifest(
@@ -297,16 +297,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # FormatError and ConfigError are ValueErrors: FormatError's exit code goes first.
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

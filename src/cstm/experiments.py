@@ -7,13 +7,13 @@ matrix's second-mode factors are the same draws (the shared role).  Class 1
 is labeled -1 and class 2 (the shifted one) +1.
 
 The experiment harness decomposes every sample once (the representations
-do not depend on the train/test split), then repeats: stratified split,
-and for each method kernel fit, lambda cross-validation and dual solve on
-the training part only, then test-set scoring.  ``cstm fit`` and ``cstm
-predict`` share its two steps: :func:`decompose_samples` gives each of
-``threads`` workers a contiguous slice of the samples and computes every
-representation the methods need (CP-ALS, pruned ACMTF, truncated SVD);
-:func:`fit_method` tunes and fits any method on a training part.
+do not depend on the train/test split), then repeats: stratified split;
+on the training part, each method's kernel fit, one lambda cross-validation
+pass for all methods and each method's dual solve; then test scoring.
+``cstm fit`` and ``cstm predict`` share its two steps: :func:`decompose_samples`
+gives each of ``threads`` workers a contiguous slice of the samples and
+computes every representation the methods need (CP-ALS, pruned ACMTF,
+truncated SVD); :func:`fit_methods` tunes and fits methods on a training part.
 """
 
 from __future__ import annotations
@@ -409,35 +409,39 @@ def _kernel_for(cfg: ExperimentConfig, train):
     return CoupledKernelSpec(k, k, k, k) if coupled else (k,) * train[0].order
 
 
-def _tune(train, y_tr, cfg: ExperimentConfig, cv_seed: int):
-    """``(spec, gram, lam)`` that one :func:`stm._cv_lambda` pass picks from
-    the candidate Grams.  A CP kernel is one candidate.  C-STM's are the
+def _candidates(train, cfg: ExperimentConfig):
+    """``(specs, grams)``: one method's candidate kernels on a training part
+    and their Grams.  A CP kernel is one candidate.  C-STM's are the
     configured weights, or the simplex grid under ``tune_weights``: the coupled
     kernel is linear in its weights, so each candidate's Gram is a weighted sum
     of three part Grams, equal to :func:`gram_matrix` of its spec bit for bit.
     """
     base = _kernel_for(cfg, train)
-    if isinstance(base, CoupledKernelSpec):
-        parts = [gram_matrix(train, replace(base, weights=m))
-                 for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
-        weights = _weight_grid() if cfg.tune_weights else [cfg.kernel_weights]
-        specs = [replace(base, weights=w) for w in weights]
-        grams = [w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2] for w in weights]
-    else:
-        specs, grams = [base], [cp_gram(train, base)]
-    best, lam, _ = stm._cv_lambda(grams, y_tr, cfg.lambda_grid, cfg.cv_folds, cv_seed)
-    return specs[best], grams[best], lam
+    if not isinstance(base, CoupledKernelSpec):
+        return [base], [cp_gram(train, base)]
+    parts = [gram_matrix(train, replace(base, weights=m))
+             for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+    weights = _weight_grid() if cfg.tune_weights else [cfg.kernel_weights]
+    return ([replace(base, weights=w) for w in weights],
+            [w[0] * parts[0] + w[1] * parts[1] + w[2] * parts[2] for w in weights])
 
 
-def fit_method(train, y_tr, cfg: ExperimentConfig, rep: int) -> stm.StmModel:
-    """One method's classifier on a training part: :func:`_tune`, then the
-    dual solve.
-
-    The cross-validation seed is repetition ``rep``'s; ``cstm fit`` fits
-    as repetition 0.
+def fit_methods(trains: dict, y_tr, cfg: ExperimentConfig, rep: int) -> dict:
+    """Each method's classifier on its list in ``trains`` of one training
+    part.  One :func:`stm._cv_lambda` pass, with repetition ``rep``'s seed,
+    scores every method's candidates; each method fits the first best of its
+    own rows, in candidate-then-grid order.  ``cstm fit`` fits as repetition 0.
     """
-    spec, gram, lam = _tune(train, y_tr, cfg, derive_seed(cfg.seed, _ROLE_CV, rep))
-    return stm.fit(train, y_tr, spec, lam, gram=gram)
+    cands = {m: _candidates(train, cfg) for m, train in trains.items()}
+    acc = stm._cv_lambda([g for _, grams in cands.values() for g in grams], y_tr,
+                         cfg.lambda_grid, cfg.cv_folds, derive_seed(cfg.seed, _ROLE_CV, rep))
+    models = {}
+    for method, (specs, grams) in cands.items():
+        rows, acc = acc[:len(specs)], acc[len(specs):]
+        best, col = np.unravel_index(np.argmax(rows), rows.shape)
+        models[method] = stm.fit(trains[method], y_tr, specs[best],
+                                 cfg.lambda_grid[col], gram=grams[best])
+    return models
 
 
 def run_experiment(
@@ -446,8 +450,8 @@ def run_experiment(
     """Run the repeated benchmark for one case (or a supplied dataset).
 
     Decomposes every sample once (:func:`decompose_samples`), then for
-    each repetition: stratified split, and for each method
-    :func:`fit_method` on the training part and test scoring.
+    each repetition: stratified split, :func:`fit_methods` on the training
+    part and each method's test scoring.
     """
     if samples is None:
         if cfg.case is None:
@@ -498,15 +502,14 @@ def _run_repetition(cfg, rep, labels, pools, summary):
     tr, te = stratified_split(labels, cfg.test_fraction, split_seed)
     y_tr, y_te = labels[tr], labels[te]
 
-    staged = {}
-    for method, pool in pools.items():
-        model = fit_method([pool[i] for i in tr], y_tr, cfg, rep)
-        scores = stm.decision_many(model, [pool[i] for i in te])
-        staged[method] = (compute_metrics(y_te, scores), model.lam, model.kernel)
+    models = fit_methods({m: [pool[i] for i in tr] for m, pool in pools.items()},
+                         y_tr, cfg, rep)
+    rows = {m: compute_metrics(y_te, stm.decision_many(model, [pools[m][i] for i in te]))
+            for m, model in models.items()}
     # All methods succeeded: merge so per-method lists stay aligned even
     # when a repetition fails under tolerate_failures.
-    for method, (row, lam, kernel) in staged.items():
-        summary.rows[method].append(row)
-        summary.lambdas[method].append(lam)
-        if isinstance(kernel, CoupledKernelSpec):
-            summary.weights.append(kernel.weights)
+    for method, model in models.items():
+        summary.rows[method].append(rows[method])
+        summary.lambdas[method].append(model.lam)
+        if isinstance(model.kernel, CoupledKernelSpec):
+            summary.weights.append(model.kernel.weights)

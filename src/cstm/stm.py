@@ -13,13 +13,14 @@ The decision value for a new input is sum_i alpha_i y_i K(train_i, input)
 plus the intercept the equality constraint implies (recovered from the
 margin support vectors at fit time); ties (exactly zero) predict +1.
 
-Lambda, and the best of several candidate Gram matrices, is chosen by
-stratified k-fold cross-validation over a grid.  All candidate x fold x
-lambda duals are independent, so :func:`solve_qp_many` solves them in
-batches: each problem is a row of array state, every round makes one pair
-update per live row, and a row leaves the batch when it stops.  It is the
-one SMO entry point: a model fit's :func:`solve_qp` is a batch of one, and
-the last live row of any batch finishes with scalar steps.
+Lambda, and the best of several candidate Gram matrices (of one method or
+of several), is chosen from a table of stratified k-fold CV accuracies over
+a grid.  All candidate x fold x lambda duals are independent, so
+:func:`solve_qp_many` solves them in batches: each problem is a row of
+array state, every round makes one pair update per live row, and a row
+leaves the batch when it stops.  It is the one SMO entry point: a model
+fit's :func:`solve_qp` is a batch of one, and the last live row of any
+batch finishes with scalar steps.
 """
 
 from __future__ import annotations
@@ -511,14 +512,14 @@ def _stratified_folds(labels: np.ndarray, k: int, rng) -> list[np.ndarray]:
 
 def _cv_lambda(
     grams: Sequence[np.ndarray], labels, grid: Sequence[float], k: int, seed: int
-) -> tuple[int, float, float]:
+) -> np.ndarray:
     """One cross-validation pass over candidate Gram matrices of one training
-    part: ``(index, lam, acc)`` of the first best candidate and lambda, in
-    candidate-then-grid order; ``(0, grid[0], -1.0)`` when a class has a
-    single sample.  Each Gram is checked once and the folds are drawn once;
-    the candidate x fold x lambda duals are cut unchecked and solved by
-    :func:`solve_qp_many` in chunks of whole candidates, at most
-    ``CV_BATCH_DUALS`` duals each where a candidate fits.
+    part, of one method or of all: their ``(candidates, len(grid))`` table of
+    CV accuracies, all -1.0 when a class has a single sample.  Each Gram is
+    checked once and the folds are drawn once; the candidate x fold x lambda
+    duals are cut unchecked and solved by :func:`solve_qp_many` in chunks of
+    whole candidates, at most ``CV_BATCH_DUALS`` duals each where a
+    candidate fits.
     """
     y = np.asarray(labels, dtype=np.float64)
     grams = [np.asarray(g, dtype=np.float64) for g in grams]
@@ -532,12 +533,12 @@ def _cv_lambda(
         raise ValueError("lambda grid values must be > 0")
     rng = np.random.default_rng(seed)
     k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
+    acc = np.full((len(grams), len(grid)), -1.0)
     if k < 2:
-        return 0, grid[0], -1.0
+        return acc
     folds = [(np.setdiff1d(np.arange(y.size), te), te)
              for te in _stratified_folds(y, k, rng)]
     chunk = max(1, CV_BATCH_DUALS // (k * len(grid)))
-    best = (0, grid[0], -1.0)
     for first in range(0, len(grams), chunk):
         splits = [[(g[np.ix_(tr, tr)], y[tr], g[np.ix_(tr, te)], y[te]) for tr, te in folds]
                   for g in grams[first:first + chunk]]
@@ -545,17 +546,15 @@ def _cv_lambda(
                     for cand in splits for lam in grid for sub, y_tr, _, _ in cand]
         solutions = iter(solve_qp_many(problems))
         for index, cand in enumerate(splits, first):
-            for lam in grid:
+            for col, lam in enumerate(grid):
                 correct = 0
                 for sub, y_tr, cross, y_te in cand:
                     sol = next(solutions)
                     bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
                     scores = (sol.alpha * y_tr) @ cross + bias
                     correct += int(np.sum(predict_label(scores) == y_te))
-                acc = correct / y.size
-                if acc > best[2]:  # strict: the first best wins
-                    best = (index, lam, acc)
-    return best
+                acc[index, col] = correct / y.size
+    return acc
 
 
 def select_lambda(
@@ -575,4 +574,4 @@ def select_lambda(
     finite and symmetric, or labels that are not +-1 of both classes.  It
     is :func:`_cv_lambda` with one candidate.
     """
-    return _cv_lambda([gram], labels, grid, k, seed)[1]
+    return grid[int(np.argmax(_cv_lambda([gram], labels, grid, k, seed)[0]))]

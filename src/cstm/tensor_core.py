@@ -15,7 +15,7 @@ result records its error history and stop reason (:class:`SolveStats`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class KruskalTensor:
     def order(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.shape[0] for f in self.factors)
 

@@ -20,7 +20,7 @@ from cstm.acmtf import (
 )
 from cstm.cli import main
 from cstm.config import parse_config
-from cstm.experiments import _ROLE_CV, _ROLE_DECOMPOSE, _tune, derive_seed
+from cstm.experiments import _ROLE_DECOMPOSE, derive_seed, fit_methods
 from cstm.kernels import CoupledKernelSpec, KernelSpec
 from cstm.stm import StmModel
 from cstm.tensor_core import KruskalTensor
@@ -218,8 +218,9 @@ class TestFitPredict:
             assert float(manifest["wall_clock_decompose_s"]) >= 0
 
     def test_tune_weights_picks_weights_and_lambda_as_the_study(self, tmp_path):
-        # `cstm fit` selects through experiments._tune; with
-        # tune_weights on, the model carries its pick on the same factors.
+        # `cstm fit` selects through experiments.fit_methods, as a study's
+        # repetition 0 does; with tune_weights on, the model carries its pick
+        # on the same factors.
         data = tmp_path / "train"
         data.mkdir()
         write_separable_samples(data)
@@ -237,7 +238,8 @@ class TestFitPredict:
         seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in range(len(samples))]
         factors = [f.pruned(cfg.prune_rel)
                    for f in acmtf_decompose_many(samples, cfg.acmtf, seeds)]
-        spec, _, lam = _tune(factors, labels, cfg, derive_seed(cfg.seed, _ROLE_CV, 0))
+        picked = fit_methods({"cstm": factors}, labels, cfg, 0)["cstm"]
+        spec, lam = picked.kernel, picked.lam
         assert spec.weights != cfg.kernel_weights
         model, _, _ = container.read_model(model_path)
         assert model.kernel == spec

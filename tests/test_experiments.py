@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cstm import stm
+from cstm import experiments, stm
 from cstm.acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample
 from cstm.experiments import (
     _ROLE_SPLIT,
@@ -15,10 +15,11 @@ from cstm.experiments import (
     SIM_CASES,
     TENSOR_DIMS,
     ExperimentConfig,
-    _tune,
+    _candidates,
     _weight_grid,
     compute_metrics,
     derive_seed,
+    fit_methods,
     gen_case,
     run_experiment,
     stratified_split,
@@ -235,6 +236,33 @@ class TestComputeMetrics:
             compute_metrics(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
 
+def fitted_grams(monkeypatch) -> list:
+    """The training Grams that stm.fit receives from here on."""
+    grams, fit = [], stm.fit
+
+    def recording(*args, **kw):
+        grams.append(kw["gram"])
+        return fit(*args, **kw)
+    monkeypatch.setattr(stm, "fit", recording)
+    return grams
+
+
+def three_method_trains(seed: int, n_per_class: int = 6):
+    """Training lists of all three methods on shared random factors, and
+    their labels: ACMTF factors, and the tensor and matrix parts of them as
+    CP tensors."""
+    rng = np.random.default_rng(seed)
+    y = np.array([-1.0, 1.0] * n_per_class)
+    trains = {m: [] for m in ("cstm", "cpstm_tensor", "cpstm_matrix")}
+    for lab in y:
+        cols = [rng.standard_normal((d, 2)) + 0.5 * (lab > 0) for d in (6, 5, 4, 7)]
+        u1 = KruskalTensor(np.ones(2), tuple(cols[:3])).normalized()
+        u2 = KruskalTensor(np.ones(2), (cols[3], cols[2])).normalized()
+        for m, rep in zip(trains, (AcmtfFactors.from_kruskals(u1, u2), u1, u2)):
+            trains[m].append(rep)
+    return trains, y
+
+
 def tiny_config(**kw):
     defaults = dict(
         case=1,
@@ -336,9 +364,10 @@ class TestRunExperiment:
         assert len(w) == 3
         assert abs(sum(w) - 1.0) < 1e-9
 
-    def test_weight_tuning_pick_is_pinned(self):
+    def test_weight_tuning_pick_is_pinned(self, monkeypatch):
         # One CV pass over all weight candidates picks what the former
-        # separate select_lambda + accuracy passes picked on this input.
+        # separate select_lambda + accuracy passes picked on this input,
+        # whose CV seed is 11.
         rng = np.random.default_rng(2024)
         y = np.array([-1.0, 1.0] * 10)
         fs = []
@@ -354,36 +383,58 @@ class TestRunExperiment:
             case=3, tune_weights=True, cv_folds=4,
             lambda_grid=(1e-3, 1e-2, 1e-1, 1.0),
         )
-        spec, gram, lam = _tune(fs, y, cfg, cv_seed=11)
-        assert np.allclose(spec.weights, (0.6, 0.2, 0.2), atol=1e-12)
-        assert lam == 0.1
-        np.testing.assert_allclose(gram, gram_matrix(fs, spec), rtol=1e-12, atol=1e-12)
+        monkeypatch.setattr(experiments, "derive_seed", lambda *_: 11)
+        grams = fitted_grams(monkeypatch)
+        model = fit_methods({"cstm": fs}, y, cfg, 0)["cstm"]
+        assert np.allclose(model.kernel.weights, (0.6, 0.2, 0.2), atol=1e-12)
+        assert model.lam == 0.1
+        np.testing.assert_allclose(grams, [gram_matrix(fs, model.kernel)],
+                                   rtol=1e-12, atol=1e-12)
 
-    def test_one_solve_batch_per_tune(self, monkeypatch):
-        # Every weight candidate x fold x lambda dual of a tune goes into
-        # one solve_qp_many call, for one candidate and for the whole grid,
-        # as long as they fit the cap on duals per call.
-        assert 66 * 2 * 3 <= stm.CV_BATCH_DUALS
+    @pytest.mark.parametrize("tune", [False, True], ids=["fixed_weights", "tuned_weights"])
+    def test_methods_fitted_together_equal_each_alone(self, tune, monkeypatch):
+        # The duals of all three methods share one CV pass, and a chunk of
+        # it holds candidates of two methods; each model is still the one
+        # its method gets alone, bit for bit.
+        trains, y = three_method_trains(8)
+        cfg = ExperimentConfig(lambda_grid=(1e-3, 0.1, 10.0), cv_folds=2, tune_weights=tune)
+        alone = {m: fit_methods({m: train}, y, cfg, 4)[m] for m, train in trains.items()}
+        if not tune:  # pins an input on which each method picks its own lambda
+            assert len({model.lam for model in alone.values()}) == 3
+        # 2 folds x 3 lambdas = 6 duals per candidate.  Untuned: cstm and
+        # cpstm_tensor in the first chunk; tuned: cstm's last weight
+        # candidate (index 65) and both CP candidates in the last one.
+        monkeypatch.setattr(stm, "CV_BATCH_DUALS", 6 * (2 if not tune else 5))
+        together = fit_methods(trains, y, cfg, 4)
+        assert list(together) == list(trains)
+        for m, model in together.items():
+            assert model.alpha.tobytes() == alone[m].alpha.tobytes()
+            assert repr(model.bias) == repr(alone[m].bias)
+            assert model.lam == alone[m].lam
+            assert model.kernel == alone[m].kernel
+
+    def test_one_solve_batch_per_split(self, monkeypatch):
+        # Every method's candidate x fold x lambda duals of a split go into
+        # one solve_qp_many call as long as they fit the cap on duals per
+        # call; the weight grid's 68 candidates do not, and are cut into
+        # chunks of whole candidates.
+        assert 3 * 2 * 3 <= stm.CV_BATCH_DUALS < 68 * 2 * 3
         batches = []
         solve_many = stm.solve_qp_many
 
-        def counting(problems, **kw):
+        def counting(problems, *args, **kw):
             batches.append(len(problems))
-            return solve_many(problems, **kw)
+            return solve_many(problems, *args, **kw)
         monkeypatch.setattr(stm, "solve_qp_many", counting)
-        rng = np.random.default_rng(5)
-        y = np.array([-1.0, 1.0] * 6)
-        fs = []
-        for lab in y:
-            cols = [rng.standard_normal((d, 2)) + 0.5 * (lab > 0) for d in (6, 5, 4, 7)]
-            u1 = KruskalTensor(np.ones(2), tuple(cols[:3])).normalized()
-            u2 = KruskalTensor(np.ones(2), (cols[3], cols[2])).normalized()
-            fs.append(AcmtfFactors.from_kruskals(u1, u2))
-        cfg = ExperimentConfig(lambda_grid=(0.1, 1.0, 10.0), cv_folds=2)
-        for tune, candidates in ((False, 1), (True, 66)):
-            batches.clear()
-            _tune(fs, y, replace(cfg, tune_weights=tune), 1)
-            assert batches == [candidates * 2 * 3]
+        trains, y = three_method_trains(8)
+        cfg = ExperimentConfig(lambda_grid=(1e-3, 0.1, 10.0), cv_folds=2)
+        fit_methods(trains, y, cfg, 1)
+        # The three final fits are batches of one.
+        assert batches == [3 * 2 * 3, 1, 1, 1]
+        batches.clear()
+        fit_methods(trains, y, replace(cfg, tune_weights=True), 1)
+        per_chunk = stm.CV_BATCH_DUALS // (2 * 3)
+        assert batches == [per_chunk * 6, (68 - per_chunk) * 6, 1, 1, 1]
         assert len(_weight_grid()) == 66
 
     @pytest.mark.parametrize("kernel", [
@@ -405,8 +456,13 @@ class TestRunExperiment:
             fs.append(AcmtfFactors.from_kruskals(u1.normalized(), u2.normalized()))
         cfg = ExperimentConfig(lambda_grid=(1.0,), cv_folds=2, **kernel)
         for weights in _weight_grid() + [(1 / 3, 1 / 3, 1 / 3), (0.25, 0.0, 2.0)]:
-            spec, gram, _ = _tune(fs, y, replace(cfg, kernel_weights=weights), 1)
+            (spec,), (gram,) = _candidates(fs, replace(cfg, kernel_weights=weights))
             assert spec.weights == weights
+            assert gram.tobytes() == gram_matrix(fs, spec).tobytes()
+        # Under tune_weights the candidates are the grid's, in its order.
+        specs, grams = _candidates(fs, replace(cfg, tune_weights=True))
+        assert [s.weights for s in specs] == _weight_grid()
+        for spec, gram in zip(specs, grams):
             assert gram.tobytes() == gram_matrix(fs, spec).tobytes()
 
     def test_tolerated_failures_are_recorded(self):

@@ -458,23 +458,26 @@ class TestLambdaUtilities:
         assert lam in (1e-3, 1e-1, 10.0)
 
     def test_cv_over_candidates_scores_each_as_alone(self):
-        # One pass over several candidate Grams gives each the lambda and
-        # accuracy of a one-candidate pass, and picks the first best.
+        # One pass over several candidate Grams gives each the accuracy row
+        # of a one-candidate pass, and the table's first maximum is the
+        # first best candidate.
         rng = np.random.default_rng(15)
         x = rng.standard_normal((24, 5))
         y = np.where(x[:, 0] + 0.5 * rng.standard_normal(24) > 0, 1.0, -1.0)
         grams = [x[:, c] @ x[:, c].T for c in ([1, 2], [0, 3], [0], [0, 1, 2, 3, 4], [0])]
         grid = (1e-3, 1e-1, 10.0)
         alone = [stm._cv_lambda([g], y, grid, 4, 3) for g in grams]
-        assert [a[0] for a in alone] == [0] * 5
-        accs = [a[2] for a in alone]
+        assert [a.shape for a in alone] == [(1, 3)] * 5
+        accs = [a.max() for a in alone]
         best = accs.index(max(accs))
         assert best == 1 and len(set(accs)) == 3  # pins a non-trivial input
-        assert stm._cv_lambda(grams, y, grid, 4, 3) == (best, *alone[best][1:])
+        table = stm._cv_lambda(grams, y, grid, 4, 3)
+        assert table.tobytes() == np.concatenate(alone).tobytes()
+        assert np.argmax(table) // len(grid) == best
 
     def test_cv_in_chunks_picks_as_one_batch(self, monkeypatch):
         # Candidates are solved in chunks of at most CV_BATCH_DUALS duals;
-        # the pick does not depend on the chunks, here with the best
+        # the table does not depend on the chunks, here with the best
         # candidate (index 4) in the last one.
         rng = np.random.default_rng(15)
         x = rng.standard_normal((24, 5))
@@ -488,29 +491,37 @@ class TestLambdaUtilities:
             batches.append(len(problems))
             return solve_many(problems, **kw)
         monkeypatch.setattr(stm, "solve_qp_many", counting)
-        picks, calls = {}, {}
+        tables, calls = {}, {}
         for cap in (10**9, 24, 5):
             batches.clear()
             monkeypatch.setattr(stm, "CV_BATCH_DUALS", cap)
-            picks[cap] = stm._cv_lambda(grams, y, grid, 4, 3)
+            tables[cap] = stm._cv_lambda(grams, y, grid, 4, 3).tobytes()
             calls[cap] = list(batches)
         # 4 folds x 3 lambdas = 12 duals per candidate; a cap below that
         # still solves one whole candidate per call.
         assert calls == {10**9: [60], 24: [24, 24, 12], 5: [12] * 5}
-        assert picks[10**9][0] == 4
-        assert picks[24] == picks[5] == picks[10**9]
+        table = np.frombuffer(tables[10**9]).reshape(5, 3)
+        assert np.argmax(table) // len(grid) == 4
+        assert tables[24] == tables[5] == tables[10**9]
 
     def test_cv_first_best_candidate_wins(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((12, 3))
         gram = x @ x.T
         y = np.array([1.0, -1.0] * 6)
-        lam, acc = stm._cv_lambda([gram], y, (0.01, 1.0), 3, 0)[1:]
-        assert stm._cv_lambda([gram, gram.copy()], y, (0.01, 1.0), 3, 0) == (0, lam, acc)
-        # A class of one sample leaves no fold to score: candidate 0, the
-        # first grid value, accuracy -1.
+        grid = (0.01, 1.0)
+        acc = stm._cv_lambda([gram], y, grid, 3, 0)
+        twins = stm._cv_lambda([gram, gram.copy()], y, grid, 3, 0)
+        assert twins.tobytes() == np.concatenate([acc, acc]).tobytes()
+        # np.argmax takes the first maximum: the first candidate, and in
+        # its row the first (smallest) lambda among equals.
+        assert np.argmax(twins) == np.argmax(acc[0]) < len(grid)
+        assert select_lambda(gram, y, grid, 3, 0) == grid[np.argmax(acc[0])]
+        # A class of one sample leaves no fold to score: every accuracy is
+        # -1, so the pick is candidate 0 and the first grid value.
         one = np.array([1.0] + [-1.0] * 11)
-        assert stm._cv_lambda([gram, 2 * gram], one, (0.01, 1.0), 3, 0) == (0, 0.01, -1.0)
+        assert stm._cv_lambda([gram, 2 * gram], one, grid, 3, 0).tolist() == [[-1.0] * 2] * 2
+        assert select_lambda(gram, one, grid, 3, 0) == 0.01
 
     def test_select_lambda_rejects_bad_grid(self):
         gram = np.eye(6)
