@@ -12,9 +12,10 @@ One engine, :func:`_gram`, computes every kernel value here.  A Gram is a
 weighted sum over roles (coupled: the tensor's two individual modes, the
 shared factor, the matrix factor; CP: all modes as one role), each role the
 product over its modes of :func:`kernel_matrix` on the stacked factor
-columns of all samples, segment-summed to sample pairs by per-sample
-component offsets, so uniform and mixed ranks take the same path.  The six
-public kernel and Gram functions only choose roles and delegate.
+columns of all samples, summed to sample pairs with one ``np.add.reduceat``
+per axis at each sample's first component, so every mix of ranks, rank 0
+included, takes the same path.  The six public kernel and Gram functions
+only choose roles and delegate.
 """
 
 from __future__ import annotations
@@ -161,15 +162,6 @@ def _columns(samples: Sequence, modes) -> tuple[np.ndarray, list[np.ndarray]]:
     return ranks, [np.concatenate(m, axis=1) for m in zip(*map(modes, samples))]
 
 
-def _slots(ranks: np.ndarray) -> tuple[np.ndarray, int]:
-    """Where each stacked component goes when every sample gets
-    ``max(ranks)`` consecutive slots, and that slot count."""
-    width = int(ranks.max(initial=0))
-    sample = np.repeat(np.arange(ranks.size), ranks)
-    within = np.arange(sample.size) - (np.cumsum(ranks) - ranks)[sample]
-    return sample * width + within, width
-
-
 def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np.ndarray:
     """K[i, j] = sum over roles of weight * sum over component pairs of the
     product of per-mode kernel values between a[i] and b[j].
@@ -177,33 +169,26 @@ def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np
     ``modes(x)`` gives a sample's factor matrices; a role is ``(weight,
     ((mode, spec), ...))``.  Each role's kernel matrix is computed once on
     the stacked columns of all samples, then segment-summed to sample
-    pairs: the components are placed into ``max(rank)`` zero-padded slots
-    per sample and each (slots x slots) block is summed.  Any mix of ranks,
-    rank 0 included, takes this one path; at uniform rank the slots are
-    the stacked order itself, so the kernel matrix is summed as it is.
-    The symmetric form (``b`` is ``a``) mirrors the lower triangle, so the
+    pairs with ``np.add.reduceat``, rows first, at the first stacked column
+    of each sample that has components.  A rank-0 sample owns no segment:
+    it is left out of the index, so its row and column stay 0.  The
+    symmetric form (``b`` is ``a``) mirrors the lower triangle, so the
     result is exactly symmetric.
     """
     ra, xa = _columns(a, modes)
     rb, xb = (ra, xa) if symmetric else _columns(b, modes)
-    (sa, wa), (sb, wb) = _slots(ra), _slots(rb)
-    padded = None
-    if (ra < wa).any() or (rb < wb).any():
-        padded = np.zeros((ra.size * wa, rb.size * wb))
-        at = np.ix_(sa, sb)
-    out = np.zeros((ra.size, rb.size))
+    ia, ib = np.flatnonzero(ra), np.flatnonzero(rb)
+    sa, sb = (np.cumsum(ra) - ra)[ia], (np.cumsum(rb) - rb)[ib]
+    out, at = np.zeros((ra.size, rb.size)), np.ix_(ia, ib)
     for weight, terms in roles:
         if weight > 0:
             (mode, spec), *rest = terms
             prod = kernel_matrix(xa[mode], xb[mode], spec)
             for mode, spec in rest:
                 prod *= kernel_matrix(xa[mode], xb[mode], spec)
-            if padded is not None:
-                padded[at] = prod
-                prod = padded
-            block = prod.reshape(ra.size, wa, rb.size, wb).sum(axis=(1, 3))
+            block = np.add.reduceat(np.add.reduceat(prod, sa, axis=0), sb, axis=1)
             block *= weight
-            out += block
+            out[at] += block
     if symmetric:
         return np.tril(out) + np.tril(out, -1).T
     return out

@@ -238,13 +238,9 @@ def cp_als_many(
     resid = np.empty(unfoldings[-1].shape)
     live = np.arange(len(ts))
     prev_err = np.full(len(ts), np.inf)
-    # Doubles when the sweeps reach it, so its size follows the sweeps
-    # taken, not max_iter.
-    history = np.empty((len(ts), min(max_iter, 64)))
+    histories: list[list[float]] = [[] for _ in ts]
     results: list = [None] * len(ts)
     for sweep in range(max_iter):
-        if sweep == history.shape[1]:
-            history = np.concatenate((history, np.empty_like(history)), axis=1)
         for n in range(n_modes):
             others = [factors[j] for j in range(n_modes - 1, -1, -1) if j != n]
             kr = reduce(_khatri_rao, others)
@@ -261,7 +257,8 @@ def cp_als_many(
         res = np.subtract(unfoldings[-1], model, out=model).reshape(live.size, 1, -1)
         err = np.sqrt((res @ res.transpose(0, 2, 1)).reshape(-1))
         np.divide(err, norm_x, out=err, where=norm_x > 0)
-        history[live, sweep] = err
+        for i, e in zip(live.tolist(), err.tolist()):
+            histories[i].append(e)
         small = prev_err - err < tol
         done = small | (sweep == max_iter - 1)
         prev_err = err
@@ -269,7 +266,7 @@ def cp_als_many(
             for i in np.flatnonzero(done):
                 results[live[i]] = KruskalTensor(
                     weights[i], tuple(f[i] for f in factors),
-                    tuple(history[live[i], : sweep + 1].tolist()),
+                    tuple(histories[live[i]]),
                     SolveStats(sweep + 1, sweep + 1, "tol" if small[i] else "max_iters"),
                 ).normalized()
             stay = np.flatnonzero(~done)

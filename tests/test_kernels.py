@@ -1,5 +1,7 @@
 """Kernel tests: vector kernels, CP kernel, coupled kernel, Gram assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,29 +293,36 @@ class TestGram:
             for j in range(2):
                 assert abs(g[i, j] - coupled_kernel(fs[i], fs[j], spec)) < 1e-12
 
-    def test_uniform_rank_skips_the_padded_scatter(self, monkeypatch):
-        # At one rank the stacked components are already the padded slots,
-        # so the kernel matrix is summed without the np.ix_ scatter.
-        calls = []
-        ix = np.ix_
-        monkeypatch.setattr(np, "ix_", lambda *a: calls.append(1) or ix(*a))
+    def test_uniform_rank_matches_brute_kernel(self):
         rng = np.random.default_rng(18)
         fs = [random_coupled_factors(rng, rank=3) for _ in range(4)]
         spec = default_coupled_spec(fs)
         g = gram_matrix(fs, spec)
         cross = gram_cross(fs[:3], fs[1:], spec)
-        assert not calls
         for i in range(4):
             for j in range(4):
                 want = brute_coupled_kernel(fs[i], fs[j], spec)
                 assert abs(g[i, j] - want) < 1e-12 * max(1.0, abs(want))
         np.testing.assert_allclose(cross, g[:3, 1:], rtol=0, atol=1e-12)
-        # Mixed ranks on either side take the padded path.
-        mixed = [random_coupled_factors(rng, rank=2), fs[0]]
-        gram_cross(fs, mixed, spec)
-        assert len(calls) == 1
-        gram_cross(mixed, fs, spec)
-        assert len(calls) == 2
+
+    def test_mixed_rank_costs_no_more_memory_than_uniform_rank(self):
+        # Case-3 dims, 320 stacked components on both sides: a mix of ranks
+        # must not pay for a zero-padded (samples x max rank)^2 copy.
+        rng = np.random.default_rng(19)
+        dims = (30, 20, 10, 50)
+        mixed = [random_coupled_factors(rng, 3 + 2 * (i % 2), dims) for i in range(80)]
+        uniform = [random_coupled_factors(rng, 5, dims) for _ in range(64)]
+        spec = default_coupled_spec(mixed)
+
+        def peak(fs):
+            tracemalloc.start()
+            try:
+                gram_matrix(fs, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(mixed) <= 1.10 * peak(uniform)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(12)

@@ -160,6 +160,39 @@ def test_rank_zero_sample_scores_zero():
     assert gram_cross(fs[1:2], fs[3:], spec).tolist() == [[0.0]]
 
 
+@pytest.mark.parametrize("ranks_a, ranks_b", [
+    pytest.param([0, 2, 3], [0, 0, 1, 4], id="leading"),
+    pytest.param([2, 0, 0, 3], [1, 3, 0, 0, 0, 2], id="consecutive"),
+    pytest.param([3, 1, 0], [2, 0, 0], id="trailing"),
+    pytest.param([2, 0, 3], [0, 0], id="b-all-zero"),
+    pytest.param([0, 0, 0], [0, 1], id="a-all-zero"),
+])
+def test_rank_zero_patterns_match_pairwise(ranks_a, ranks_b):
+    rng = np.random.default_rng(0)
+    a = [coupled_factors(rng, r) for r in ranks_a]
+    b = [coupled_factors(rng, r) for r in ranks_b]
+    za, zb = np.equal(ranks_a, 0), np.equal(ranks_b, 0)
+    spec = CoupledKernelSpec(
+        KernelSpec("rbf", 0.8), KernelSpec("polynomial", degree=2, offset=0.5),
+        KernelSpec("linear"), KernelSpec("rbf", 1.5), weights=(0.4, 0.3, 0.3))
+
+    def check(got, ref, zero_rows, zero_cols):
+        assert close(got, ref)
+        assert not got[zero_rows].any() and not got[:, zero_cols].any()
+
+    kern = lambda x, z: ref_coupled_kernel(x, z, spec)  # noqa: E731
+    check(gram_cross(a, b, spec), ref_gram(a, b, kern), za, zb)
+    for s, z in ((a, za), (b, zb)):
+        check(gram_matrix(s, spec), ref_gram(s, s, kern), z, z)
+    specs = (spec.k1_mode1, spec.k1_mode2, spec.k3)
+    for part, sp in ((lambda f: f.u1, specs), (lambda f: f.u2, specs[:2])):
+        ta, tb = [part(f) for f in a], [part(f) for f in b]
+        kern = lambda x, z: ref_cp_kernel(x, z, sp)  # noqa: E731
+        check(cp_gram_cross(ta, tb, sp), ref_gram(ta, tb, kern), za, zb)
+        for s, z in ((ta, za), (tb, zb)):
+            check(cp_gram(s, sp), ref_gram(s, s, kern), z, z)
+
+
 def test_spec_count_must_match_order():
     rng = np.random.default_rng(1)
     t = coupled_factors(rng, 2).u1
