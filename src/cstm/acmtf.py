@@ -50,19 +50,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor_core import KruskalTensor, SolveStats, _keep_rows
+from .tensor_core import KruskalTensor, NumericalError, SolveStats, _keep_rows
 
 # Guard for the Hestenes-Stiefel denominator; below this the direction
 # update is replaced by steepest descent.
 HS_DENOM_GUARD = 1e-12
-
-
-class NumericalError(RuntimeError):
-    """Raised on a non-finite objective at ``iteration``, or a non-finite score."""
-
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
-        self.iteration = iteration
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,6 @@ import csv
 import dataclasses
 import os
 import sys
-import time
-from collections import Counter
 
 import numpy as np
 
@@ -43,7 +41,10 @@ _DECOMPOSE_FIELDS = tuple(f for f in dataclasses.fields(AcmtfHyperParams)
                           if f.name != "epsilon")
 
 
-def _sample_paths(directory: str) -> list[str]:
+def _read_samples(directory: str, unlabeled: str | None = None):
+    """``(paths, samples, labels)`` of the ``.cstm`` sample files in
+    ``directory``, sorted by name.  With ``unlabeled`` set, an unlabeled
+    sample is a ``ConfigError`` that names ``unlabeled`` and the file."""
     try:
         names = sorted(os.listdir(directory))
     except OSError as exc:
@@ -55,12 +56,21 @@ def _sample_paths(directory: str) -> list[str]:
     ]
     if not paths:
         raise FileNotFoundError(f"no .cstm sample files in {directory}")
-    return paths
+    samples = [container.read_sample(p) for p in paths]
+    labels = np.array([s.label for s in samples], dtype=np.float64)
+    if unlabeled is not None and np.any(labels == 0):
+        bad = paths[int(np.flatnonzero(labels == 0)[0])]
+        raise ConfigError(f"unlabeled {unlabeled}: {bad}")
+    return paths, samples, labels
+
+
+def _write_manifest(path: str, command: str, entries: dict) -> None:
+    container.write_manifest(path, {"version": _VERSION, "command": command, **entries})
 
 
 def _stop_histogram(counts) -> str:
-    """``"max_iters: 6, tol: 10"`` from a mapping of stop reason to count."""
-    return ", ".join(f"{stop}: {n}" for stop, n in sorted(counts.items()))
+    """``"max_iters: 6, tol: 10"`` from :func:`experiments.stop_counts`."""
+    return ", ".join(f"{stop}: {n}" for stop, n in counts.items())
 
 
 def cmd_simulate(args) -> int:
@@ -68,11 +78,10 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i, s in enumerate(samples):
         container.write_sample(os.path.join(args.out, f"sample_{i:04d}.cstm"), s)
-    container.write_manifest(
+    _write_manifest(
         os.path.join(args.out, "manifest.txt"),
+        "simulate",
         {
-            "version": _VERSION,
-            "command": "simulate",
             "case": args.case,
             "n_per_class": args.n_per_class,
             "seed": args.seed,
@@ -86,12 +95,9 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     sample = container.read_sample(args.infile)
     params = AcmtfHyperParams(**{f.name: getattr(args, f.name) for f in _DECOMPOSE_FIELDS})
-    t0 = time.perf_counter()
-    factors = acmtf_decompose(sample, params, seed=args.seed)
-    elapsed = time.perf_counter() - t0
+    factors, elapsed = experiments.timed(acmtf_decompose, sample, params, seed=args.seed)
     container.write_factors(args.out, factors)
-    entries = {"version": _VERSION, "command": "decompose", "input": args.infile,
-               "seed": args.seed, "wall_clock_s": f"{elapsed:.3f}",
+    entries = {"input": args.infile, "seed": args.seed, "wall_clock_s": f"{elapsed:.3f}",
                "final_objective": repr(factors.objective_history[-1]),
                "iterations": factors.stats.iterations,
                "evaluations": factors.stats.evaluations,
@@ -100,7 +106,7 @@ def cmd_decompose(args) -> int:
     for line in serialize_acmtf_params(params).strip().splitlines():
         key, value = line.split(" = ", 1)
         entries[f"acmtf.{key}"] = value
-    container.write_manifest(args.out + ".manifest.txt", entries)
+    _write_manifest(args.out + ".manifest.txt", "decompose", entries)
     print(f"decomposed {args.infile} -> {args.out} "
           f"(objective {factors.objective_history[-1]:.6g})")
     return EXIT_OK
@@ -108,34 +114,26 @@ def cmd_decompose(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = parse_config_file(args.config)
-    paths = _sample_paths(args.train)
-    samples = [container.read_sample(p) for p in paths]
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    if np.any(labels == 0):
-        bad = paths[int(np.flatnonzero(labels == 0)[0])]
-        raise ConfigError(f"unlabeled training sample: {bad}")
+    _, samples, labels = _read_samples(args.train, "training sample")
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise ConfigError(f"{args.train}: training set needs +1 and -1 samples")
-    t0 = time.perf_counter()
-    (factors,), *_ = experiments.decompose_samples(
-        samples, dataclasses.replace(cfg, methods=("cstm",)))
-    t_decompose = time.perf_counter() - t0
-    model = experiments.fit_methods({"cstm": factors}, labels, cfg, 0)["cstm"]
-    t_total = time.perf_counter() - t0
+    (reps, _), t_decompose = experiments.timed(
+        experiments.decompose_samples, samples, dataclasses.replace(cfg, methods=("cstm",)))
+    models, t_fit = experiments.timed(experiments.fit_methods, reps, labels, cfg, 0)
+    model = models["cstm"]
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
-    container.write_manifest(
+    _write_manifest(
         args.out + ".manifest.txt",
+        "fit",
         {
-            "version": _VERSION,
-            "command": "fit",
             "config_hash": config_hash(cfg),
             "seed": cfg.seed,
             "n_train": len(samples),
             "lambda": repr(model.lam),
             "weights": ", ".join(repr(w) for w in model.kernel.weights),
             "wall_clock_decompose_s": f"{t_decompose:.3f}",
-            "wall_clock_total_s": f"{t_total:.3f}",
-            "acmtf_stops": _stop_histogram(Counter(f.stats.stop for f in factors)),
+            "wall_clock_total_s": f"{t_decompose + t_fit:.3f}",
+            "acmtf_stops": _stop_histogram(experiments.stop_counts(reps["cstm"])),
         },
     )
     print(f"fit {len(samples)} samples -> {args.out} (lambda {model.lam:g})")
@@ -144,19 +142,17 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model, params, prune_rel = container.read_model(args.model)
-    paths = _sample_paths(args.infile)
-    samples = [container.read_sample(p) for p in paths]
+    cfg = experiments.ExperimentConfig(acmtf=params, prune_rel=prune_rel, seed=args.seed,
+                                       methods=("cstm",))
+    paths, samples, _ = _read_samples(args.infile)
     train_dims = model.factors[0].dims
     for p, s in zip(paths, samples):
         if s.dims != train_dims:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
-    t0 = time.perf_counter()
-    (factors,), *_ = experiments.decompose_samples(samples, experiments.ExperimentConfig(
-        acmtf=params, prune_rel=prune_rel, seed=args.seed, methods=("cstm",)))
-    t_decompose = time.perf_counter() - t0
-    scores = stm.decision_many(model, factors)
+    (reps, _), t_decompose = experiments.timed(experiments.decompose_samples, samples, cfg)
+    scores = stm.decision_many(model, reps["cstm"])
     finite = np.isfinite(scores)
     if not finite.all():
         raise NumericalError(f"{paths[int(np.argmin(finite))]}: non-finite decision score")
@@ -165,17 +161,16 @@ def cmd_predict(args) -> int:
         w.writerow(("file", "score", "label"))
         for p, score, label in zip(paths, scores, stm.predict_label(scores)):
             w.writerow([os.path.basename(p), repr(float(score)), label])
-    container.write_manifest(
+    _write_manifest(
         args.out + ".manifest.txt",
+        "predict",
         {
-            "version": _VERSION,
-            "command": "predict",
             "model": args.model,
             "input": args.infile,
             "seed": args.seed,
             "n_samples": len(paths),
             "wall_clock_decompose_s": f"{t_decompose:.3f}",
-            "acmtf_stops": _stop_histogram(Counter(f.stats.stop for f in factors)),
+            "acmtf_stops": _stop_histogram(experiments.stop_counts(reps["cstm"])),
         },
     )
     print(f"wrote predictions for {len(paths)} samples to {args.out}")
@@ -188,26 +183,17 @@ def cmd_benchmark(args) -> int:
         cfg = dataclasses.replace(cfg, threads=args.threads)
     samples = None
     if cfg.dataset is not None:
-        paths = _sample_paths(cfg.dataset)
-        samples = [container.read_sample(p) for p in paths]
-        labels = np.array([s.label for s in samples], dtype=np.float64)
-        if np.any(labels == 0):
-            bad = paths[int(np.flatnonzero(labels == 0)[0])]
-            raise ConfigError(f"unlabeled sample: {bad}")
+        _, samples, labels = _read_samples(cfg.dataset, "sample")
         # The per-class split counts do not depend on the seed, so one split
         # refuses every repetition's.
         experiments.stratified_split(labels, cfg.test_fraction, cfg.seed)
     elif cfg.case is None:
         raise ConfigError("missing: case")
     os.makedirs(args.out, exist_ok=True)
-    t0 = time.perf_counter()
-    summary = experiments.run_experiment(cfg, samples)
-    elapsed = time.perf_counter() - t0
+    summary, elapsed = experiments.timed(experiments.run_experiment, cfg, samples)
     summary.write_results_csv(os.path.join(args.out, "results.csv"))
     summary.write_summary_csv(os.path.join(args.out, "summary.csv"))
     entries = {
-        "version": _VERSION,
-        "command": "benchmark",
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
         "repetitions": cfg.repetitions,
@@ -230,7 +216,7 @@ def cmd_benchmark(args) -> int:
                        ("cp_als_stops", summary.cp_als_stops)):
         if stops:
             entries[key] = _stop_histogram(stops)
-    container.write_manifest(os.path.join(args.out, "manifest.txt"), entries)
+    _write_manifest(os.path.join(args.out, "manifest.txt"), "benchmark", entries)
     for method in summary.methods:
         print(f"{method}: accuracy {summary.mean(method, 'accuracy'):.4f} "
               f"+/- {summary.sd(method, 'accuracy'):.4f}")
@@ -296,6 +282,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Exit 1, not argparse's 2 (which this CLI gives I/O errors).
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     # FormatError and ConfigError are ValueErrors: FormatError's exit code goes first.
     except FormatError as exc:

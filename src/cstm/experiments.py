@@ -13,7 +13,10 @@ pass for all methods and each method's dual solve; then test scoring.
 ``cstm fit`` and ``cstm predict`` share its two steps: :func:`decompose_samples`
 gives each of ``threads`` workers a contiguous slice of the samples and
 computes every representation the methods need (CP-ALS, pruned ACMTF,
-truncated SVD); :func:`fit_methods` tunes and fits methods on a training part.
+truncated SVD), returned keyed by method from the worker on;
+:func:`fit_methods` tunes and fits methods on a training part.  Every wall
+time the harness and the CLI record comes from :func:`timed`, and every
+stop-reason count from :func:`stop_counts`.
 """
 
 from __future__ import annotations
@@ -253,6 +256,8 @@ class ExperimentConfig:
             _test_count(self.n_per_class, self.test_fraction, "each class")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {METHODS}")
@@ -330,32 +335,38 @@ class MetricsSummary:
                     )
 
 
+def timed(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), seconds)``: a call's result and its wall time."""
+    t0 = time.perf_counter()
+    return fn(*args, **kwargs), time.perf_counter() - t0
+
+
+def stop_counts(results) -> dict[str, int]:
+    """``{stop: n}``: how many of ``results`` ended for each stop reason, sorted."""
+    return dict(sorted(Counter(r.stats.stop for r in results).items()))
+
+
 def _decompose_job(args):
     """One worker's share of :func:`decompose_samples`: the slice that
     starts at sample ``offset``."""
     samples, offset, cfg = args
     index = range(offset, offset + len(samples))
     rank = cfg.acmtf.rank
-    reps = {}
-    acmtf_s = cp_als_s = 0.0
+    reps, seconds = {}, {}
     # CP-ALS goes first: ACMTF's larger batch then reuses the memory CP-ALS
     # freed.  In the other order a study worker (20 case-3 samples) peaked
     # 0.9 MB higher (37.4 against 36.5 MB).
     if "cpstm_tensor" in cfg.methods:
         seeds = [derive_seed(cfg.seed, _ROLE_CPALS, i) for i in index]
-        t0 = time.perf_counter()
-        reps["cpstm_tensor"] = cp_als_many([s.tensor for s in samples], rank, seeds,
-                                           tol=1e-8, max_iter=100)
-        cp_als_s = time.perf_counter() - t0
+        reps["cpstm_tensor"], seconds["cpstm_tensor"] = timed(
+            cp_als_many, [s.tensor for s in samples], rank, seeds, tol=1e-8, max_iter=100)
     if "cstm" in cfg.methods:
         seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in index]
-        t0 = time.perf_counter()
-        raw = acmtf_decompose_many(samples, cfg.acmtf, seeds)
-        acmtf_s = time.perf_counter() - t0
+        raw, seconds["cstm"] = timed(acmtf_decompose_many, samples, cfg.acmtf, seeds)
         reps["cstm"] = [f.pruned(cfg.prune_rel) for f in raw]
     if "cpstm_matrix" in cfg.methods:
         reps["cpstm_matrix"] = [stm.matrix_to_kruskal(s.matrix, rank) for s in samples]
-    return [reps[m] for m in cfg.methods], acmtf_s, cp_als_s
+    return reps, seconds
 
 
 def decompose_samples(samples, cfg: ExperimentConfig):
@@ -364,8 +375,10 @@ def decompose_samples(samples, cfg: ExperimentConfig):
 
     Sample i's seeds derive from ``cfg.seed`` and i.  One job per worker,
     of ``cfg.threads`` contiguous slices, run inline when there is one job;
-    a sample's results do not depend on its slice.  Returns one list per
-    method, then the seconds of the ACMTF and CP-ALS calls summed over jobs.
+    a sample's results do not depend on its slice.  Returns ``(results,
+    seconds)``, both keyed by method: each method's list of results in
+    sample order, and the wall time of its solver call (``cstm``'s ACMTF,
+    ``cpstm_tensor``'s CP-ALS), summed over jobs.
     """
     n = len(samples)
     cuts = [n * k // cfg.threads for k in range(cfg.threads + 1)]
@@ -375,8 +388,9 @@ def decompose_samples(samples, cfg: ExperimentConfig):
     else:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             done = list(pool.map(_decompose_job, jobs))
-    reps = [[r for d in done for r in d[0][k]] for k in range(len(cfg.methods))]
-    return reps, sum(d[1] for d in done), sum(d[2] for d in done)
+    results = {m: [r for reps, _ in done for r in reps[m]] for m in cfg.methods}
+    seconds = {m: sum(secs[m] for _, secs in done) for m in done[0][1]} if done else {}
+    return results, seconds
 
 
 _WEIGHT_GRID_STEP = 0.1
@@ -461,55 +475,45 @@ def run_experiment(
     if np.any(labels == 0):
         raise ValueError("all samples must be labeled")
 
-    t0 = time.perf_counter()
-    per_method, acmtf_s, cp_als_s = decompose_samples(samples, cfg)
-    pools = dict(zip(cfg.methods, per_method))
+    (pools, seconds), t_decompose = timed(decompose_samples, samples, cfg)
     mean_final = (float(np.mean([f.objective_history[-1] for f in pools["cstm"]]))
                   if "cstm" in pools else float("nan"))
-    t_decompose = time.perf_counter() - t0
-    stops = {m: dict(sorted(Counter(r.stats.stop for r in pools[m]).items()))
-             for m in ("cstm", "cpstm_tensor") if m in pools}
-
     summary = MetricsSummary(
         methods=cfg.methods,
         rows={m: [] for m in cfg.methods},
         lambdas={m: [] for m in cfg.methods},
         decompose_seconds=t_decompose,
-        acmtf_seconds=acmtf_s,
-        cp_als_seconds=cp_als_s,
-        acmtf_stops=stops.get("cstm", {}),
-        cp_als_stops=stops.get("cpstm_tensor", {}),
+        acmtf_seconds=seconds.get("cstm", 0.0),
+        cp_als_seconds=seconds.get("cpstm_tensor", 0.0),
+        acmtf_stops=stop_counts(pools.get("cstm", ())),
+        cp_als_stops=stop_counts(pools.get("cpstm_tensor", ())),
         mean_final_objective=mean_final,
     )
-    t1 = time.perf_counter()
-    for rep in range(cfg.repetitions):
-        try:
-            _run_repetition(cfg, rep, labels, pools, summary)
-        except Exception as exc:  # noqa: BLE001 - recorded or re-raised below
-            if cfg.tolerate_failures:
-                seed = derive_seed(cfg.seed, _ROLE_SPLIT, rep)
-                summary.failures.append(
-                    (rep, f"seed {seed}: {type(exc).__name__}: {exc}")
-                )
-                continue
-            raise
-    summary.repetitions_seconds = time.perf_counter() - t1
+    _, summary.repetitions_seconds = timed(_run_repetitions, cfg, labels, pools, summary)
     return summary
 
 
-def _run_repetition(cfg, rep, labels, pools, summary):
-    split_seed = derive_seed(cfg.seed, _ROLE_SPLIT, rep)
-    tr, te = stratified_split(labels, cfg.test_fraction, split_seed)
-    y_tr, y_te = labels[tr], labels[te]
-
-    models = fit_methods({m: [pool[i] for i in tr] for m, pool in pools.items()},
-                         y_tr, cfg, rep)
-    rows = {m: compute_metrics(y_te, stm.decision_many(model, [pools[m][i] for i in te]))
-            for m, model in models.items()}
-    # All methods succeeded: merge so per-method lists stay aligned even
-    # when a repetition fails under tolerate_failures.
-    for method, model in models.items():
-        summary.rows[method].append(rows[method])
-        summary.lambdas[method].append(model.lam)
-        if isinstance(model.kernel, CoupledKernelSpec):
-            summary.weights.append(model.kernel.weights)
+def _run_repetitions(cfg, labels, pools, summary):
+    for rep in range(cfg.repetitions):
+        split_seed = derive_seed(cfg.seed, _ROLE_SPLIT, rep)
+        try:
+            tr, te = stratified_split(labels, cfg.test_fraction, split_seed)
+            y_tr, y_te = labels[tr], labels[te]
+            models = fit_methods({m: [pool[i] for i in tr] for m, pool in pools.items()},
+                                 y_tr, cfg, rep)
+            rows = {m: compute_metrics(y_te, stm.decision_many(mod, [pools[m][i] for i in te]))
+                    for m, mod in models.items()}
+        except Exception as exc:  # noqa: BLE001 - recorded or re-raised here
+            if not cfg.tolerate_failures:
+                raise
+            summary.failures.append(
+                (rep, f"seed {split_seed}: {type(exc).__name__}: {exc}")
+            )
+            continue
+        # All methods succeeded: merge so per-method lists stay aligned even
+        # when a repetition fails under tolerate_failures.
+        for method, model in models.items():
+            summary.rows[method].append(rows[method])
+            summary.lambdas[method].append(model.lam)
+            if isinstance(model.kernel, CoupledKernelSpec):
+                summary.weights.append(model.kernel.weights)

@@ -66,6 +66,15 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / safe[..., None, :], norms
 
 
+class NumericalError(RuntimeError):
+    """Raised on data beyond the float64 range, a non-finite objective at
+    ``iteration``, or a non-finite score."""
+
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
+        self.iteration = iteration
+
+
 @dataclass(frozen=True)
 class SolveStats:
     """How one iterative solve ended: ``iterations`` steps taken (CG
@@ -194,7 +203,8 @@ def cp_als_many(
 
     The arguments are checked once, here: ``rank >= 1``, ``tol > 0``,
     ``max_iter >= 1``, one seed per tensor, and finite tensors of one
-    shape, of order 2 or more and with no empty mode.  A sweep stacks
+    shape, of order 2 or more and with no empty mode; a tensor whose sum of
+    squares overflows float64 raises :class:`NumericalError`.  A sweep stacks
     every live tensor's unfoldings, Khatri-Rao products and ``(B, r, r)``
     Grams, and makes one stacked ``np.linalg.solve`` per mode.  A tensor
     leaves the batch when it stops; the rows of the others move down in
@@ -202,9 +212,8 @@ def cp_als_many(
 
     numpy computes each item of a stacked ``matmul`` or ``solve`` as the
     two-dimensional call on that item would, but BLAS sums in an order
-    that depends on the operands' memory layout.  So each stacked array
-    keeps per item the layout that the one-tensor computation gives it.
-    Tensors are read in C order.
+    that depends on the operands' memory layout; every stacked array has
+    one layout per item whatever the batch.  Tensors are read in C order.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -225,6 +234,10 @@ def cp_als_many(
         raise ValueError(f"tensor order must be >= 2, got {len(dims)}")
     if 0 in dims:
         raise ValueError(f"tensor has an empty mode: shape {dims}")
+    with np.errstate(over="ignore"):
+        norm_x = np.array([np.linalg.norm(t) for t in ts])
+    if np.isinf(norm_x).any():
+        raise NumericalError(f"tensor {np.argmax(norm_x)}: sum of squares overflows float64")
 
     n_modes = len(dims)
     inits = [
@@ -233,7 +246,6 @@ def cp_als_many(
     ]
     factors = [np.stack(fs) for fs in zip(*inits)]
     unfoldings = [_stacked_unfoldings(ts, n) for n in range(n_modes)]
-    norm_x = np.array([np.linalg.norm(t) for t in ts])
     ridge = ALS_RIDGE * np.eye(rank)
     resid = np.empty(unfoldings[-1].shape)
     live = np.arange(len(ts))
@@ -279,15 +291,10 @@ def cp_als_many(
 
 
 def _stacked_unfoldings(ts, mode: int) -> np.ndarray:
-    # (B, I_n, J_n) mode-n unfoldings of C-order tensors of one shape, each
-    # laid out as _unfold lays out one (a copy in Fortran order, unless the
-    # unfolding is a C-order view).
-    first = _unfold(ts[0], mode)
-    shape = (len(ts),) + first.shape
-    if first.flags.c_contiguous:
-        out = np.empty(shape)
-    else:
-        out = np.empty(shape[:1] + shape[:0:-1]).transpose(0, 2, 1)
+    # (B, I_n, J_n) mode-n unfoldings of tensors of one shape, each item in
+    # Fortran order.
+    rows = ts[0].shape[mode]
+    out = np.empty((len(ts), ts[0].size // rows, rows)).transpose(0, 2, 1)
     for i, t in enumerate(ts):
         out[i] = _unfold(t, mode)
     return out

@@ -251,23 +251,6 @@ class TestFitPredict:
         assert manifest["weights"] == ", ".join(repr(v) for v in spec.weights)
         assert manifest["lambda"] == repr(lam)
 
-    def test_manifest_records_stop_histograms(self, tmp_path):
-        # Every decomposed sample counts once, under its solver's stop
-        # reason; a study without a method has no histogram for its solver.
-        cfg = tmp_path / "cfg.txt"
-        for methods, keys in (("cstm, cpstm_tensor", {"acmtf_stops", "cp_als_stops"}),
-                              ("cpstm_matrix", set())):
-            cfg.write_text(CONFIG_SMALL.replace("[acmtf]", f"methods = {methods}\n\n[acmtf]"))
-            out = tmp_path / methods.replace(", ", "_")
-            assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 0
-            manifest = dict(line.split(" = ", 1)
-                            for line in (out / "manifest.txt").read_text().splitlines())
-            assert {k for k in manifest if k.endswith("_stops")} == keys
-            for key in keys:
-                counts = dict(item.split(": ") for item in manifest[key].split(", "))
-                assert set(counts) <= {"tol", "max_iters", "no_descent", "zero_grad"}
-                assert sum(map(int, counts.values())) == 8  # 4 per class
-
     @pytest.mark.parametrize("kernel, want", [
         ("bandwidth = 0.8\n", KernelSpec("rbf", 0.8)),
         ("kind = polynomial\ndegree = 3\noffset = 0.5\n",
@@ -623,6 +606,25 @@ class TestBenchmark:
                          "--out", str(model)]) == 1
             assert not model.exists()
 
+    @pytest.mark.parametrize("methods, code", [("cstm, cpstm_tensor", 3), ("cstm", 0)],
+                             ids=["cp_als", "acmtf_only"])
+    def test_tensor_whose_sum_of_squares_overflows(self, tmp_path, capsys, methods, code):
+        # A case-3 tensor at entries up to 1e160 has a finite norm but no
+        # finite sum of squares: ACMTF scales it and fits, CP-ALS aborts.
+        data = tmp_path / "data"
+        assert main(["simulate", "--case", "3", "--n-per-class", "5", "--seed", "1",
+                     "--out", str(data)]) == 0
+        path = data / "sample_0003.cstm"
+        s = container.read_sample(path)
+        huge = s.tensor * (1e160 / np.abs(s.tensor).max())
+        container.write_sample(path, CoupledSample(huge, s.matrix, s.label))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {data}").replace(
+            "[acmtf]", f"methods = {methods}\n\n[acmtf]"))
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        if code == 3:
+            assert "sum of squares overflows float64" in capsys.readouterr().err
+
     def test_missing_config_exit2(self, tmp_path):
         rc = main(["benchmark", "--config", str(tmp_path / "none.txt"),
                    "--out", str(tmp_path / "o")])
@@ -647,6 +649,29 @@ class TestInspect:
             "n_train: 2", "support_vectors: 1",
             "weights: 0.3333333333333333, 0.3333333333333333, 0.3333333333333333",
         ]
+
+
+@pytest.mark.parametrize("command", ["simulate", "decompose", "fit", "predict", "benchmark"])
+def test_negative_seed_exit1_before_any_output(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_separable_samples(data)
+    cfg, model = tmp_path / "cfg.txt", tmp_path / "model.cstm"
+    if command == "predict":
+        cfg.write_text(FIT_CONFIG)
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model)]) == 0
+    cfg.write_text(FIT_CONFIG.replace("seed = 2", "seed = -1"))
+    argv = {
+        "simulate": ["simulate", "--case", "1", "--n-per-class", "2", "--seed", "-1"],
+        "decompose": ["decompose", "--in", str(data / "sample_0000.cstm"), "--seed", "-1"],
+        "fit": ["fit", "--train", str(data), "--config", str(cfg)],
+        "predict": ["predict", "--model", str(model), "--in", str(data), "--seed", "-1"],
+        "benchmark": ["benchmark", "--config", str(cfg)],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
 
 
 def test_one_version_string(tmp_path):

@@ -570,7 +570,8 @@ def ref_cp_als(t, rank, tol, max_iter, seed):
     n_modes = t.ndim
     rng = np.random.default_rng(seed)
     factors = [normalize(rng.standard_normal((d, rank)))[0] for d in t.shape]
-    unfoldings = [np.moveaxis(t, n, 0).reshape((d, -1), order="F")
+    # Fortran-order unfoldings: the layout of every item of cp_als_many's stack.
+    unfoldings = [np.asfortranarray(np.moveaxis(t, n, 0).reshape((d, -1), order="F"))
                   for n, d in enumerate(t.shape)]
     norm_x = np.linalg.norm(t)
     history, prev = [], np.inf

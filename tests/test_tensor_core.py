@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import cstm
+from cstm.acmtf import NumericalError
+from cstm.experiments import gen_case
 from cstm.tensor_core import (
     KruskalTensor,
     _khatri_rao,
@@ -307,6 +310,18 @@ class TestCpAls:
             cp_als(t, 1)
         with pytest.raises(ValueError, match="non-finite"):
             cp_als_many([np.ones((2, 3, 2)), t], 1, [0, 1])
+
+    def test_sum_of_squares_overflow_raises(self):
+        # At entries up to 1e160 a case-3 tensor's norm is finite but its sum
+        # of squares is not; at 1e150 it fits.
+        t = gen_case(3, 1, 0)[0].tensor
+        t = t / np.abs(t).max()
+        assert np.isfinite(cp_als(t * 1e150, 3, max_iter=100).weights).all()
+        with pytest.raises(NumericalError, match="tensor 0: sum of squares overflows"):
+            cp_als(t * 1e160, 3)
+        with pytest.raises(NumericalError, match="tensor 1: sum of squares overflows"):
+            cp_als_many([t, t * 1e160, t], 3, [0, 1, 2])
+        assert cstm.NumericalError is NumericalError
 
     def test_a_large_sweep_cap_allocates_nothing_for_it(self):
         # The error histories grow with the sweeps taken, so a cap of 10**12
