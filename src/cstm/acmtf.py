@@ -640,8 +640,8 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     if bad.any():
         k = int(np.argmax(bad))
         if not np.isfinite(f[k]):
-            raise NumericalError("non-finite objective at initialization", 0)
-        raise NumericalError("non-finite objective or gradient", 0)
+            raise NumericalError("non-finite objective at initialization", 0, k)
+        raise NumericalError("non-finite objective or gradient", 0, k)
     G = G.copy()  # ev rewrites its gradient block on the next call
     X, D, P = x.copy(), -G, np.empty_like(x)
     histories = [[v] for v in f.tolist()]
@@ -783,7 +783,8 @@ def acmtf_decompose_many(samples, h: AcmtfHyperParams, seeds) -> list[AcmtfFacto
     whatever other samples share the batch.
 
     A sample whose tensor or matrix has a Frobenius norm beyond the float64
-    range raises :class:`NumericalError` before any iteration.
+    range raises :class:`NumericalError`, with its position as ``sample``,
+    before any iteration.
 
     Degenerate samples do not raise; each gets finite factors and a
     ``stats.stop`` (tested at rank 3 and at rank 7, above every mode size):
@@ -811,7 +812,7 @@ def acmtf_decompose_many(samples, h: AcmtfHyperParams, seeds) -> list[AcmtfFacto
     for k, s in enumerate(samples):
         norms = (_frobenius(s.tensor), _frobenius(s.matrix))
         if np.isinf(norms).any():
-            raise NumericalError(f"sample {k}: Frobenius norm exceeds the float64 range", 0)
+            raise NumericalError("Frobenius norm exceeds the float64 range", 0, k)
         scales.append(tuple(n if n > 0 else 1.0 for n in norms))
     ev = _Evaluator(samples, h, scales)
     x = np.stack([_initial_point(dims, h.rank, seed) for seed in seeds])

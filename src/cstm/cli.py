@@ -8,6 +8,7 @@ abort, 4 file-format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -64,6 +65,19 @@ def _read_samples(directory: str, unlabeled: str | None = None):
     return paths, samples, labels
 
 
+@contextlib.contextmanager
+def _naming_files(paths):
+    """Name the sample file of a :class:`NumericalError` raised in the block
+    by one of ``paths``' samples; with ``paths`` None (generated samples)
+    the error keeps its sample number."""
+    try:
+        yield
+    except NumericalError as exc:
+        if exc.sample is None or paths is None:
+            raise
+        raise NumericalError(f"{paths[exc.sample]}: {exc.message}", exc.iteration) from exc
+
+
 def _write_manifest(path: str, command: str, entries: dict) -> None:
     container.write_manifest(path, {"version": _VERSION, "command": command, **entries})
 
@@ -95,7 +109,8 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     sample = container.read_sample(args.infile)
     params = AcmtfHyperParams(**{f.name: getattr(args, f.name) for f in _DECOMPOSE_FIELDS})
-    factors, elapsed = experiments.timed(acmtf_decompose, sample, params, seed=args.seed)
+    with _naming_files([args.infile]):
+        factors, elapsed = experiments.timed(acmtf_decompose, sample, params, seed=args.seed)
     container.write_factors(args.out, factors)
     entries = {"input": args.infile, "seed": args.seed, "wall_clock_s": f"{elapsed:.3f}",
                "final_objective": repr(factors.objective_history[-1]),
@@ -114,11 +129,12 @@ def cmd_decompose(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = parse_config_file(args.config)
-    _, samples, labels = _read_samples(args.train, "training sample")
+    paths, samples, labels = _read_samples(args.train, "training sample")
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise ConfigError(f"{args.train}: training set needs +1 and -1 samples")
-    (reps, _), t_decompose = experiments.timed(
-        experiments.decompose_samples, samples, dataclasses.replace(cfg, methods=("cstm",)))
+    with _naming_files(paths):
+        (reps, _), t_decompose = experiments.timed(
+            experiments.decompose_samples, samples, dataclasses.replace(cfg, methods=("cstm",)))
     models, t_fit = experiments.timed(experiments.fit_methods, reps, labels, cfg, 0)
     model = models["cstm"]
     container.write_model(args.out, model, cfg.acmtf, cfg.prune_rel)
@@ -151,7 +167,8 @@ def cmd_predict(args) -> int:
             raise FormatError(
                 f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
             )
-    (reps, _), t_decompose = experiments.timed(experiments.decompose_samples, samples, cfg)
+    with _naming_files(paths):
+        (reps, _), t_decompose = experiments.timed(experiments.decompose_samples, samples, cfg)
     scores = stm.decision_many(model, reps["cstm"])
     finite = np.isfinite(scores)
     if not finite.all():
@@ -181,16 +198,18 @@ def cmd_benchmark(args) -> int:
     cfg = parse_config_file(args.config)
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, threads=args.threads)
-    samples = None
+    paths = samples = None
     if cfg.dataset is not None:
-        _, samples, labels = _read_samples(cfg.dataset, "sample")
+        paths, samples, labels = _read_samples(cfg.dataset, "sample")
         # The per-class split counts do not depend on the seed, so one split
         # refuses every repetition's.
         experiments.stratified_split(labels, cfg.test_fraction, cfg.seed)
     elif cfg.case is None:
         raise ConfigError("missing: case")
+    with _naming_files(paths):
+        summary, elapsed = experiments.timed(experiments.run_experiment, cfg, samples)
+    # Made only now, so an aborted run leaves no empty directory behind.
     os.makedirs(args.out, exist_ok=True)
-    summary, elapsed = experiments.timed(experiments.run_experiment, cfg, samples)
     summary.write_results_csv(os.path.join(args.out, "results.csv"))
     summary.write_summary_csv(os.path.join(args.out, "summary.csv"))
     entries = {

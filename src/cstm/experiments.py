@@ -45,7 +45,7 @@ from .kernels import (
     default_cp_specs,
     gram_matrix,
 )
-from .tensor_core import cp_als, cp_als_many  # noqa: F401 - cp_als is re-exported
+from .tensor_core import NumericalError, cp_als, cp_als_many  # noqa: F401 - cp_als is re-exported
 
 TENSOR_DIMS = (30, 20, 10)
 MATRIX_DIMS = (50, 10)
@@ -348,22 +348,28 @@ def stop_counts(results) -> dict[str, int]:
 
 def _decompose_job(args):
     """One worker's share of :func:`decompose_samples`: the slice that
-    starts at sample ``offset``."""
+    starts at sample ``offset``.  A :class:`NumericalError` leaves with its
+    ``sample`` counted from the start of the whole list, not the slice."""
     samples, offset, cfg = args
     index = range(offset, offset + len(samples))
     rank = cfg.acmtf.rank
     reps, seconds = {}, {}
-    # CP-ALS goes first: ACMTF's larger batch then reuses the memory CP-ALS
-    # freed.  In the other order a study worker (20 case-3 samples) peaked
-    # 0.9 MB higher (37.4 against 36.5 MB).
-    if "cpstm_tensor" in cfg.methods:
-        seeds = [derive_seed(cfg.seed, _ROLE_CPALS, i) for i in index]
-        reps["cpstm_tensor"], seconds["cpstm_tensor"] = timed(
-            cp_als_many, [s.tensor for s in samples], rank, seeds, tol=1e-8, max_iter=100)
-    if "cstm" in cfg.methods:
-        seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in index]
-        raw, seconds["cstm"] = timed(acmtf_decompose_many, samples, cfg.acmtf, seeds)
-        reps["cstm"] = [f.pruned(cfg.prune_rel) for f in raw]
+    try:
+        # CP-ALS goes first: ACMTF's larger batch then reuses the memory
+        # CP-ALS freed.  In the other order a study worker (20 case-3
+        # samples) peaked 0.9 MB higher (37.4 against 36.5 MB).
+        if "cpstm_tensor" in cfg.methods:
+            seeds = [derive_seed(cfg.seed, _ROLE_CPALS, i) for i in index]
+            reps["cpstm_tensor"], seconds["cpstm_tensor"] = timed(
+                cp_als_many, [s.tensor for s in samples], rank, seeds, tol=1e-8, max_iter=100)
+        if "cstm" in cfg.methods:
+            seeds = [derive_seed(cfg.seed, _ROLE_DECOMPOSE, i) for i in index]
+            raw, seconds["cstm"] = timed(acmtf_decompose_many, samples, cfg.acmtf, seeds)
+            reps["cstm"] = [f.pruned(cfg.prune_rel) for f in raw]
+    except NumericalError as exc:
+        if exc.sample is None:
+            raise
+        raise NumericalError(exc.message, exc.iteration, offset + exc.sample) from exc
     if "cpstm_matrix" in cfg.methods:
         reps["cpstm_matrix"] = [stm.matrix_to_kruskal(s.matrix, rank) for s in samples]
     return reps, seconds

