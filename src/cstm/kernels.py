@@ -11,11 +11,13 @@ columns themselves.
 One engine, :func:`_gram`, computes every kernel value here.  A Gram is a
 weighted sum over roles (coupled: the tensor's two individual modes, the
 shared factor, the matrix factor; CP: all modes as one role), each role the
-product over its modes of :func:`kernel_matrix` on the stacked factor
+product over its modes of their kernel matrices on the stacked factor
 columns of all samples, summed to sample pairs with one ``np.add.reduceat``
 per axis at each sample's first component, so every mix of ranks, rank 0
-included, takes the same path.  The six public kernel and Gram functions
-only choose roles and delegate.
+included, takes the same path.  A product of Gaussians is one Gaussian, so
+a role's rbf modes take one matrix product and one ``exp``;
+:func:`kernel_matrix`, the per-mode reference, serves the other kinds.
+The six public kernel and Gram functions only choose roles and delegate.
 """
 
 from __future__ import annotations
@@ -46,14 +48,15 @@ class KernelSpec:
         if self.kind == "rbf" and not self.bandwidth > 0:
             raise ValueError("rbf bandwidth must be > 0")
         if self.kind == "rbf":
-            # The kernel divides by 2 bw^2: at 0 every self-similarity is
-            # 0/0, and a float square out of range raises OverflowError.
+            # The kernel divides by 2 bw^2: at 0 every self-similarity is 0/0,
+            # at inf (or OverflowError, out of float range) every value is 1.
             try:
                 scale = 2.0 * float(self.bandwidth) ** 2
             except OverflowError:
+                scale = np.inf
+            if scale == np.inf:
                 raise ValueError(
-                    f"rbf bandwidth {self.bandwidth!r} is too large: 2 bw^2 overflows"
-                ) from None
+                    f"rbf bandwidth {self.bandwidth!r} is too large: 2 bw^2 overflows")
             if not scale > 0:
                 raise ValueError(
                     f"rbf bandwidth {self.bandwidth!r} is too small: 2 bw^2 underflows to 0"
@@ -162,18 +165,43 @@ def _columns(samples: Sequence, modes) -> tuple[np.ndarray, list[np.ndarray]]:
     return ranks, [np.concatenate(m, axis=1) for m in zip(*map(modes, samples))]
 
 
+def _role_kernel(xa: list[np.ndarray], xb: list[np.ndarray], terms) -> np.ndarray:
+    """The product over a role's modes of their kernel matrices.
+
+    With each rbf mode's columns divided by sqrt(2) bw (a normal float for
+    every accepted bandwidth, unlike 2 bw^2), ``[a; |a|^2; 1]`` against
+    ``[2 b; -1; -|b|^2]``, one block per mode, gives the role's exponent
+    -sum |a - b|^2 / (2 bw^2); it is clamped at 0 and exponentiated in
+    place.  Other modes multiply in :func:`kernel_matrix`.
+    """
+    left, right, prod = [], [], None
+    for mode, spec in terms:
+        if spec.kind == "rbf":
+            a, b = (x[mode] / (np.sqrt(2.0) * spec.bandwidth) for x in (xa, xb))
+            left += [a, np.sum(a * a, axis=0), np.ones(a.shape[1])]
+            right += [2.0 * b, -np.ones(b.shape[1]), -np.sum(b * b, axis=0)]
+    if left:
+        prod = np.vstack(left).T @ np.vstack(right)
+        np.exp(np.minimum(prod, 0.0, out=prod), out=prod)
+    for mode, spec in terms:
+        if spec.kind != "rbf":
+            k = kernel_matrix(xa[mode], xb[mode], spec)
+            prod = k if prod is None else np.multiply(prod, k, out=prod)
+    return prod
+
+
 def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np.ndarray:
     """K[i, j] = sum over roles of weight * sum over component pairs of the
     product of per-mode kernel values between a[i] and b[j].
 
     ``modes(x)`` gives a sample's factor matrices; a role is ``(weight,
-    ((mode, spec), ...))``.  Each role's kernel matrix is computed once on
-    the stacked columns of all samples, then segment-summed to sample
-    pairs with ``np.add.reduceat``, rows first, at the first stacked column
-    of each sample that has components.  A rank-0 sample owns no segment:
-    it is left out of the index, so its row and column stay 0.  The
-    symmetric form (``b`` is ``a``) mirrors the lower triangle, so the
-    result is exactly symmetric.
+    ((mode, spec), ...))``.  Each role's kernel matrix (:func:`_role_kernel`)
+    is computed once on the stacked columns of all samples, then
+    segment-summed to sample pairs with ``np.add.reduceat``, rows first, at
+    the first stacked column of each sample that has components.  A rank-0
+    sample owns no segment: it is left out of the index, so its row and
+    column stay 0.  The symmetric form (``b`` is ``a``) mirrors the lower
+    triangle, so the result is exactly symmetric.
     """
     ra, xa = _columns(a, modes)
     rb, xb = (ra, xa) if symmetric else _columns(b, modes)
@@ -182,10 +210,7 @@ def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np
     out, at = np.zeros((ra.size, rb.size)), np.ix_(ia, ib)
     for weight, terms in roles:
         if weight > 0:
-            (mode, spec), *rest = terms
-            prod = kernel_matrix(xa[mode], xb[mode], spec)
-            for mode, spec in rest:
-                prod *= kernel_matrix(xa[mode], xb[mode], spec)
+            prod = _role_kernel(xa, xb, terms)
             block = np.add.reduceat(np.add.reduceat(prod, sa, axis=0), sb, axis=1)
             block *= weight
             out[at] += block

@@ -326,6 +326,8 @@ class TestRunExperiment:
             tiny_config(test_fraction=0.0)
         with pytest.raises(ValueError):
             tiny_config(lambda_grid=(0.0, 1.0))
+        with pytest.raises(ValueError, match="overflows"):
+            tiny_config(kernel_bandwidth=float("inf"))
 
     @pytest.mark.parametrize("kw, message", [
         (dict(n_per_class=2, test_fraction=0.2), "leaves each class (n = 2) no test sample"),

@@ -111,8 +111,9 @@ class TestVectorKernel:
         # 2 * (1e-170)^2 is 0.0: every self-similarity would be 0/0 = NaN.
         with pytest.raises(ValueError, match="underflows"):
             KernelSpec("rbf", 1e-170)
-        # (1e200)^2 is out of float range, which Python reports as OverflowError.
-        for big in (1e200, np.float64(1e200), 10**400):
+        # (1e200)^2 is out of float range, which Python reports as OverflowError;
+        # an infinite bandwidth would make every rbf value exp(-0) = 1.
+        for big in (1e200, np.float64(1e200), 10**400, float("inf"), np.inf):
             with pytest.raises(ValueError, match="overflows"):
                 KernelSpec("rbf", big)
         # The smallest bandwidths kept still give finite kernel values.

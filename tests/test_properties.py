@@ -10,6 +10,7 @@ corrupted files."""
 
 import os
 import tempfile
+import warnings
 from functools import reduce
 from unittest import mock
 
@@ -191,6 +192,114 @@ def test_rank_zero_patterns_match_pairwise(ranks_a, ranks_b):
         check(cp_gram_cross(ta, tb, sp), ref_gram(ta, tb, kern), za, zb)
         for s, z in ((ta, za), (tb, zb)):
             check(cp_gram(s, sp), ref_gram(s, s, kern), z, z)
+
+
+rbf_specs = st.builds(KernelSpec, st.just("rbf"), st.floats(0.3, 3.0))
+
+
+def scaled_factors(f, scales):
+    """f with the columns of its tensor modes 1, 2, shared mode and matrix
+    mode multiplied by the four scales."""
+    (a, b, c), (u, c2) = f.u1.factors, f.u2.factors
+    s1, s2, s3, s4 = scales
+    return AcmtfFactors.from_kruskals(
+        KruskalTensor(f.u1.weights, (a * s1, b * s2, c * s3)),
+        KruskalTensor(f.u2.weights, (u * s4, c2 * s3)))
+
+
+def exponent_size(columns, specs):
+    """Largest sum over modes of |x|^2 / (2 bw^2) of any stacked column."""
+    return float(np.max(sum(np.sum(x * x, axis=0) / (2.0 * s.bandwidth**2)
+                            for x, s in zip(columns, specs))))
+
+
+def close_to_conditioning(got, ref, rows, size):
+    """``got`` is within the rounding that an rbf exponent's conditioning allows.
+
+    An exponent -sum |a - b|^2 / (2 bw^2) is formed from terms that cancel,
+    of size up to S = sum (|a|^2 + |b|^2) / (2 bw^2) over the role's modes;
+    ``size`` bounds S by half.  A dot product of n terms errs by at most
+    about n eps times the sum of their magnitudes.  The engine's exponent
+    is one dot product of n = ``rows`` + 2 per mode terms, which sum to at
+    most 2 S in magnitude, so it errs by 2 n eps S; the reference's
+    per-mode distances err by up to 2 (``rows`` + 2) eps S; each side's
+    scale factor, sqrt(2) bw or 2 bw^2, moves the exponent by a few
+    eps times |exponent| <= 2 S more.  With at most three modes a role,
+    k = 4 (``rows`` + 8) covers it all, so a kernel value may differ by
+    k eps S relative.  A Gram entry sums nonnegative values, so it inherits
+    that bound, plus 64 eps for the exps, products and sums, plus 1e-300
+    for values that underflow into subnormals, whose relative precision is
+    lost.  Unit columns at these bandwidths keep this below 1e-12; columns
+    of norm 10^2 at bandwidth 0.3 take it to about 6e-9.
+    """
+    k = 4 * (rows + 8)
+    tol = EPS * (k * 2.0 * size + 64.0) * np.abs(ref) + 1e-300
+    return np.all(np.abs(got - ref) <= tol)
+
+
+class TestGramEngineScaled:
+    """The engine against the pairwise reference on columns of norm 10^-2
+    to 10^2, a different scale per mode, so that the exponents of a role's
+    modes differ in size."""
+
+    scales = st.tuples(*[st.floats(-2.0, 2.0).map(lambda e: 10.0**e)] * 4)
+
+    @PROPS
+    @given(factor_sets(), scales, st.tuples(*[rbf_specs] * 4), weights)
+    def test_coupled_matches_pairwise(self, sets, scales, ks, w):
+        a, b = ([scaled_factors(f, scales) for f in fs] for fs in sets)
+        spec = CoupledKernelSpec(*ks, w)
+        kern = lambda x, z: ref_coupled_kernel(x, z, spec)  # noqa: E731
+        cols = [np.concatenate(m, axis=1) for m in zip(*(
+            (f.u1.factors[0], f.u1.factors[1], f.shared, f.u2.factors[0]) for f in a + b))]
+        size = max(exponent_size(cols[:2], ks[:2]), exponent_size(cols[2:3], ks[2:3]),
+                   exponent_size(cols[3:], ks[3:]))
+        rows = DIMS[0] + DIMS[1]
+        assert close_to_conditioning(gram_cross(a, b, spec), ref_gram(a, b, kern), rows, size)
+        assert close_to_conditioning(gram_matrix(a, spec), ref_gram(a, a, kern), rows, size)
+
+    @PROPS
+    @given(factor_sets(), scales, st.tuples(*[rbf_specs] * 3))
+    def test_cp_matches_pairwise(self, sets, scales, specs):
+        sets = [[scaled_factors(f, scales) for f in fs] for fs in sets]
+        for part, s in ((lambda f: f.u1, specs), (lambda f: f.u2, specs[:2])):
+            a, b = ([part(f) for f in fs] for fs in sets)
+            kern = lambda x, z: ref_cp_kernel(x, z, s)  # noqa: E731
+            cols = [np.concatenate(m, axis=1) for m in zip(*(t.factors for t in a + b))]
+            size, rows = exponent_size(cols, s), sum(a[0].shape)
+            assert close_to_conditioning(cp_gram_cross(a, b, s), ref_gram(a, b, kern), rows, size)
+            assert close_to_conditioning(cp_gram(a, s), ref_gram(a, a, kern), rows, size)
+
+
+@pytest.mark.parametrize("bw", [1e-150, 1e-155, 1e-160])
+def test_tiny_bandwidths_stay_finite(bw):
+    # Below bw = 5e-155, 1 / (2 bw^2) overflows float64, so the engine must
+    # not form it.  Each column has one entry, near 1e-150, and zeros, so a
+    # column's distance to itself cancels exactly on both sides; at 1e-150
+    # the other kernel values lie strictly between 0 and 1.
+    values = 1e-150 * np.array([1.0, 1.3, 0.8, 1.1])
+
+    def factors(cols):
+        one = lambda d: np.eye(d)[:, np.arange(cols.size) % d] * cols  # noqa: E731
+        return AcmtfFactors.from_kruskals(
+            KruskalTensor(np.ones(cols.size), tuple(one(d) for d in DIMS[:3])),
+            KruskalTensor(np.ones(cols.size), (one(DIMS[3]), one(DIMS[2]))))
+
+    fs = [factors(values[:2]), factors(values[1:]), factors(values[::-1][:3])]
+    k = KernelSpec("rbf", bw)
+    spec = CoupledKernelSpec(k, k, k, k)
+    kern = lambda x, z: ref_coupled_kernel(x, z, spec)  # noqa: E731
+    cp_kern = lambda x, z: ref_cp_kernel(x, z, (k,) * 3)  # noqa: E731
+    ts = [f.u1 for f in fs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [(gram_matrix(fs, spec), ref_gram(fs, fs, kern)),
+               (gram_cross(fs, fs[1:], spec), ref_gram(fs, fs[1:], kern)),
+               (cp_gram(ts, (k,) * 3), ref_gram(ts, ts, cp_kern))]
+    for g, ref in got:
+        assert np.isfinite(g).all() and close(g, ref)
+    if bw == 1e-150:
+        assert ((got[0][0] > 0) & (got[0][0] % 1 != 0)).any()
 
 
 def test_spec_count_must_match_order():
