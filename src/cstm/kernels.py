@@ -17,7 +17,8 @@ per axis at each sample's first component, so every mix of ranks, rank 0
 included, takes the same path.  A product of Gaussians is one Gaussian, so
 a role's rbf modes take one matrix product and one ``exp``;
 :func:`kernel_matrix`, the per-mode reference, serves the other kinds.
-The six public kernel and Gram functions only choose roles and delegate.
+One routine, :func:`_neg_sq_dists`, forms every squared distance.  The
+six public kernel and Gram functions only choose roles and delegate.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class KernelSpec:
         if self.kind == "rbf" and not self.bandwidth > 0:
             raise ValueError("rbf bandwidth must be > 0")
         if self.kind == "rbf":
-            # The kernel divides by 2 bw^2: at 0 every self-similarity is 0/0,
-            # at inf (or OverflowError, out of float range) every value is 1.
+            # kernel_matrix divides by 2 bw^2, the Gram engine by sqrt(2) bw:
+            # at 0 every self-similarity is 0/0, at inf (or OverflowError,
+            # out of float range) every value is 1.
             try:
                 scale = 2.0 * float(self.bandwidth) ** 2
             except OverflowError:
@@ -94,28 +96,19 @@ class CoupledKernelSpec:
         object.__setattr__(self, "weights", w)
 
 
-# Entries of the |a_i|^2 + |b_j|^2 sums that _sq_dists forms per step.  A
-# full (m x n) temporary beside the product would double a kernel
-# matrix's memory, and a freed large block that the allocator returns to
-# the system is paid for again in page faults by the next one.
-_SUM_BLOCK = 1 << 13
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the columns of a and b, clamped at 0.
-
-    Each entry is ``(|a_i|^2 + |b_j|^2) - 2 a_i.b_j``, computed in the
-    array ``a.T @ b`` returns, a few rows of the norm sums at a time, so
-    that the only (m x n) allocation is that product's.
+def _neg_sq_dists(pairs) -> np.ndarray:
+    """-sum over the ``(a, b)`` pairs of the squared distances between the
+    columns of a (p x m) and b (p x n), clamped at <= 0: one product of the
+    stacked blocks ``[a; |a|^2; 1]`` and ``[2 b; -1; -|b|^2]``, whose (m x n)
+    result is the only large allocation.  Each entry errs by at most about
+    4 (p + 2) eps (|a|^2 + |b|^2), summed over the pairs.
     """
-    na, nb = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
-    sq = a.T @ b
-    sq *= 2.0
-    step = max(1, _SUM_BLOCK // max(nb.size, 1))
-    for r in range(0, na.size, step):
-        np.subtract(na[r:r + step, None] + nb, sq[r:r + step], out=sq[r:r + step])
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+    left, right = [], []
+    for a, b in pairs:
+        left += [a, np.sum(a * a, axis=0), np.ones(a.shape[1])]
+        right += [2.0 * b, -np.ones(b.shape[1]), -np.sum(b * b, axis=0)]
+    neg = np.vstack(left).T @ np.vstack(right)
+    return np.minimum(neg, 0.0, out=neg)
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -128,10 +121,8 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> np.ndarray:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if spec.kind == "rbf":
-        # exp(-sq / (2 bw^2)); sq / -(2 bw^2) is the same value, bit for bit.
-        k = _sq_dists(a, b)
-        k /= -(2.0 * spec.bandwidth**2)
-        return np.exp(k, out=k)
+        k = _neg_sq_dists(((a, b),))
+        return np.exp(np.divide(k, 2.0 * spec.bandwidth**2, out=k), out=k)
     inner = a.T @ b
     if spec.kind == "linear":
         return inner
@@ -169,20 +160,24 @@ def _role_kernel(xa: list[np.ndarray], xb: list[np.ndarray], terms) -> np.ndarra
     """The product over a role's modes of their kernel matrices.
 
     With each rbf mode's columns divided by sqrt(2) bw (a normal float for
-    every accepted bandwidth, unlike 2 bw^2), ``[a; |a|^2; 1]`` against
-    ``[2 b; -1; -|b|^2]``, one block per mode, gives the role's exponent
-    -sum |a - b|^2 / (2 bw^2); it is clamped at 0 and exponentiated in
-    place.  Other modes multiply in :func:`kernel_matrix`.
+    every accepted bandwidth, unlike 2 bw^2), :func:`_neg_sq_dists` of the
+    role's rbf modes is its exponent -sum |a - b|^2 / (2 bw^2), which is
+    exponentiated in place.  A bandwidth so small for its columns that the
+    exponent's terms could overflow is a ``ValueError``.  Other modes
+    multiply in :func:`kernel_matrix`.
     """
-    left, right, prod = [], [], None
+    pairs, prod = [], None
     for mode, spec in terms:
         if spec.kind == "rbf":
-            a, b = (x[mode] / (np.sqrt(2.0) * spec.bandwidth) for x in (xa, xb))
-            left += [a, np.sum(a * a, axis=0), np.ones(a.shape[1])]
-            right += [2.0 * b, -np.ones(b.shape[1]), -np.sum(b * b, axis=0)]
-    if left:
-        prod = np.vstack(left).T @ np.vstack(right)
-        np.exp(np.minimum(prod, 0.0, out=prod), out=prod)
+            scale = float(np.sqrt(2.0) * spec.bandwidth)
+            # In Python floats an overflow is inf, not a RuntimeWarning.
+            peak = max(float(np.abs(x[mode]).max(initial=0.0)) for x in (xa, xb)) / scale
+            if not np.isfinite(4 * len(terms) * len(xa[mode]) * peak * peak):
+                raise ValueError(f"rbf bandwidth {spec.bandwidth!r} is too small for its columns")
+            pairs.append(tuple(x[mode] / scale for x in (xa, xb)))
+    if pairs:
+        prod = _neg_sq_dists(pairs)
+        np.exp(prod, out=prod)
     for mode, spec in terms:
         if spec.kind != "rbf":
             k = kernel_matrix(xa[mode], xb[mode], spec)
@@ -295,15 +290,19 @@ def cp_gram_cross(
 def median_bandwidth(columns: np.ndarray) -> float:
     """Median pairwise distance between columns; the usual rbf heuristic.
 
-    Zero distances are excluded; if every pair coincides, returns 1.0.
-    Square roots keep the order of the squared distances, so the median is
-    found among those, and only the one or two middle values are rooted.
+    Distances within the rounding of :func:`_neg_sq_dists` at the set's
+    largest squared norm count as 0 and are excluded; if every pair
+    coincides, returns 1.0.  Square roots keep the order of the squared
+    distances, so the median is found among those, and only the one or two
+    middle values are rooted.
     """
     c = np.asarray(columns, dtype=np.float64)
-    sq = _sq_dists(c, c)
+    neg = _neg_sq_dists(((c, c),))
+    tol = 8 * (len(c) + 2) * np.finfo(float).eps * np.einsum("ij,ij->j", c, c).max(initial=0)
     upper = np.arange(c.shape[1])[:, None] < np.arange(c.shape[1])
-    upper &= sq > 0
-    d = sq[upper]
+    upper &= neg < -tol
+    d = neg[upper]
+    np.negative(d, out=d)
     if d.size == 0:
         return 1.0
     mid = d.size // 2

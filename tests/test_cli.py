@@ -352,6 +352,21 @@ class TestFitPredict:
         assert err == f"error: {data / 'sample_0000.cstm'}: non-finite decision score\n"
         assert not out_csv.exists()
 
+    def test_fit_bandwidth_too_small_for_columns_exit1(self, tmp_path, capsys):
+        # Accepted by KernelSpec, but unit factor columns divided by sqrt(2) bw
+        # overflow; the Gram engine says so before any RuntimeWarning (which
+        # fails this suite) and the model is not written.
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG + "\n[kernel]\nkind = rbf\nbandwidth = 1e-155\n")
+        model_path = tmp_path / "model.cstm"
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(model_path)]) == 1
+        assert "rbf bandwidth 1e-155 is too small" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_fit_needs_no_case(self, tmp_path):
         # Only the benchmark reads case or dataset; a config of [acmtf],
         # [kernel] and [stm] sections is enough to fit.

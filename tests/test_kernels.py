@@ -378,6 +378,26 @@ class TestDefaults:
     def test_median_bandwidth_degenerate(self):
         assert median_bandwidth(np.ones((3, 4))) == 1.0
 
+    def test_median_bandwidth_repeated_random_columns(self):
+        # A column's distance to its copy comes out of the distance product
+        # as rounding, not 0; it must still count as 0.
+        col = np.random.default_rng(7).standard_normal((30, 1))
+        assert median_bandwidth(np.repeat(col, 4, axis=1)) == 1.0
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            col = rng.standard_normal((rng.integers(1, 40), 1)) * 10.0 ** rng.uniform(-3, 3)
+            assert median_bandwidth(np.repeat(col, rng.integers(2, 30), axis=1)) == 1.0
+
+    def test_tiny_bandwidths_give_identity_on_unit_columns(self):
+        # Coordinate unit columns: a squared distance of 2 divided by 2 bw^2
+        # is far beyond 745 (below bw = 7.5e-155 the division overflows to
+        # inf, which exp takes to the exact 0), and a column's distance to
+        # itself cancels exactly.
+        eye = np.eye(5)
+        with np.errstate(over="ignore"):
+            for bw in (1e-150, 1e-155, 1e-160):
+                assert np.array_equal(kernel_matrix(eye, eye, KernelSpec("rbf", bw)), eye)
+
     def test_default_specs_are_rbf(self):
         rng = np.random.default_rng(15)
         fs = [random_coupled_factors(rng) for _ in range(3)]

@@ -1,5 +1,6 @@
 """Property tests: the Gram engine against a pairwise reference, vector
-kernels and the median bandwidth against reference formulas bit for bit, the SMO
+kernels and the median bandwidth against reference formulas bit for bit,
+squared distances against the direct sum within their rounding bound, the SMO
 solver against a reference copy of its plain masked-index loop, batched SMO
 against single solves (also where the last row finishes alone), the KKT
 conditions of every converged SMO solution,
@@ -33,6 +34,7 @@ from cstm.container import FormatError  # noqa: E402
 from cstm.kernels import (  # noqa: E402
     CoupledKernelSpec,
     KernelSpec,
+    _neg_sq_dists,
     coupled_kernel,
     cp_gram,
     cp_gram_cross,
@@ -52,6 +54,7 @@ from cstm.tensor_core import (  # noqa: E402
 )
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+EPS = np.finfo(np.float64).eps
 DIMS = (4, 3, 5, 6)
 
 
@@ -302,6 +305,23 @@ def test_tiny_bandwidths_stay_finite(bw):
         assert ((got[0][0] > 0) & (got[0][0] % 1 != 0)).any()
 
 
+@pytest.mark.parametrize("bw", [1e-154, 1e-155, 1e-160])
+def test_bandwidth_too_small_for_columns_rejected(bw):
+    # Unit columns divided by sqrt(2) bw have squared norms beyond the float
+    # range: the engine names the bandwidth before forming them (RuntimeWarnings
+    # are errors here), also when the other modes' bandwidths are fine.
+    rng = np.random.default_rng(3)
+    fs = [coupled_factors(rng, r) for r in (1, 3)]
+    k, ok = KernelSpec("rbf", bw), KernelSpec("rbf", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: gram_matrix(fs, CoupledKernelSpec(ok, k, ok, ok)),
+                     lambda: gram_cross(fs, fs[:1], CoupledKernelSpec(ok, ok, ok, k)),
+                     lambda: cp_gram([f.u1 for f in fs], (ok, ok, k))):
+            with pytest.raises(ValueError, match=f"rbf bandwidth {bw!r} is too small"):
+                call()
+
+
 def test_spec_count_must_match_order():
     rng = np.random.default_rng(1)
     t = coupled_factors(rng, 2).u1
@@ -314,9 +334,12 @@ def test_spec_count_must_match_order():
 # ---------------------------------------------------------------------------
 
 def ref_sq_dists(a, b):
-    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :] - 2.0 * (a.T @ b)
-    np.maximum(sq, 0.0, out=sq)
-    return sq
+    """|a_i|^2 + |b_j|^2 - 2 a_i.b_j as one product of the columns augmented
+    with their squared norms and a row of ones, clamped at 0."""
+    na, nb = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
+    left = np.vstack([a, na, np.ones(a.shape[1])])
+    right = np.vstack([2.0 * b, -np.ones(b.shape[1]), -nb])
+    return np.maximum(-(left.T @ right), 0.0)
 
 
 def ref_kernel_matrix(a, b, spec):
@@ -329,16 +352,17 @@ def ref_kernel_matrix(a, b, spec):
 
 
 def ref_median_bandwidth(c):
-    d = np.sqrt(ref_sq_dists(c, c)[np.triu_indices(c.shape[1], k=1)])
-    d = d[d > 0]
+    sq = ref_sq_dists(c, c)[np.triu_indices(c.shape[1], k=1)]
+    top = np.max(np.sum(c * c, axis=0), initial=0.0)
+    d = np.sqrt(sq[sq > 8.0 * (c.shape[0] + 2) * EPS * top])
     return float(np.median(d)) if d.size else 1.0
 
 
 @st.composite
 def column_sets(draw):
-    """Columns with odd and even pair counts, repeated columns, and sets
-    whose distances are all 0; up to 150 columns, so that the norm sums of
-    a distance block are formed in several row blocks."""
+    """Up to 150 columns of 1 to 6 entries, scaled by 10^-3 to 10^3: sets
+    with odd and even pair counts, with repeated columns, and sets whose
+    distances are all 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = draw(st.integers(1, 6))
     n = draw(st.integers(1, 150))
@@ -366,6 +390,24 @@ class TestKernelReferences:
         b = np.resize(b, (a.shape[0], b.shape[1]))
         for x, z in ((a, b), (a, a), (b, a)):
             assert kernel_matrix(x, z, spec).tobytes() == ref_kernel_matrix(x, z, spec).tobytes()
+
+    @PROPS
+    @given(st.lists(st.tuples(column_sets(), column_sets()), min_size=1, max_size=3))
+    def test_sq_dists_within_rounding_bound(self, sets):
+        # The stacked product's P = sum (p + 2) terms have magnitudes that sum
+        # to at most 2 S, S = sum (|a|^2 + |b|^2) over the pairs, so it errs
+        # by 2 P eps S; each squared norm errs by p eps times itself.  The
+        # direct sum of (a - b)^2 is formed in extended precision.
+        m, n = sets[0][0].shape[1], sets[0][1].shape[1]
+        pairs = [(np.resize(a, (a.shape[0], m)), np.resize(b, (a.shape[0], n)))
+                 for a, b in sets]
+        got = -_neg_sq_dists(pairs)
+        direct = sum(np.sum((a.astype(np.longdouble)[:, :, None] - b[:, None, :]) ** 2, axis=0)
+                     for a, b in pairs)
+        size = sum(np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0) for a, b in pairs)
+        rows = sum(a.shape[0] + 2 for a, _ in pairs)
+        assert np.all(got >= 0.0)
+        assert np.all(np.abs(got - direct) <= 4 * rows * EPS * size)
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +496,6 @@ def qp_batches(draw):
             problems.append(QpProblem(p.gram, p.labels, lam))
     order = draw(st.permutations(range(len(problems))))
     return [problems[i] for i in order], draw(st.sampled_from((1, 1000)))
-
-
-EPS = np.finfo(np.float64).eps
 
 
 def assert_kkt(p, sol, tol=1e-6):
