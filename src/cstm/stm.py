@@ -18,9 +18,9 @@ of several), is chosen from a table of stratified k-fold CV accuracies over
 a grid.  All candidate x fold x lambda duals are independent, so
 :func:`solve_qp_many` solves them in batches: each problem is a row of
 array state, every round makes one pair update per live row, and a row
-leaves the batch when it stops.  It is the one SMO entry point: a model
-fit's :func:`solve_qp` is a batch of one, and the last live row of any
-batch finishes with scalar steps.
+is retired in place when it stops.  It is the one SMO entry point: a
+model fit's :func:`solve_qp` is a batch of one, and the last few live
+rows of any batch finish with scalar steps.
 """
 
 from __future__ import annotations
@@ -201,6 +201,10 @@ _STEPS = np.array([[1.0], [1.0], [-1.0], [-1.0]])
 _PICKS = np.array([0, 1, 0, 1])
 # Mask values of a non-candidate and a candidate, indexed by candidacy.
 _MASK = np.array([-np.inf, 0.0])
+# Live rows at or below which solve_qp_many finishes each row alone: below
+# the break-even, as an array round (about 38 us from 2 to 30 live rows)
+# costs 7-8 scalar updates (4.9-5.5 us each at m = 64, one BLAS thread).
+_ALONE_ROWS = 4
 
 
 def _batch_offsets(rows: int, m: int) -> np.ndarray:
@@ -216,16 +220,17 @@ def solve_qp_many(
     """SMO solves of many duals at once, one row of array state per problem.
 
     Each round picks the maximal violating pair of every live row with one
-    argmax and makes every row's pair update with masked array operations;
-    a row leaves the batch when it stops, for the reasons
-    :func:`solve_qp` states.  Rows are padded to the largest problem, and
-    a padded entry is never a candidate.  Problems that share one Gram
-    array, such as the lambda grid of one cross-validation fold, share its
-    stored copy.  Once one row is left, from the start for a batch of one,
-    :func:`_finish_alone` goes on with it without the cost of array rounds.
-    A row's arithmetic depends on its own problem only, so its solution
-    does not depend on its batch, bit for bit.  Raises ``ValueError`` for a
-    negative or NaN ``tol`` and for ``max_passes < 1``.
+    argmax and makes every row's pair update with masked array operations.
+    A row that stops, for the reasons :func:`solve_qp` states, is retired
+    in place with the solution :func:`_finish_alone` would return at once.
+    Rows are padded to the largest problem; a padded entry is never a
+    candidate.  Problems that share one Gram array, such as the lambda grid
+    of one cross-validation fold, share its stored copy.  Once no more than
+    ``_ALONE_ROWS`` rows are live, :func:`_finish_alone` goes on with each
+    without the cost of array rounds.  A row's arithmetic depends on its
+    own problem only, so its solution does not depend on its batch, bit for
+    bit.  Raises ``ValueError`` for a negative or NaN ``tol`` and for
+    ``max_passes < 1``.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -253,8 +258,8 @@ def solve_qp_many(
     # curvature k[i, i] + k[j, j] - 2 k[i, j], or 0 where that is not above
     # 1e-12: then a step's gap / quad is inf, as in _finish_alone, for
     # every gap that moves a row on.  Only array rounds read it, so a batch
-    # of one has none; it is filled one Gram at a time.
-    if len(problems) > 1:
+    # that starts alone has none; it is filled one Gram at a time.
+    if len(problems) > _ALONE_ROWS:
         quad = np.empty_like(cols)
         for q, k in zip(quad, cols):
             d = k.diagonal()
@@ -282,7 +287,7 @@ def solve_qp_many(
     # have bound -inf.  The box caps of a pick are ``top`` - z: c - alpha
     # or alpha, per label and direction.
     grad = y * _HALVES
-    z = np.zeros_like(grad)
+    z, both = np.zeros_like(grad), np.empty_like(grad)
     bound = np.stack([np.where(pos, hi, -feas), np.where(pos, -feas, hi)])
     bound[:, np.arange(m) >= size[:, None]] = -np.inf
     top = np.stack([np.where(pos, c[:, None], 0.0), np.where(pos, 0.0, c[:, None])])
@@ -292,20 +297,20 @@ def solve_qp_many(
     offsets = _batch_offsets(rows.size, m)
     last_gap = np.full(len(problems), np.inf)
     it = 0  # every live row has made ``it`` updates
+    least = int(budget.min())
 
-    def finish(q):
-        # Row q's solution; + 0.0 turns the -0.0 of z = 0 at a -1 label into 0.0.
-        r, n = rows[q], size[rows[q]]
-        return _finish_alone(
-            problems[r], z[0, q, :n] * y[r, :n] + 0.0, grad[0, q, :n].copy(),
-            mask[0, q, :n].copy(), 0.0 - mask[1, q, :n], it, max_passes,
-            float(last_gap[q]), tol, cols[gram_row[q]:gram_row[q] + n, :n])
+    def alpha(q):  # + 0.0 turns the -0.0 of z = 0 at a -1 label into 0.0
+        return z[0, q, :size[rows[q]]] * y[rows[q], :size[rows[q]]] + 0.0
 
     while True:
-        if rows.size == 1:
-            out[rows[0]] = finish(0)
+        if rows.size <= _ALONE_ROWS:
+            for q, (r, n) in enumerate(zip(rows, size[rows])):
+                out[r] = _finish_alone(
+                    problems[r], alpha(q), grad[0, q, :n].copy(), mask[0, q, :n].copy(),
+                    0.0 - mask[1, q, :n], it, max_passes, float(last_gap[q]), tol,
+                    cols[gram_row[q]:gram_row[q] + n, :n])
             return out
-        both = grad + mask
+        np.add(grad, mask, out=both)
         ij = both.argmax(2)  # (i, j) per row
         kc = gram_row + ij
         # Flat positions of (0, i), (1, j), (1, i), (0, j); the first two
@@ -318,20 +323,23 @@ def solve_qp_many(
         z_moved = z.take(moved)
         caps = top.take(at) - z_moved[:2]
         delta = np.minimum(delta, np.minimum(*caps))
-        leave = (budget <= it) | (gap <= tol) | (delta <= 0)
+        # _finish_alone's first check: a row past its budget keeps its last gap,
+        # unconverged; no candidate (gap -inf), gap <= tol or delta <= 0 converge.
+        leave = np.fmin(gap - tol, delta) <= 0
+        if it >= least:
+            leave |= budget <= it
         if np.count_nonzero(leave):
-            for q in np.flatnonzero(leave):
-                out[rows[q]] = finish(q)
+            for q, r in zip(np.flatnonzero(leave), rows[leave]):
+                over = budget[q] <= it
+                out[r] = QpSolution(np.clip(alpha(q), 0.0, c[r]), not over,
+                                    max(float(last_gap[q] if over else gap[q]), 0.0), it)
             keep = ~leave
             rows, gram_row, budget = rows[keep], gram_row[keep], budget[keep]
-            if not rows.size:
-                return out
             # compress, not a[:, keep]: the state must stay C-contiguous,
             # because updates write through flat positions in it.
-            grad, z, mask, bound, top, ij, kc, z_moved = (
+            grad, z, mask, bound, top, ij, kc, z_moved, both = (
                 a.compress(keep, axis=1)
-                for a in (grad, z, mask, bound, top, ij, kc, z_moved)
-            )
+                for a in (grad, z, mask, bound, top, ij, kc, z_moved, both))
             delta, gap = delta[keep], gap[keep]
             offsets = _batch_offsets(rows.size, m)
             moved = offsets + ij.take(_PICKS, 0)
@@ -341,7 +349,9 @@ def solve_qp_many(
         z.put(moved, z_moved)
         mask.put(moved, _MASK.take(z_moved < bound.take(moved)))
         k_cols = cols.take(kc, 0)
-        step = delta[:, None] * (k_cols[0] - k_cols[1])
+        step = k_cols[0]  # delta * (k[:, i] - k[:, j]), formed in place
+        step -= k_cols[1]
+        step *= delta[:, None]
         grad[0] -= step
         grad[1] += step
         it += 1
@@ -521,12 +531,13 @@ def _cv_lambda(
     part, of one method or of all: their ``(candidates, len(grid))`` table of
     CV accuracies, all -1.0 when a class has a single sample.  Each Gram is
     checked once and the folds are drawn once; the candidate x fold x lambda
-    duals are cut unchecked and solved by :func:`solve_qp_many` in chunks of
-    whole candidates, at most ``CV_BATCH_DUALS`` duals each where a
-    candidate fits.  The fold duals stop at a KKT gap of ``CV_TOL`` (1e-3),
-    not the 1e-6 of :func:`fit`: an accuracy counts only the signs of the
-    held-out scores, and on the study's and the benchmark's inputs the
-    looser gap kept every pick with about 45 % fewer SMO updates.
+    duals are solved by :func:`solve_qp_many` in chunks of whole candidates,
+    at most ``CV_BATCH_DUALS`` duals each where a candidate fits, and each
+    fold's grid is scored by :func:`_grid_scores`.  The fold duals stop at a
+    KKT gap of ``CV_TOL`` (1e-3), not the 1e-6 of :func:`fit`: an accuracy
+    counts only the signs of the held-out scores, and on the study's and the
+    benchmark's inputs the looser gap kept every pick with about 45 % fewer
+    SMO updates.
     """
     y = np.asarray(labels, dtype=np.float64)
     grams = [np.asarray(g, dtype=np.float64) for g in grams]
@@ -547,21 +558,40 @@ def _cv_lambda(
              for te in _stratified_folds(y, k, rng)]
     chunk = max(1, CV_BATCH_DUALS // (k * len(grid)))
     for first in range(0, len(grams), chunk):
-        splits = [[(g[np.ix_(tr, tr)], y[tr], g[np.ix_(tr, te)], y[te]) for tr, te in folds]
-                  for g in grams[first:first + chunk]]
+        # Each fold's blocks, cut once per Gram and shared by its lambda grid.
+        blocks = [(rows[:, tr], y[tr], rows[:, te], y[te])
+                  for g in grams[first:first + chunk] for tr, te in folds for rows in (g[tr],)]
         problems = [QpProblem._unchecked(sub, y_tr, lam)
-                    for cand in splits for lam in grid for sub, y_tr, _, _ in cand]
+                    for sub, y_tr, _, _ in blocks for lam in grid]
         solutions = iter(solve_qp_many(problems, tol=CV_TOL))
-        for index, cand in enumerate(splits, first):
-            for col, lam in enumerate(grid):
-                correct = 0
-                for sub, y_tr, cross, y_te in cand:
-                    sol = next(solutions)
-                    bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
-                    scores = (sol.alpha * y_tr) @ cross + bias
-                    correct += int(np.sum(predict_label(scores) == y_te))
-                acc[index, col] = correct / y.size
+        correct = [(predict_label(_grid_scores(sub, y_tr, [next(solutions) for _ in grid],
+                                               grid, cross)) == y_te).sum(1)
+                   for sub, y_tr, cross, y_te in blocks]
+        acc[first:first + chunk] = np.reshape(correct, (-1, k, len(grid))).sum(1) / y.size
     return acc
+
+
+@np.errstate(invalid="ignore")  # inf - inf in the midpoint of a row that has interior SVs
+def _grid_scores(gram, y, solutions, grid, cross) -> np.ndarray:
+    """Cross scores ``(alpha * y) @ cross`` plus intercept of each of one
+    fold's ``solutions`` at the lambdas of ``grid``: :func:`recover_bias`'s
+    intercept, from stacked arrays, so it may differ in the last bits (one
+    product gives all training scores and the mean sums in another order)."""
+    alphas = np.array([s.alpha for s in solutions])
+    coef = alphas * y
+    t = y - coef @ gram.T
+    c = (1.0 / (2.0 * y.size * np.array(grid)))[:, None]  # box_bound of each lambda
+    feas = 1e-8 * np.maximum(c, 1.0)
+    at_zero, at_box = alphas <= feas, alphas >= c - feas
+    pos = y > 0
+    lower = t.max(1, where=np.where(pos, at_zero, at_box), initial=-np.inf)
+    upper = t.min(1, where=np.where(pos, at_box, at_zero), initial=np.inf)
+    mid = np.where(lower == -np.inf, upper,
+                   np.where(upper == np.inf, lower, 0.5 * (lower + upper)))
+    interior = ~(at_zero | at_box)
+    count = interior.sum(1)
+    bias = np.where(count > 0, t.sum(1, where=interior) / np.maximum(count, 1), mid)
+    return coef @ cross + bias[:, None]
 
 
 def select_lambda(
@@ -575,7 +605,7 @@ def select_lambda(
 
     k is capped at the smaller class count, so every training fold keeps
     both classes; when a class has only one sample, the first grid value is
-    returned.  Ties keep the first (smallest) grid value.  The Gram matrix
+    returned.  Ties take the first value that ``grid`` lists.  The Gram matrix
     covers the training samples only.  Raises ``ValueError`` for an empty
     grid, a non-positive grid value, a Gram matrix that is not square,
     finite and symmetric, or labels that are not +-1 of both classes.  It

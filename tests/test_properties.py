@@ -2,8 +2,8 @@
 kernels and the median bandwidth against reference formulas bit for bit,
 squared distances against the direct sum within their rounding bound, the SMO
 solver against a reference copy of its plain masked-index loop, batched SMO
-against single solves (also where the last row finishes alone), the KKT
-conditions of every converged SMO solution,
+against single solves (rows retired in array rounds and the last few that
+finish alone), the KKT conditions of every converged SMO solution,
 batched ACMTF decomposition against single-sample runs, degenerate ACMTF
 samples, batched CP-ALS (factors, error history and stop) against single
 runs and a reference copy of the one-tensor loop, and container readers on
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from cstm import container, stm  # noqa: E402
@@ -568,33 +568,76 @@ class TestSolveQp:
     @settings(PROPS, max_examples=60)
     @given(qp_batches())
     def test_last_row_finishes_alone_as_single_solve(self, case):
-        # A row is left alone, and goes on with scalar steps, once every
-        # other row has stopped; that happens after at least one array
-        # round when one problem needs strictly more updates than the rest.
+        # Rows that stop in an array round are retired there.  Round s
+        # starts with the rows whose single solve makes at least s updates;
+        # the first round that starts with no more than _ALONE_ROWS of them
+        # hands each to _finish_alone with s updates made, after the array
+        # update of the round before.  A batch that small from the start
+        # never makes an array round.
         problems, max_passes = case
         singles = [solve_qp(p, max_passes=max_passes) for p in problems]
-        counts = sorted(s.n_updates for s in singles)
-        assume(len(counts) >= 2 and counts[-1] > counts[-2])
+        counts = [s.n_updates for s in singles]
+        start = next(s for s in range(max(counts) + 2)
+                     if sum(u >= s for u in counts) <= stm._ALONE_ROWS)
         calls = []
         finish = stm._finish_alone
 
         def recording(p, alpha, minus_yg, up, low, updates, *rest):
             sol = finish(p, alpha, minus_yg, up, low, updates, *rest)
-            calls.append((updates, sol.n_updates))
+            calls.append((id(p), updates, sol.n_updates))
             return sol
         with mock.patch.object(stm, "_finish_alone", recording):
             batch = solve_qp_many(problems, max_passes=max_passes)
-        # A row that stops in the batch is packed where it stopped.  The
-        # others leave in the round after their last update, and the last
-        # row makes that round's update in the array state before it goes
-        # on alone.
-        assert all(start == end for start, end in calls[:-1])
-        assert calls[-1] == (counts[-2] + 1, counts[-1])
+        alone = [(id(p), start, u) for p, u in zip(problems, counts) if u >= start]
+        assert sorted(calls) == sorted(alone)
         for sol, ref in zip(batch, singles):
             assert sol.alpha.tobytes() == ref.alpha.tobytes()
             assert sol.n_updates == ref.n_updates
             assert sol.converged == ref.converged
             assert sol.kkt_violation == ref.kkt_violation
+
+    def test_rows_retire_in_array_rounds_as_single_solves(self):
+        # One batch (max_passes=1, so each budget is its problem's size)
+        # whose rows stop in array rounds for each of the four reasons,
+        # while the four 30-sample rows keep more than _ALONE_ROWS live.
+        x = np.random.default_rng(5).standard_normal((30, 3))
+        gram = kernel_matrix(x.T, x.T, KernelSpec("rbf", 1.0))
+        y = np.where(x[:, 0] + 0.5 * x[:, 1] > 0, 1.0, -1.0)
+        small = np.random.default_rng(0).standard_normal((3, 2))
+        reasons = {
+            "budget": QpProblem(gram[:8, :8], y[:8], 1e-2),
+            "no candidate": QpProblem(np.eye(3), np.ones(3), 0.1),
+            "gap <= tol": QpProblem(kernel_matrix(small.T, small.T, KernelSpec("rbf", 1.0)),
+                                    np.array([1.0, -1.0, 1.0]), 1e-2),
+            # The curvature 1e308 + 1e308 overflows to inf: delta = 2 / inf = 0.
+            "delta <= 0": QpProblem(1e308 * np.eye(2), np.array([1.0, -1.0]), 0.1),
+        }
+        problems = [QpProblem(gram, y, lam) for lam in (1e-3, 1e-2, 0.1, 1.0)]
+        problems += reasons.values()
+        passed = []
+        finish = stm._finish_alone
+
+        def recording(p, *rest):
+            passed.append(p)
+            return finish(p, *rest)
+        with mock.patch.object(stm, "_finish_alone", recording):
+            batch = solve_qp_many(problems, max_passes=1)
+        assert not any(p is q for p in passed for q in reasons.values())
+        for p, sol in zip(problems, batch):
+            ref = solve_qp(p, max_passes=1)
+            assert sol.alpha.tobytes() == ref.alpha.tobytes()
+            assert sol.n_updates == ref.n_updates
+            assert sol.converged == ref.converged
+            assert sol.kkt_violation == ref.kkt_violation
+        got = dict(zip(reasons, batch[4:]))
+        assert (got["budget"].converged, got["budget"].n_updates) == (False, 8)
+        assert got["budget"].kkt_violation > 0
+        assert (got["no candidate"].converged, got["no candidate"].n_updates,
+                got["no candidate"].kkt_violation) == (True, 0, 0.0)
+        assert got["gap <= tol"].converged and got["gap <= tol"].n_updates >= 1
+        assert 0 < got["gap <= tol"].kkt_violation <= 1e-6
+        assert (got["delta <= 0"].converged, got["delta <= 0"].n_updates,
+                got["delta <= 0"].kkt_violation) == (True, 0, 2.0)
 
     def test_batch_edge_cases(self):
         assert solve_qp_many([]) == []

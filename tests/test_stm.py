@@ -5,7 +5,7 @@ import pytest
 
 from cstm import stm
 from cstm.acmtf import AcmtfFactors
-from cstm.kernels import CoupledKernelSpec, KernelSpec, cp_gram, gram_matrix
+from cstm.kernels import CoupledKernelSpec, KernelSpec, cp_gram, gram_matrix, kernel_matrix
 from cstm.stm import (
     QpProblem,
     StmModel,
@@ -514,7 +514,7 @@ class TestLambdaUtilities:
         twins = stm._cv_lambda([gram, gram.copy()], y, grid, 3, 0)
         assert twins.tobytes() == np.concatenate([acc, acc]).tobytes()
         # np.argmax takes the first maximum: the first candidate, and in
-        # its row the first (smallest) lambda among equals.
+        # its row the first lambda among equals, in grid order.
         assert np.argmax(twins) == np.argmax(acc[0]) < len(grid)
         assert select_lambda(gram, y, grid, 3, 0) == grid[np.argmax(acc[0])]
         # A class of one sample leaves no fold to score: every accuracy is
@@ -522,6 +522,16 @@ class TestLambdaUtilities:
         one = np.array([1.0] + [-1.0] * 11)
         assert stm._cv_lambda([gram, 2 * gram], one, grid, 3, 0).tolist() == [[-1.0] * 2] * 2
         assert select_lambda(gram, one, grid, 3, 0) == 0.01
+
+    def test_ties_take_first_listed_lambda(self):
+        # A descending grid: the tie goes to the first value listed, the
+        # largest here, not to the smallest.
+        x = np.random.default_rng(0).standard_normal((12, 3))
+        gram = kernel_matrix(x.T, x.T, KernelSpec("rbf", 1.0))
+        y = np.array([1.0, -1.0] * 6)
+        grid = (10.0, 1e-3)
+        assert stm._cv_lambda([gram], y, grid, 3, 0).tolist() == [[0.5, 0.5]]
+        assert select_lambda(gram, y, grid, 3, 0) == 10.0
 
     def test_select_lambda_rejects_bad_grid(self):
         gram = np.eye(6)
@@ -554,3 +564,79 @@ class TestLambdaUtilities:
         s2 = decision_many(m2, tests)
         assert np.all(np.sign(s1) == np.sign(s2))
         np.testing.assert_allclose(s1, s2, rtol=1e-6, atol=1e-8)
+
+
+def ref_cv_lambda(grams, labels, grid, k, seed):
+    """The per-dual cross-validation loop that _cv_lambda's stacked scoring
+    replaced: each fold dual solved alone, its intercept from recover_bias
+    and its held-out scores from one vector product."""
+    y = np.asarray(labels, dtype=np.float64)
+    k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
+    acc = np.full((len(grams), len(grid)), -1.0)
+    if k < 2:
+        return acc
+    tests = stm._stratified_folds(y, k, np.random.default_rng(seed))
+    for index, g in enumerate(grams):
+        for col, lam in enumerate(grid):
+            correct = 0
+            for te in tests:
+                tr = np.setdiff1d(np.arange(y.size), te)
+                sub, y_tr = g[np.ix_(tr, tr)], y[tr]
+                sol = solve_qp(QpProblem(sub, y_tr, lam), tol=stm.CV_TOL)
+                bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
+                scores = (sol.alpha * y_tr) @ g[np.ix_(tr, te)] + bias
+                correct += int(np.sum(predict_label(scores) == y[te]))
+            acc[index, col] = correct / y.size
+    return acc
+
+
+def separable_gram(y, seed, shift=0.8):
+    x = np.random.default_rng(seed).standard_normal((y.size, 4))
+    x[:, 0] += shift * y
+    return kernel_matrix(x.T, x.T, KernelSpec("rbf", 1.5))
+
+
+class TestCvAgainstPerDualLoop:
+    """_cv_lambda scores each fold's lambda grid in stacked arrays; its
+    table must equal the per-dual loop's exactly."""
+
+    def test_ragged_folds(self):
+        # 7 + 6 labels in 3 folds: held-out parts of 5, 4 and 4 samples.
+        y = np.array([1.0] * 7 + [-1.0] * 6)
+        grams = [separable_gram(y, 21), separable_gram(y, 22, shift=0.3)]
+        grid = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+        table = stm._cv_lambda(grams, y, grid, 3, 1)
+        assert len(set(table.ravel())) >= 3  # pins a non-trivial table
+        assert table.tobytes() == ref_cv_lambda(grams, y, grid, 3, 1).tobytes()
+
+    def test_boxes_bind_for_every_alpha(self):
+        # Balanced training folds and narrow boxes: every alpha sits at its
+        # box, so every intercept is the KKT interval's midpoint.
+        y = np.array([1.0, -1.0] * 12)
+        gram = separable_gram(y, 23)
+        grid = (1.0, 10.0, 100.0)
+        for te in stm._stratified_folds(y, 4, np.random.default_rng(2)):
+            tr = np.setdiff1d(np.arange(y.size), te)
+            for lam in grid:
+                p = QpProblem(gram[np.ix_(tr, tr)], y[tr], lam)
+                alpha = solve_qp(p, tol=stm.CV_TOL).alpha
+                assert np.all(alpha >= p.box - 1e-8 * max(p.box, 1.0))
+        table = stm._cv_lambda([gram], y, grid, 4, 2)
+        assert table.tobytes() == ref_cv_lambda([gram], y, grid, 4, 2).tobytes()
+
+    def test_boxes_above_one(self):
+        y = np.array([1.0, -1.0] * 12)
+        grams = [separable_gram(y, s, shift) for s, shift in ((24, 0.3), (25, 0.6))]
+        grid = (1e-4, 1e-3, 1e-2)
+        assert box_bound(18, grid[-1]) > 1.0  # every training fold has 18 samples
+        table = stm._cv_lambda(grams, y, grid, 4, 5)
+        assert table.tobytes() == ref_cv_lambda(grams, y, grid, 4, 5).tobytes()
+
+    def test_candidates_split_across_chunks(self, monkeypatch):
+        y = np.array([1.0] * 12 + [-1.0] * 11)
+        grams = [separable_gram(y, 26 + s, shift) for s, shift in enumerate((0.2, 0.5, 0.9))]
+        grid = (1e-3, 1e-1, 10.0)
+        # 4 folds x 3 lambdas = 12 duals per candidate: chunks of 2 and 1.
+        monkeypatch.setattr(stm, "CV_BATCH_DUALS", 24)
+        table = stm._cv_lambda(grams, y, grid, 4, 6)
+        assert table.tobytes() == ref_cv_lambda(grams, y, grid, 4, 6).tobytes()
