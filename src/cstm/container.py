@@ -34,7 +34,7 @@ import numpy as np
 from . import config
 from .acmtf import AcmtfFactors, AcmtfHyperParams, CoupledSample
 from .kernels import CoupledKernelSpec
-from .stm import StmModel
+from .stm import StmModel, box_bound
 from .tensor_core import KruskalTensor
 
 MAGIC = b"CSTM"
@@ -258,6 +258,10 @@ def read_model(path) -> tuple[StmModel, AcmtfHyperParams, float]:
         factors = tuple(_read_factors_body(fh, path) for _ in range(n))
     if len({f.dims for f in factors}) != 1:
         raise FormatError(f"{path}: a model needs training factor sets of one common dims")
+    try:
+        box_bound(n, lam)  # the box that picks the support vectors
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     model = StmModel(alpha, labels, factors, spec, lam, bias)
     return model, params, prune_rel
 

@@ -101,13 +101,16 @@ def _neg_sq_dists(pairs) -> np.ndarray:
     columns of a (p x m) and b (p x n), clamped at <= 0: one product of the
     stacked blocks ``[a; |a|^2; 1]`` and ``[2 b; -1; -|b|^2]``, whose (m x n)
     result is the only large allocation.  Each entry errs by at most about
-    4 (p + 2) eps (|a|^2 + |b|^2), summed over the pairs.
+    4 (p + 2) eps (|a|^2 + |b|^2), summed over the pairs; self-pairs are
+    exactly 0 where every pair is one array against itself.
     """
     left, right = [], []
     for a, b in pairs:
         left += [a, np.sum(a * a, axis=0), np.ones(a.shape[1])]
         right += [2.0 * b, -np.ones(b.shape[1]), -np.sum(b * b, axis=0)]
     neg = np.vstack(left).T @ np.vstack(right)
+    if all(a is b for a, b in pairs):
+        np.fill_diagonal(neg, 0.0)
     return np.minimum(neg, 0.0, out=neg)
 
 
@@ -174,7 +177,8 @@ def _role_kernel(xa: list[np.ndarray], xb: list[np.ndarray], terms) -> np.ndarra
             peak = max(float(np.abs(x[mode]).max(initial=0.0)) for x in (xa, xb)) / scale
             if not np.isfinite(4 * len(terms) * len(xa[mode]) * peak * peak):
                 raise ValueError(f"rbf bandwidth {spec.bandwidth!r} is too small for its columns")
-            pairs.append(tuple(x[mode] / scale for x in (xa, xb)))
+            pa = xa[mode] / scale  # scaled once for a symmetric Gram: exact self-pairs
+            pairs.append((pa, pa if xb is xa else xb[mode] / scale))
     if pairs:
         prod = _neg_sq_dists(pairs)
         np.exp(prod, out=prod)

@@ -10,8 +10,8 @@ problem is
 and is solved by sequential minimal optimization: repeatedly pick the
 maximal violating pair and solve the two-variable subproblem exactly.
 The decision value for a new input is sum_i alpha_i y_i K(train_i, input)
-plus the intercept the equality constraint implies (recovered from the
-margin support vectors at fit time); ties (exactly zero) predict +1.
+plus the intercept that :func:`_intercepts` finds for fits and CV folds
+alike (its zero band also picks the support vectors); a 0 score predicts +1.
 
 Lambda, and the best of several candidate Gram matrices (of one method or
 of several), is chosen from a table of stratified k-fold CV accuracies over
@@ -40,8 +40,6 @@ from .kernels import (
     gram_matrix,
 )
 from .tensor_core import KruskalTensor
-
-SUPPORT_EPS = 1e-10
 
 
 def box_bound(n: int, lam: float) -> float:
@@ -239,12 +237,8 @@ def solve_qp_many(
     out: list[QpSolution] = [None] * len(problems)  # type: ignore[list-item]
     if not problems:
         return out
-    slot: dict[int, int] = {}
-    grams = []
-    for p in problems:
-        if id(p.gram) not in slot:
-            slot[id(p.gram)] = len(grams)
-            grams.append(p.gram)
+    grams = list({id(p.gram): p.gram for p in problems}.values())
+    slot = {id(k): f for f, k in enumerate(grams)}
     size = np.array([p.labels.size for p in problems])
     m = int(size.max())
     cols = np.zeros((len(grams), m, m))
@@ -365,30 +359,30 @@ def _check_two_classes(labels: np.ndarray):
         raise ValueError("training set has no -1 samples")
 
 
-def recover_bias(gram: np.ndarray, y: np.ndarray, alpha: np.ndarray, c: float) -> float:
-    """Intercept implied by the dual's equality constraint.
+def _zero_band(c):
+    """1e-8 max(c, 1): an alpha this close to 0 or to its box c is at it."""
+    return 1e-8 * np.maximum(c, 1.0)
 
-    The equality constraint alpha^T y = 0 arises from an intercept in the
-    primal; scoring without it leaves a systematic shift whenever the two
-    classes have different within-class similarity levels.  Margin support
-    vectors (0 < alpha_i < C) pin the intercept exactly; otherwise the
-    midpoint of the KKT interval is used.
-    """
-    scores = gram @ (alpha * y)
-    t = y - scores
-    feas = 1e-8 * max(c, 1.0)
-    interior = (alpha > feas) & (alpha < c - feas)
-    if interior.any():
-        return float(t[interior].mean())
-    lower = t[((alpha <= feas) & (y > 0)) | ((alpha >= c - feas) & (y < 0))]
-    upper = t[((alpha <= feas) & (y < 0)) | ((alpha >= c - feas) & (y > 0))]
-    if lower.size and upper.size:
-        return float(0.5 * (lower.max() + upper.min()))
-    if lower.size:
-        return float(lower.max())
-    if upper.size:
-        return float(upper.min())
-    return 0.0
+
+@np.errstate(invalid="ignore")  # inf - inf in the midpoint of a row that has interior SVs
+def _intercepts(gram, y, alphas, c) -> np.ndarray:
+    """Intercepts that the dual's equality constraint implies for the
+    ``(rows, m)`` duals ``alphas`` on one training set, boxes ``(rows, 1)``
+    ``c``: the mean of y - score over the margin support vectors (alpha
+    outside the :func:`_zero_band` of 0 and c), else the midpoint of the KKT
+    interval (as LIBSVM) or its one finite end.  Without it, scores shift
+    whenever the classes' within-class similarity levels differ."""
+    t = y - (alphas * y) @ gram.T
+    feas = _zero_band(c)
+    at_zero, at_box = alphas <= feas, alphas >= c - feas
+    pos = y > 0
+    lower = t.max(1, where=np.where(pos, at_zero, at_box), initial=-np.inf)
+    upper = t.min(1, where=np.where(pos, at_box, at_zero), initial=np.inf)
+    mid = np.where(lower == -np.inf, upper,
+                   np.where(upper == np.inf, lower, 0.5 * (lower + upper)))
+    interior = ~(at_zero | at_box)
+    count = interior.sum(1)
+    return np.where(count > 0, t.sum(1, where=interior) / np.maximum(count, 1), mid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +404,8 @@ class StmModel:
 
     @property
     def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.alpha > SUPPORT_EPS)
+        """Training samples whose alpha is above :func:`_intercepts`' zero band."""
+        return np.flatnonzero(self.alpha > _zero_band(box_bound(self.labels.size, self.lam)))
 
     @property
     def coef(self) -> np.ndarray:
@@ -457,7 +452,7 @@ def fit(
         gram = _grams(kernel)[0](samples, kernel)
     problem = QpProblem(gram, y, lam)
     sol = solve_qp(problem)
-    bias = recover_bias(gram, y, sol.alpha, problem.box)
+    bias = float(_intercepts(gram, y, sol.alpha[None], np.full((1, 1), problem.box))[0])
     return StmModel(sol.alpha, y, tuple(samples), kernel, lam, bias)
 
 
@@ -510,7 +505,9 @@ DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 CV_BATCH_DUALS = 400
 # KKT gap at which _cv_lambda's fold duals stop: LIBSVM's and scikit-learn's
 # default.  A CV accuracy reads only the sign of each held-out score, so the
-# fold duals need not meet the 1e-6 that stm.fit keeps for the final model.
+# fold duals need not meet the 1e-6 that stm.fit keeps for the final model;
+# on the study's and the benchmark's inputs every pick held, with about 45 %
+# fewer SMO updates.
 CV_TOL = 1e-3
 
 
@@ -533,11 +530,8 @@ def _cv_lambda(
     checked once and the folds are drawn once; the candidate x fold x lambda
     duals are solved by :func:`solve_qp_many` in chunks of whole candidates,
     at most ``CV_BATCH_DUALS`` duals each where a candidate fits, and each
-    fold's grid is scored by :func:`_grid_scores`.  The fold duals stop at a
-    KKT gap of ``CV_TOL`` (1e-3), not the 1e-6 of :func:`fit`: an accuracy
-    counts only the signs of the held-out scores, and on the study's and the
-    benchmark's inputs the looser gap kept every pick with about 45 % fewer
-    SMO updates.
+    fold's grid is scored at once by :func:`fit`'s :func:`_intercepts`.  The
+    fold duals stop at a KKT gap of ``CV_TOL``, not :func:`fit`'s 1e-6.
     """
     y = np.asarray(labels, dtype=np.float64)
     grams = [np.asarray(g, dtype=np.float64) for g in grams]
@@ -549,13 +543,12 @@ def _cv_lambda(
         raise ValueError("lambda grid is empty")
     if any(not g > 0 for g in grid):
         raise ValueError("lambda grid values must be > 0")
-    rng = np.random.default_rng(seed)
     k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
     acc = np.full((len(grams), len(grid)), -1.0)
     if k < 2:
         return acc
     folds = [(np.setdiff1d(np.arange(y.size), te), te)
-             for te in _stratified_folds(y, k, rng)]
+             for te in _stratified_folds(y, k, np.random.default_rng(seed))]
     chunk = max(1, CV_BATCH_DUALS // (k * len(grid)))
     for first in range(0, len(grams), chunk):
         # Each fold's blocks, cut once per Gram and shared by its lambda grid.
@@ -563,35 +556,16 @@ def _cv_lambda(
                   for g in grams[first:first + chunk] for tr, te in folds for rows in (g[tr],)]
         problems = [QpProblem._unchecked(sub, y_tr, lam)
                     for sub, y_tr, _, _ in blocks for lam in grid]
-        solutions = iter(solve_qp_many(problems, tol=CV_TOL))
-        correct = [(predict_label(_grid_scores(sub, y_tr, [next(solutions) for _ in grid],
-                                               grid, cross)) == y_te).sum(1)
-                   for sub, y_tr, cross, y_te in blocks]
+        solutions = solve_qp_many(problems, tol=CV_TOL)
+        correct = []
+        for b, (sub, y_tr, cross, y_te) in enumerate(blocks):
+            at = slice(b * len(grid), (b + 1) * len(grid))  # the fold's lambda grid
+            alphas = np.array([s.alpha for s in solutions[at]])
+            bias = _intercepts(sub, y_tr, alphas, np.array([[p.box] for p in problems[at]]))
+            scores = (alphas * y_tr) @ cross + bias[:, None]
+            correct.append((predict_label(scores) == y_te).sum(1))
         acc[first:first + chunk] = np.reshape(correct, (-1, k, len(grid))).sum(1) / y.size
     return acc
-
-
-@np.errstate(invalid="ignore")  # inf - inf in the midpoint of a row that has interior SVs
-def _grid_scores(gram, y, solutions, grid, cross) -> np.ndarray:
-    """Cross scores ``(alpha * y) @ cross`` plus intercept of each of one
-    fold's ``solutions`` at the lambdas of ``grid``: :func:`recover_bias`'s
-    intercept, from stacked arrays, so it may differ in the last bits (one
-    product gives all training scores and the mean sums in another order)."""
-    alphas = np.array([s.alpha for s in solutions])
-    coef = alphas * y
-    t = y - coef @ gram.T
-    c = (1.0 / (2.0 * y.size * np.array(grid)))[:, None]  # box_bound of each lambda
-    feas = 1e-8 * np.maximum(c, 1.0)
-    at_zero, at_box = alphas <= feas, alphas >= c - feas
-    pos = y > 0
-    lower = t.max(1, where=np.where(pos, at_zero, at_box), initial=-np.inf)
-    upper = t.min(1, where=np.where(pos, at_box, at_zero), initial=np.inf)
-    mid = np.where(lower == -np.inf, upper,
-                   np.where(upper == np.inf, lower, 0.5 * (lower + upper)))
-    interior = ~(at_zero | at_box)
-    count = interior.sum(1)
-    bias = np.where(count > 0, t.sum(1, where=interior) / np.maximum(count, 1), mid)
-    return coef @ cross + bias[:, None]
 
 
 def select_lambda(
@@ -609,8 +583,6 @@ def select_lambda(
     covers the training samples only.  Raises ``ValueError`` for an empty
     grid, a non-positive grid value, a Gram matrix that is not square,
     finite and symmetric, or labels that are not +-1 of both classes.  It
-    is :func:`_cv_lambda` with one candidate, so its fold duals stop at a
-    KKT gap of ``CV_TOL`` (1e-3), since only the signs of held-out scores
-    count; :func:`fit` keeps 1e-6 for the model.
+    is :func:`_cv_lambda` with one candidate, fold duals at ``CV_TOL``.
     """
     return grid[int(np.argmax(_cv_lambda([gram], labels, grid, k, seed)[0]))]

@@ -306,6 +306,17 @@ class TestModelFile:
         with pytest.raises(FormatError, match=match):
             read_model(path)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.1, 1e-320])
+    def test_lambda_without_a_finite_box_is_format_error(self, tmp_path, lam):
+        # A model's support vectors are read against its box 1 / (2 n lam),
+        # so cstm inspect needs a lambda that has one.
+        model = self.model_with([0.1, 0.2], [1, -1], 2)
+        path = tmp_path / "m.cstm"
+        write_model(path, dataclasses.replace(model, lam=lam), AcmtfHyperParams(rank=2))
+        for read in (read_model, inspect_file):
+            with pytest.raises(FormatError, match="lambda"):
+                read(path)
+
     def test_hostile_text_length_rejected(self, tmp_path):
         path = tmp_path / "m.cstm"
         path.write_bytes(

@@ -10,6 +10,7 @@ from cstm.kernels import (
     CoupledKernelSpec,
     KernelSpec,
     coupled_kernel,
+    cp_gram,
     cp_kernel,
     default_coupled_spec,
     default_cp_specs,
@@ -397,6 +398,29 @@ class TestDefaults:
         with np.errstate(over="ignore"):
             for bw in (1e-150, 1e-155, 1e-160):
                 assert np.array_equal(kernel_matrix(eye, eye, KernelSpec("rbf", bw)), eye)
+
+    def test_tiny_bandwidths_keep_self_similarity_on_random_unit_columns(self):
+        # A column's distance to itself is exactly 0, not the product's
+        # rounding of about eps |a|^2, which 2 bw^2 would blow past -745.
+        with np.errstate(over="ignore"):
+            for seed in range(300):
+                rng = np.random.default_rng(seed)
+                cols = rng.standard_normal((rng.integers(1, 40), rng.integers(1, 8)))
+                cols /= np.linalg.norm(cols, axis=0)
+                for bw in (1e-150, 1e-155, 1e-160):
+                    k = kernel_matrix(cols, cols, KernelSpec("rbf", bw))
+                    assert np.all(np.diagonal(k) == 1.0), (seed, bw)
+
+    @pytest.mark.parametrize("bw", [1e-150, 1e-100, 1e-20, 1e-8])
+    def test_cp_gram_self_similarity_exact_at_small_bandwidths(self, bw):
+        # Orthonormal rank-2 factors: each tensor's two self-pairs give 1,
+        # its cross pairs (squared distance 2 per mode) give exp(-3 / bw^2),
+        # which is 0 at these bandwidths.
+        rng = np.random.default_rng(0)
+        ts = [KruskalTensor(np.ones(2), tuple(np.linalg.qr(rng.standard_normal((d, 2)))[0]
+                                              for d in (6, 5, 4))) for _ in range(3)]
+        g = cp_gram(ts, (KernelSpec("rbf", bw),) * 3)
+        assert np.diagonal(g).tolist() == [2.0, 2.0, 2.0]
 
     def test_default_specs_are_rbf(self):
         rng = np.random.default_rng(15)

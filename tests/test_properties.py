@@ -335,11 +335,15 @@ def test_spec_count_must_match_order():
 
 def ref_sq_dists(a, b):
     """|a_i|^2 + |b_j|^2 - 2 a_i.b_j as one product of the columns augmented
-    with their squared norms and a row of ones, clamped at 0."""
+    with their squared norms and a row of ones, clamped at 0; a column's
+    distance to itself is 0 when ``a`` and ``b`` are one array."""
     na, nb = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
     left = np.vstack([a, na, np.ones(a.shape[1])])
     right = np.vstack([2.0 * b, -np.ones(b.shape[1]), -nb])
-    return np.maximum(-(left.T @ right), 0.0)
+    sq = np.maximum(-(left.T @ right), 0.0)
+    if a is b:
+        np.fill_diagonal(sq, 0.0)
+    return sq
 
 
 def ref_kernel_matrix(a, b, spec):

@@ -16,7 +16,6 @@ from cstm.stm import (
     fit,
     matrix_to_kruskal,
     predict_label,
-    recover_bias,
     select_lambda,
     solve_qp,
 )
@@ -51,6 +50,28 @@ def pg_oracle(gram, y, lam, iters=200_000, tol=1e-13):
                 break
             f_prev = f
     return a, float(0.5 * a @ q @ a - a.sum())
+
+
+def recover_bias(gram, y, alpha, c):
+    """Reference intercept of one dual, one boolean mask at a time: the mean
+    of y - score over the margin support vectors, else the midpoint of the
+    KKT interval, or its one finite end."""
+    t = y - gram @ (alpha * y)
+    feas = 1e-8 * max(c, 1.0)
+    interior = (alpha > feas) & (alpha < c - feas)
+    if interior.any():
+        return float(t[interior].mean())
+    lower = t[((alpha <= feas) & (y > 0)) | ((alpha >= c - feas) & (y < 0))]
+    upper = t[((alpha <= feas) & (y < 0)) | ((alpha >= c - feas) & (y > 0))]
+    if lower.size and upper.size:
+        return float(0.5 * (lower.max() + upper.min()))
+    return float(lower.max() if lower.size else upper.min())
+
+
+def intercept(gram, y, alpha, c):
+    """stm._intercepts of a single dual."""
+    return float(stm._intercepts(gram, np.asarray(y), np.asarray(alpha)[None],
+                                 np.full((1, 1), c))[0])
 
 
 def unit_rank1_factors(direction_seed, dims=(4, 3, 5, 6), flip=False):
@@ -260,8 +281,7 @@ class TestFitDecision:
         gram = 0.5 * (gram + gram.T) + n * np.eye(n)
         p = QpProblem(gram, y, lam=0.02)
         sol = solve_qp(p)
-        bias = recover_bias(gram, y, sol.alpha, p.box)
-        scores = gram @ (sol.alpha * y) + bias
+        scores = gram @ (sol.alpha * y) + intercept(gram, y, sol.alpha, p.box)
         assert np.all(np.where(scores >= 0, 1.0, -1.0) == y)
 
 
@@ -274,7 +294,46 @@ class TestFitDecision:
     def test_bias_without_margin_support_vector(self, alpha, y, want):
         # No 0 < alpha_i < c: the intercept comes from the KKT interval.
         gram = np.array([[1.0, 0.5], [0.5, 2.0]])
-        assert recover_bias(gram, np.array(y), np.array(alpha), 0.5) == want
+        assert intercept(gram, y, alpha, 0.5) == want
+
+    def test_intercepts_of_a_mixed_batch_match_the_reference(self):
+        # One batch whose rows take every branch: margin support vectors,
+        # the midpoint, lower bounds only and upper bounds only, at boxes
+        # below and above 1 (where the zero band grows with c) and with
+        # alphas inside the band.  Each row's scores may round differently
+        # from the reference's product, by ulps of 1 + sum_j |K_ij a_j|.
+        rng = np.random.default_rng(17)
+        m = 9
+        x = rng.standard_normal((m, 4))
+        gram = x @ x.T
+        y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+        pos = y > 0
+        rows, boxes = [], []
+        for c in (0.3, 78.0):
+            band = 1e-8 * max(c, 1.0)
+            rows += [
+                rng.uniform(0.0, c, m),  # margin support vectors
+                np.where(rng.random(m) < 0.5, 0.0, c),  # both ends: the midpoint
+                np.where(pos, 0.5 * band, c - 0.5 * band),  # lower bounds only
+                np.where(pos, c, 0.0),  # upper bounds only
+            ]
+            boxes += [c] * 4
+        alphas, c = np.array(rows), np.array(boxes)[:, None]
+        got = stm._intercepts(gram, y, alphas, c)
+        assert got.shape == (len(rows),)
+        for a, box, b in zip(alphas, boxes, got):
+            size = np.max(1.0 + np.abs(gram * (a * y)).sum(1))
+            assert abs(b - recover_bias(gram, y, a, box)) <= 4 * np.finfo(float).eps * size
+
+    def test_support_vectors_lie_above_the_zero_band(self):
+        # At c = 78 the band is 7.8e-7: an alpha of 1e-9 counts as 0, one
+        # of 1e-6 is a support vector.
+        f = unit_rank1_factors(3)
+        lam = 1.0 / (2 * 2 * 78.0)
+        assert box_bound(2, lam) == pytest.approx(78.0)
+        model = StmModel(np.array([1e-9, 1e-6]), np.array([1.0, -1.0]), (f, f),
+                         LINEAR_SPEC, lam)
+        assert model.support_indices.tolist() == [1]
 
 
 class TestCpStm:
