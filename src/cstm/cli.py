@@ -44,7 +44,8 @@ _DECOMPOSE_FIELDS = tuple(f for f in dataclasses.fields(AcmtfHyperParams)
 
 def _read_samples(directory: str, unlabeled: str | None = None):
     """``(paths, samples, labels)`` of the ``.cstm`` sample files in
-    ``directory``, sorted by name.  With ``unlabeled`` set, an unlabeled
+    ``directory``, sorted by name; a sample whose dims differ from the first
+    file's is a ``FormatError``.  With ``unlabeled`` set, an unlabeled
     sample is a ``ConfigError`` that names ``unlabeled`` and the file."""
     try:
         names = sorted(os.listdir(directory))
@@ -58,6 +59,10 @@ def _read_samples(directory: str, unlabeled: str | None = None):
     if not paths:
         raise FileNotFoundError(f"no .cstm sample files in {directory}")
     samples = [container.read_sample(p) for p in paths]
+    for p, s in zip(paths, samples):
+        if s.dims != samples[0].dims:
+            raise FormatError(f"{p}: sample dims {s.dims} do not match "
+                              f"{paths[0]}: {samples[0].dims}")
     labels = np.array([s.label for s in samples], dtype=np.float64)
     if unlabeled is not None and np.any(labels == 0):
         bad = paths[int(np.flatnonzero(labels == 0)[0])]
@@ -161,12 +166,9 @@ def cmd_predict(args) -> int:
     cfg = experiments.ExperimentConfig(acmtf=params, prune_rel=prune_rel, seed=args.seed,
                                        methods=("cstm",))
     paths, samples, _ = _read_samples(args.infile)
-    train_dims = model.factors[0].dims
-    for p, s in zip(paths, samples):
-        if s.dims != train_dims:
-            raise FormatError(
-                f"{p}: sample dims {s.dims} do not match model dims {train_dims}"
-            )
+    if samples[0].dims != model.factors[0].dims:
+        raise FormatError(f"{paths[0]}: sample dims {samples[0].dims} do not match "
+                          f"model dims {model.factors[0].dims}")
     with _naming_files(paths):
         (reps, _), t_decompose = experiments.timed(experiments.decompose_samples, samples, cfg)
     scores = stm.decision_many(model, reps["cstm"])

@@ -20,7 +20,8 @@ a grid.  All candidate x fold x lambda duals are independent, so
 array state, every round makes one pair update per live row, and a row
 is retired in place when it stops.  It is the one SMO entry point: a
 model fit's :func:`solve_qp` is a batch of one, and the last few live
-rows of any batch finish with scalar steps.
+rows of any batch finish with scalar steps on their own row state, by the
+array round's rule and its curvature table, which every batch builds.
 """
 
 from __future__ import annotations
@@ -134,61 +135,44 @@ def solve_qp(p: QpProblem, tol: float = 1e-6, max_passes: int = 1000) -> QpSolut
     return solve_qp_many([p], tol, max_passes)[0]
 
 
-def _finish_alone(p: QpProblem, alpha, minus_yg, up, low, updates: int,
-                  max_passes: int, gap: float, tol: float, cols: np.ndarray) -> QpSolution:
-    """Solution of ``p`` by SMO updates on scalars, from a row of
-    :func:`solve_qp_many`'s state: ``alpha``, ``minus_yg`` (-y * gradient
-    of the dual objective), the additive candidate masks ``up`` (0 or
-    -inf) and ``low`` (0 or +inf), the updates made and the last gap.
-    ``cols[i]`` is column i of the Gram matrix.  Its steps are the batch's,
-    so a row that has stopped stops here at once.  Scalars are read out as
-    Python floats, whose arithmetic is numpy's float64 arithmetic."""
-    y = p.labels.tolist()
-    c = float(p.box)
-    budget = max_passes * len(y)
-    feas = 1e-12 * max(c, 1.0)
-    hi = c - feas
-    a = alpha.tolist()
-    buf = np.empty(len(y))
+def _finish_alone(grad, z, mask, bound, top, cols, quad, updates: int, budget: int,
+                  gap: float, tol: float):
+    """Continue one row of :func:`solve_qp_many`'s state by SMO updates on
+    scalars: its ``(2, n)`` halves of ``grad``, ``z``, ``mask``, ``bound``
+    and ``top``, its Gram columns ``cols`` and curvature rows ``quad``, the
+    updates made, its budget and the last gap.  Each step is an array
+    round's on this row, read out as Python floats, whose arithmetic is
+    numpy's float64 arithmetic, so a row that has stopped stops here at
+    once.  Steps ``grad``, ``mask`` and half 0 of ``z`` in place and returns
+    ``(updates, converged, gap)``."""
+    # Half 1 of z is exactly -z0, so only z0 is kept: the caps top - z at
+    # (0, i) and (1, j) are t0[i] - z0[i] and t1[j] + z0[j], and half 1's
+    # candidacy z < bound is -z0 < b1.
+    z0 = z[0].tolist()
+    (b0, b1), (t0, t1) = bound.tolist(), top.tolist()
+    (g0, g1), (m0, m1) = grad, mask
+    both, step = np.empty_like(grad), np.empty_like(g0)
     converged = False
     while updates < budget:
-        i = int(np.add(minus_yg, up, out=buf).argmax())
-        j = int(np.add(minus_yg, low, out=buf).argmin())
-        if up[i] or low[j]:
-            # The best pick is at a bound: one side has no candidate.
-            converged = True
-            gap = 0.0
-            break
-        gap = minus_yg.item(i) - minus_yg.item(j)
-        if gap <= tol:
+        i, j = np.add(grad, mask, out=both).argmax(1).tolist()
+        gap = both.item(0, i) + both.item(1, j)  # -inf when a side has no candidate
+        q = quad.item(i, j)  # 0 stands for numpy's gap / 0 = inf; Python raises
+        delta = min(gap / q if q else np.inf, t0[i] - z0[i], t1[j] + z0[j])
+        if gap <= tol or delta <= 0:
             converged = True
             break
-        quad = cols.item(i, i) + cols.item(j, j) - 2.0 * cols.item(j, i)
-        delta = gap / quad if quad > 1e-12 else np.inf
-        # Box caps along the feasible direction (alpha_i += y_i d, alpha_j -= y_j d).
-        cap_i = (c - a[i]) if y[i] > 0 else a[i]
-        cap_j = a[j] if y[j] > 0 else (c - a[j])
-        delta = min(delta, cap_i, cap_j)
-        if delta <= 0:
-            converged = True
-            break
-        a[i] += y[i] * delta
-        a[j] -= y[j] * delta
-        # Since y is +-1, the gradient's change delta * y * (k_i - k_j)
-        # is exactly delta * (k_i - k_j) taken off minus_yg.
-        np.subtract(cols[i], cols[j], out=buf)
-        buf *= delta
-        minus_yg -= buf
+        z0[i] += delta
+        z0[j] -= delta
+        np.subtract(cols[i], cols[j], out=step)
+        step *= delta
+        g0 -= step
+        g1 += step
         for t in (i, j):
-            below, above = a[t] < hi, a[t] > feas
-            if y[t] < 0:
-                below, above = above, below
-            up[t] = 0.0 if below else -np.inf
-            low[t] = 0.0 if above else np.inf
+            m0[t] = 0.0 if z0[t] < b0[t] else -np.inf
+            m1[t] = 0.0 if -z0[t] < b1[t] else -np.inf
         updates += 1
-    alpha[:] = a
-    np.clip(alpha, 0.0, c, out=alpha)
-    return QpSolution(alpha, converged, max(gap, 0.0), updates)
+    z[0] = z0
+    return updates, converged, gap
 
 
 # Signs of the two halves of the state in solve_qp_many.
@@ -220,15 +204,16 @@ def solve_qp_many(
     Each round picks the maximal violating pair of every live row with one
     argmax and makes every row's pair update with masked array operations.
     A row that stops, for the reasons :func:`solve_qp` states, is retired
-    in place with the solution :func:`_finish_alone` would return at once.
-    Rows are padded to the largest problem; a padded entry is never a
-    candidate.  Problems that share one Gram array, such as the lambda grid
-    of one cross-validation fold, share its stored copy.  Once no more than
-    ``_ALONE_ROWS`` rows are live, :func:`_finish_alone` goes on with each
-    without the cost of array rounds.  A row's arithmetic depends on its
-    own problem only, so its solution does not depend on its batch, bit for
-    bit.  Raises ``ValueError`` for a negative or NaN ``tol`` and for
-    ``max_passes < 1``.
+    in place.  Rows are padded to the largest problem; a padded entry is
+    never a candidate.  Problems that share one Gram array, such as the
+    lambda grid of one cross-validation fold, share its stored copy and its
+    curvature table, which every batch builds, a batch of one too.  Once no
+    more than ``_ALONE_ROWS`` rows are live, :func:`_finish_alone` continues
+    each row's own state with scalar steps, without the cost of array
+    rounds; one helper builds every solution from that state.  A row's
+    arithmetic depends on its own problem only, so its solution does not
+    depend on its batch, bit for bit.  Raises ``ValueError`` for a negative
+    or NaN ``tol`` and for ``max_passes < 1``.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
@@ -250,18 +235,16 @@ def solve_qp_many(
     # Row f * m + i of ``cols`` is column i of Gram f: an update reads
     # k[:, i] - k[:, j].  Entry (f * m + i, j) of ``quad`` is the pair's
     # curvature k[i, i] + k[j, j] - 2 k[i, j], or 0 where that is not above
-    # 1e-12: then a step's gap / quad is inf, as in _finish_alone, for
-    # every gap that moves a row on.  Only array rounds read it, so a batch
-    # that starts alone has none; it is filled one Gram at a time.
-    if len(problems) > _ALONE_ROWS:
-        quad = np.empty_like(cols)
-        for q, k in zip(quad, cols):
-            d = k.diagonal()
-            np.add(d[:, None], d, out=q)
-            q -= 2.0 * k.T
-            q[~(q > 1e-12)] = 0.0
-        quad = quad.reshape(-1)
-    cols = cols.reshape(-1, m)
+    # 1e-12: then a step's gap / quad is unbounded for every gap that moves
+    # a row on.  Array rounds and scalar steps alike read it, so every
+    # batch builds it, one Gram at a time.
+    quad = np.empty_like(cols)
+    for q, k in zip(quad, cols):
+        d = k.diagonal()
+        np.add(d[:, None], d, out=q)
+        q -= 2.0 * k.T
+        q[~(q > 1e-12)] = 0.0
+    cols, quad = cols.reshape(-1, m), quad.reshape(-1, m)
     gram_row = m * np.array([slot[id(p.gram)] for p in problems])
     c = np.array([p.box for p in problems])
     budget = max_passes * size
@@ -275,7 +258,7 @@ def solve_qp_many(
     # exact, so every value and tie is the scalar loop's.
     #   grad: -y * gradient of the dual, starting at y, and its negation.
     #   z:    y * alpha and its negation; alpha_i += y_i d is z_i += d.
-    #   mask: 0 for a candidate, -inf otherwise: up and -low of _finish_alone.
+    #   mask: 0 for a candidate, -inf otherwise.
     # An entry is a candidate while its z is below ``bound``, which says
     # alpha < hi or alpha > feas per label in terms of +-z; padded entries
     # have bound -inf.  The box caps of a pick are ``top`` - z: c - alpha
@@ -293,16 +276,19 @@ def solve_qp_many(
     it = 0  # every live row has made ``it`` updates
     least = int(budget.min())
 
-    def alpha(q):  # + 0.0 turns the -0.0 of z = 0 at a -1 label into 0.0
-        return z[0, q, :size[rows[q]]] * y[rows[q], :size[rows[q]]] + 0.0
+    def solution(q, updates, converged, gap):
+        r, n = rows[q], size[rows[q]]
+        # + 0.0 turns the -0.0 of z = 0 at a -1 label into 0.0.
+        alpha = z[0, q, :n] * y[r, :n] + 0.0
+        return QpSolution(np.clip(alpha, 0.0, c[r]), converged, max(gap, 0.0), updates)
 
     while True:
         if rows.size <= _ALONE_ROWS:
-            for q, (r, n) in enumerate(zip(rows, size[rows])):
-                out[r] = _finish_alone(
-                    problems[r], alpha(q), grad[0, q, :n].copy(), mask[0, q, :n].copy(),
-                    0.0 - mask[1, q, :n], it, max_passes, float(last_gap[q]), tol,
-                    cols[gram_row[q]:gram_row[q] + n, :n])
+            for q, n in enumerate(size[rows]):
+                k = slice(gram_row[q], gram_row[q] + n)
+                out[rows[q]] = solution(q, *_finish_alone(
+                    *(a[:, q, :n] for a in (grad, z, mask, bound, top)), cols[k, :n],
+                    quad[k, :n], it, int(budget[q]), float(last_gap[q]), tol))
             return out
         np.add(grad, mask, out=both)
         ij = both.argmax(2)  # (i, j) per row
@@ -317,16 +303,15 @@ def solve_qp_many(
         z_moved = z.take(moved)
         caps = top.take(at) - z_moved[:2]
         delta = np.minimum(delta, np.minimum(*caps))
-        # _finish_alone's first check: a row past its budget keeps its last gap,
-        # unconverged; no candidate (gap -inf), gap <= tol or delta <= 0 converge.
+        # A row past its budget keeps its last gap, unconverged; no
+        # candidate (gap -inf), gap <= tol or delta <= 0 converge.
         leave = np.fmin(gap - tol, delta) <= 0
         if it >= least:
             leave |= budget <= it
         if np.count_nonzero(leave):
-            for q, r in zip(np.flatnonzero(leave), rows[leave]):
+            for q in np.flatnonzero(leave):
                 over = budget[q] <= it
-                out[r] = QpSolution(np.clip(alpha(q), 0.0, c[r]), not over,
-                                    max(float(last_gap[q] if over else gap[q]), 0.0), it)
+                out[rows[q]] = solution(q, it, not over, float(last_gap[q] if over else gap[q]))
             keep = ~leave
             rows, gram_row, budget = rows[keep], gram_row[keep], budget[keep]
             # compress, not a[:, keep]: the state must stay C-contiguous,

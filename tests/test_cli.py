@@ -403,6 +403,20 @@ class TestFitPredict:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 4
 
+    def test_fit_mixed_dims_exit4_names_file(self, tmp_path, capsys):
+        data = tmp_path / "train"
+        data.mkdir()
+        write_separable_samples(data)
+        odd = data / "sample_0005.cstm"
+        s = container.read_sample(odd)
+        container.write_sample(odd, CoupledSample(s.tensor[:, :, :-1], s.matrix[:, :-1], s.label))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FIT_CONFIG)
+        assert main(["fit", "--train", str(data), "--config", str(cfg),
+                     "--out", str(tmp_path / "model.cstm")]) == 4
+        assert f"error: {odd}: sample dims" in capsys.readouterr().err
+        assert not (tmp_path / "model.cstm").exists()
+
     @pytest.mark.parametrize("scale, code", [(1e160, 0), (1e308, 3)])
     def test_sample_with_huge_norm(self, tmp_path, scale, code):
         # Finite entries whose Frobenius norm overflows still normalize; a
@@ -596,6 +610,21 @@ class TestBenchmark:
             assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_dataset_mixed_dims_exit4_names_file(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["simulate", "--case", "1", "--n-per-class", "4",
+                     "--out", str(data)]) == 0
+        odd = data / "sample_0003.cstm"
+        s = container.read_sample(odd)
+        container.write_sample(odd, CoupledSample(s.tensor[:, :, :-1], s.matrix[:, :-1], s.label))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(CONFIG_SMALL.replace("case = 1", f"dataset = {data}"))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 4
+        assert f"error: {odd}: sample dims" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_exit1_no_outputs(self, tmp_path):
         empty_grid = CONFIG_SMALL.replace("lambda_grid = 0.01, 1", "lambda_grid = ,")

@@ -575,9 +575,10 @@ class TestSolveQp:
         # Rows that stop in an array round are retired there.  Round s
         # starts with the rows whose single solve makes at least s updates;
         # the first round that starts with no more than _ALONE_ROWS of them
-        # hands each to _finish_alone with s updates made, after the array
-        # update of the round before.  A batch that small from the start
-        # never makes an array round.
+        # hands each row's state to _finish_alone with s updates made, after
+        # the array update of the round before.  A batch that small from
+        # the start never makes an array round.  A handoff is recorded as
+        # the row's size and its update counts in and out.
         problems, max_passes = case
         singles = [solve_qp(p, max_passes=max_passes) for p in problems]
         counts = [s.n_updates for s in singles]
@@ -586,13 +587,13 @@ class TestSolveQp:
         calls = []
         finish = stm._finish_alone
 
-        def recording(p, alpha, minus_yg, up, low, updates, *rest):
-            sol = finish(p, alpha, minus_yg, up, low, updates, *rest)
-            calls.append((id(p), updates, sol.n_updates))
-            return sol
+        def recording(grad, z, mask, bound, top, cols, quad, updates, *rest):
+            done = finish(grad, z, mask, bound, top, cols, quad, updates, *rest)
+            calls.append((grad.shape[1], updates, done[0]))
+            return done
         with mock.patch.object(stm, "_finish_alone", recording):
             batch = solve_qp_many(problems, max_passes=max_passes)
-        alone = [(id(p), start, u) for p, u in zip(problems, counts) if u >= start]
+        alone = [(p.labels.size, start, u) for p, u in zip(problems, counts) if u >= start]
         assert sorted(calls) == sorted(alone)
         for sol, ref in zip(batch, singles):
             assert sol.alpha.tobytes() == ref.alpha.tobytes()
@@ -621,12 +622,14 @@ class TestSolveQp:
         passed = []
         finish = stm._finish_alone
 
-        def recording(p, *rest):
-            passed.append(p)
-            return finish(p, *rest)
+        def recording(grad, *rest):
+            passed.append(grad.shape[1])
+            return finish(grad, *rest)
         with mock.patch.object(stm, "_finish_alone", recording):
             batch = solve_qp_many(problems, max_passes=1)
-        assert not any(p is q for p in passed for q in reasons.values())
+        # Only 30-sample rows reach the scalar finish; every reason's row
+        # is smaller and stopped in an array round.
+        assert passed and set(passed) == {30}
         for p, sol in zip(problems, batch):
             ref = solve_qp(p, max_passes=1)
             assert sol.alpha.tobytes() == ref.alpha.tobytes()
@@ -642,6 +645,21 @@ class TestSolveQp:
         assert 0 < got["gap <= tol"].kkt_violation <= 1e-6
         assert (got["delta <= 0"].converged, got["delta <= 0"].n_updates,
                 got["delta <= 0"].kkt_violation) == (True, 0, 2.0)
+
+    def test_zero_curvature_pair_matches_reference(self):
+        # k[0, 0] + k[1, 1] - 2 k[0, 1] = 0: the first step is unbounded and
+        # only the box caps it, alone and as a row of an array round.
+        p = QpProblem(np.ones((2, 2)), np.array([1.0, -1.0]), 0.1)
+        x = np.random.default_rng(3).standard_normal((6, 2))
+        others = [QpProblem(kernel_matrix(x.T, x.T, KernelSpec("rbf", 1.0)),
+                            np.array([1.0, -1.0] * 3), lam) for lam in (1e-3, 1e-2, 0.1, 1.0)]
+        alpha, converged, kkt, updates = ref_solve_qp(p)
+        assert updates >= 1
+        for batch in ([p], [p] + others, others + [p]):
+            assert len(batch) == 1 or len(batch) > stm._ALONE_ROWS
+            sol = solve_qp_many(batch)[batch.index(p)]
+            assert sol.alpha.tobytes() == alpha.tobytes()
+            assert (sol.n_updates, sol.converged, sol.kkt_violation) == (updates, converged, kkt)
 
     def test_batch_edge_cases(self):
         assert solve_qp_many([]) == []
