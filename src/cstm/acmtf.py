@@ -44,13 +44,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .tensor_core import KruskalTensor, NumericalError, SolveStats, _keep_rows
+from .tensor_core import KruskalTensor, NumericalError, SolveStats, _integer, _keep_rows
 
 # Guard for the Hestenes-Stiefel denominator; below this the direction
 # update is replaced by steepest descent.
@@ -121,11 +120,7 @@ class AcmtfHyperParams:
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("rank", "max_iters"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+            _integer(name, getattr(self, name), 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Subcommands: simulate, decompose, fit, predict, benchmark, inspect.
-Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 numerical
-abort, 4 file-format error.
+Exit codes: 0 success, 1 configuration or usage error, 2 I/O error,
+3 numerical abort, 4 file-format error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__, container, experiments, stm
-from .acmtf import AcmtfHyperParams, NumericalError, acmtf_decompose
+from .acmtf import AcmtfHyperParams, acmtf_decompose
 from .config import (
     ConfigError,
     config_hash,
@@ -28,6 +28,7 @@ from .container import FormatError
 # Not called here: perfbench's traced runs wrap cli.gram_matrix, and
 # tests/test_bench_targets.py checks that the name resolves.
 from .kernels import gram_matrix  # noqa: F401
+from .tensor_core import NumericalError, _integer
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -300,13 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # Exit 1, not argparse's 2 (which this CLI gives I/O errors).
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        args = build_parser().parse_args(argv)
+        _integer("--seed", getattr(args, "seed", 0), 0)
         return args.func(args)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 (this CLI's I/O code) on misuse
+        return EXIT_CONFIG if exc.code else EXIT_OK
     # FormatError and ConfigError are ValueErrors: FormatError's exit code goes first.
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,7 +45,7 @@ from .kernels import (
     default_cp_specs,
     gram_matrix,
 )
-from .tensor_core import NumericalError, cp_als, cp_als_many  # noqa: F401 - cp_als is re-exported
+from .tensor_core import NumericalError, _integer, cp_als, cp_als_many  # noqa: F401 - re-export
 
 TENSOR_DIMS = (30, 20, 10)
 MATRIX_DIMS = (50, 10)
@@ -101,8 +101,7 @@ def gen_case(case: int, n_per_class: int, seed: int) -> list[CoupledSample]:
     """
     if case not in SIM_CASES:
         raise ValueError(f"unknown case id {case}; valid: {sorted(SIM_CASES)}")
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
+    _integer("n_per_class", n_per_class, 1)
     spec = SIM_CASES[case]
     rng = np.random.default_rng(seed)
     i1, i2, i3 = TENSOR_DIMS
@@ -223,7 +222,8 @@ def compute_metrics(labels, scores) -> MetricsRow:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one benchmark run needs; see ``cstm.config`` for the file form."""
+    """Everything one benchmark run needs, checked here before any run: counts by
+    ``_integer``, the lambda grid by ``stm._check_grid``.  File form: ``cstm.config``."""
 
     case: int | None = None
     dataset: str | None = None
@@ -246,18 +246,16 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.case is not None and self.case not in SIM_CASES:
-            raise ValueError(f"unknown case id {self.case}")
+        for name, least in (("n_per_class", 1), ("repetitions", 1), ("seed", 0),
+                            ("threads", 1), ("cv_folds", 2)):
+            _integer(name, getattr(self, name), least)
         if not 0 < self.test_fraction < 1:
             raise ValueError("test_fraction must be in (0, 1)")
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
         if self.case is not None:
+            _integer("case", self.case, 1)
+            if self.case not in SIM_CASES:
+                raise ValueError(f"unknown case id {self.case}")
             _test_count(self.n_per_class, self.test_fraction, "each class")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {METHODS}")
@@ -265,14 +263,7 @@ class ExperimentConfig:
             raise ValueError("at least one method is required")
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"duplicate method in {self.methods}")
-        if not self.lambda_grid:
-            raise ValueError("lambda grid is empty")
-        if any(not g > 0 for g in self.lambda_grid):
-            raise ValueError("lambda grid values must be > 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        stm._check_grid(self.lambda_grid)
         if self.kernel_bandwidth is not None and self.kernel_bandwidth <= 0:
             raise ValueError("kernel_bandwidth must be > 0")
         if not 0 <= self.prune_rel < 1:

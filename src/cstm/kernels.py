@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .acmtf import AcmtfFactors
-from .tensor_core import KruskalTensor
+from .tensor_core import KruskalTensor, _integer
 
 _KINDS = ("rbf", "linear", "polynomial")
 
@@ -64,8 +64,7 @@ class KernelSpec:
                     f"rbf bandwidth {self.bandwidth!r} is too small: 2 bw^2 underflows to 0"
                 )
         if self.kind == "polynomial":
-            if self.degree < 1:
-                raise ValueError("polynomial degree must be >= 1")
+            _integer("polynomial degree", self.degree, 1)
             if not np.isfinite(self.offset):
                 raise ValueError("polynomial offset must be finite")
 

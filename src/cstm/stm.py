@@ -40,7 +40,7 @@ from .kernels import (
     gram_cross,
     gram_matrix,
 )
-from .tensor_core import KruskalTensor
+from .tensor_core import KruskalTensor, _integer
 
 
 def box_bound(n: int, lam: float) -> float:
@@ -59,8 +59,7 @@ def default_lambda(n: int) -> float:
     Satisfies lambda_n -> 0 and n * lambda_n -> infinity as n grows, the
     preconditions for risk consistency.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _integer("n", n, 1)
     return float(n) ** -0.5
 
 
@@ -213,12 +212,11 @@ def solve_qp_many(
     rounds; one helper builds every solution from that state.  A row's
     arithmetic depends on its own problem only, so its solution does not
     depend on its batch, bit for bit.  Raises ``ValueError`` for a negative
-    or NaN ``tol`` and for ``max_passes < 1``.
+    or NaN ``tol`` and unless ``max_passes`` is an integer ``>= 1``.
     """
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
-    if not max_passes >= 1:
-        raise ValueError("max_passes must be >= 1")
+    _integer("max_passes", max_passes, 1)
     out: list[QpSolution] = [None] * len(problems)  # type: ignore[list-item]
     if not problems:
         return out
@@ -465,6 +463,7 @@ def predict_label(scores) -> np.ndarray:
 
 def matrix_to_kruskal(matrix: np.ndarray, rank: int) -> KruskalTensor:
     """Rank-``rank`` truncated SVD of a matrix as a two-factor Kruskal tensor."""
+    _integer("rank", rank, 1)
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
@@ -496,14 +495,25 @@ CV_BATCH_DUALS = 400
 CV_TOL = 1e-3
 
 
-def _stratified_folds(labels: np.ndarray, k: int, rng) -> list[np.ndarray]:
-    folds: list[list[int]] = [[] for _ in range(k)]
+def _check_grid(grid) -> tuple[float, ...]:
+    """``grid`` as a tuple, if non-empty and :func:`box_bound` takes each value
+    at n = 1: the box only shrinks as n grows, so it is finite at every n."""
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("lambda grid is empty")
+    for lam in grid:
+        box_bound(1, lam)
+    return grid
+
+
+def _stratified_folds(labels: np.ndarray, k: int, rng) -> np.ndarray:
+    """Each sample's fold in 0..k-1: per class, +1 first, round robin over
+    one permutation of the class's samples."""
+    fold = np.empty(labels.size, dtype=int)
     for cls in (1.0, -1.0):
         idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(idx.size)]
-        for pos, i in enumerate(idx):
-            folds[pos % k].append(int(i))
-    return [np.sort(np.array(f, dtype=int)) for f in folds]
+        fold[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % k
+    return fold
 
 
 def _cv_lambda(
@@ -523,17 +533,13 @@ def _cv_lambda(
     for gram in grams:
         _check_dual_data(gram, y)
     _check_two_classes(y)
-    grid = tuple(grid)
-    if not grid:
-        raise ValueError("lambda grid is empty")
-    if any(not g > 0 for g in grid):
-        raise ValueError("lambda grid values must be > 0")
+    grid = _check_grid(grid)
     k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
     acc = np.full((len(grams), len(grid)), -1.0)
     if k < 2:
         return acc
-    folds = [(np.setdiff1d(np.arange(y.size), te), te)
-             for te in _stratified_folds(y, k, np.random.default_rng(seed))]
+    fold = _stratified_folds(y, k, np.random.default_rng(seed))
+    folds = [(fold != f, fold == f) for f in range(k)]
     chunk = max(1, CV_BATCH_DUALS // (k * len(grid)))
     for first in range(0, len(grams), chunk):
         # Each fold's blocks, cut once per Gram and shared by its lambda grid.
@@ -565,8 +571,8 @@ def select_lambda(
     k is capped at the smaller class count, so every training fold keeps
     both classes; when a class has only one sample, the first grid value is
     returned.  Ties take the first value that ``grid`` lists.  The Gram matrix
-    covers the training samples only.  Raises ``ValueError`` for an empty
-    grid, a non-positive grid value, a Gram matrix that is not square,
+    covers the training samples only.  Raises ``ValueError`` for a grid that
+    :func:`_check_grid` rejects, a Gram matrix that is not square,
     finite and symmetric, or labels that are not +-1 of both classes.  It
     is :func:`_cv_lambda` with one candidate, fold duals at ``CV_TOL``.
     """

@@ -14,6 +14,7 @@ result records its error history and stop reason (:class:`SolveStats`).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -22,6 +23,14 @@ import numpy as np
 # Ridge added to every ALS normal-equation solve; keeps singular
 # subproblems (e.g. zero tensors, collinear factors) solvable.
 ALS_RIDGE = 1e-12
+
+
+def _integer(name: str, value, least: int) -> None:
+    """Refuse, naming ``name``, a non-integer ``value`` (a bool too) or one below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -208,9 +217,9 @@ def cp_als_many(
     result does not depend on the rest of its batch.  An empty batch
     returns ``[]``.
 
-    The arguments are checked once, here: ``rank >= 1``, ``tol > 0``,
-    ``max_iter >= 1``, one seed per tensor, and finite tensors of one
-    shape, of order 2 or more and with no empty mode; a tensor whose sum of
+    The arguments are checked once, here: ``rank`` and ``max_iter``
+    integers ``>= 1``, ``tol > 0``, one seed per tensor, and finite tensors
+    of one shape, of order 2 or more and with no empty mode; a tensor whose sum of
     squares overflows float64 raises :class:`NumericalError` with its
     position as ``sample``.  A sweep stacks every live tensor's unfoldings,
     Khatri-Rao products and ``(B, r, r)`` Grams, and makes one stacked
@@ -223,12 +232,10 @@ def cp_als_many(
     that depends on the operands' memory layout; every stacked array has
     one layout per item whatever the batch.  Tensors are read in C order.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    _integer("rank", rank, 1)
+    _integer("max_iter", max_iter, 1)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     ts = [np.ascontiguousarray(_as_float_array(t, "tensor")) for t in tensors]
     seeds = list(seeds)
     if len(seeds) != len(ts):

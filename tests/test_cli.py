@@ -681,6 +681,17 @@ class TestBenchmark:
             assert capsys.readouterr().err == f"error: {path}: {message}\n"
             assert not out.exists()
 
+    def test_overflowing_lambda_exit1_before_decomposing(self, tmp_path, capsys, monkeypatch):
+        def no_decompose(*args, **kwargs):
+            raise AssertionError("decomposed before the lambda grid was checked")
+
+        monkeypatch.setattr(experiments, "acmtf_decompose_many", no_decompose)
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "o"
+        cfg.write_text(CONFIG_SMALL.replace("lambda_grid = 0.01, 1", "lambda_grid = 1e-320"))
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "lambda 1e-320 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit2(self, tmp_path):
         rc = main(["benchmark", "--config", str(tmp_path / "none.txt"),
                    "--out", str(tmp_path / "o")])
@@ -728,6 +739,23 @@ def test_negative_seed_exit1_before_any_output(tmp_path, capsys, command):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--in", "x.cstm", "--rank", "abc", "--out", "f.cstm"],
+    ["fit", "--train", "x"],
+], ids=["bad_int_flag", "missing_required_flag"])
+def test_usage_error_exit1_not_io_code(tmp_path, capsys, monkeypatch, argv):
+    # argparse exits 2 on misuse, the code this CLI gives I/O errors.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "usage: cstm" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    assert main(["fit", "--help"]) == 0
+    assert "--train" in capsys.readouterr().out
 
 
 def test_one_version_string(tmp_path):

@@ -634,12 +634,12 @@ def ref_cv_lambda(grams, labels, grid, k, seed):
     acc = np.full((len(grams), len(grid)), -1.0)
     if k < 2:
         return acc
-    tests = stm._stratified_folds(y, k, np.random.default_rng(seed))
+    fold = stm._stratified_folds(y, k, np.random.default_rng(seed))
     for index, g in enumerate(grams):
         for col, lam in enumerate(grid):
             correct = 0
-            for te in tests:
-                tr = np.setdiff1d(np.arange(y.size), te)
+            for f in range(k):
+                tr, te = np.flatnonzero(fold != f), np.flatnonzero(fold == f)
                 sub, y_tr = g[np.ix_(tr, tr)], y[tr]
                 sol = solve_qp(QpProblem(sub, y_tr, lam), tol=stm.CV_TOL)
                 bias = recover_bias(sub, y_tr, sol.alpha, box_bound(y_tr.size, lam))
@@ -647,6 +647,27 @@ def ref_cv_lambda(grams, labels, grid, k, seed):
                 correct += int(np.sum(predict_label(scores) == y[te]))
             acc[index, col] = correct / y.size
     return acc
+
+
+def ref_stratified_folds(labels, k, rng):
+    """The held-out index lists that _stratified_folds' fold ids replaced:
+    per class, +1 first, sample pos of one permutation joins list pos % k."""
+    folds = [[] for _ in range(k)]
+    for cls in (1.0, -1.0):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        for pos, i in enumerate(idx):
+            folds[pos % k].append(int(i))
+    return [np.sort(np.array(f, dtype=int)) for f in folds]
+
+
+@pytest.mark.parametrize("n_pos, n_neg, k", [(7, 6, 3), (5, 9, 4), (2, 11, 2), (13, 4, 4)])
+def test_fold_ids_match_held_out_lists(n_pos, n_neg, k):
+    # Ragged classes, shuffled so the labels interleave.
+    y = np.random.default_rng(n_pos * k).permutation([1.0] * n_pos + [-1.0] * n_neg)
+    fold = stm._stratified_folds(y, k, np.random.default_rng(9))
+    ref = ref_stratified_folds(y, k, np.random.default_rng(9))
+    assert [np.flatnonzero(fold == f).tolist() for f in range(k)] == [t.tolist() for t in ref]
 
 
 def separable_gram(y, seed, shift=0.8):
@@ -674,8 +695,9 @@ class TestCvAgainstPerDualLoop:
         y = np.array([1.0, -1.0] * 12)
         gram = separable_gram(y, 23)
         grid = (1.0, 10.0, 100.0)
-        for te in stm._stratified_folds(y, 4, np.random.default_rng(2)):
-            tr = np.setdiff1d(np.arange(y.size), te)
+        fold = stm._stratified_folds(y, 4, np.random.default_rng(2))
+        for f in range(4):
+            tr = np.flatnonzero(fold != f)
             for lam in grid:
                 p = QpProblem(gram[np.ix_(tr, tr)], y[tr], lam)
                 alpha = solve_qp(p, tol=stm.CV_TOL).alpha
