@@ -49,7 +49,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .tensor_core import KruskalTensor, NumericalError, SolveStats, _integer, _keep_rows
+from .tensor_core import (KruskalTensor, NumericalError, SolveStats, _integer, _keep_rows,
+                          _normalize_columns)
 
 # Guard for the Hestenes-Stiefel denominator; below this the direction
 # update is replaced by steepest descent.
@@ -352,9 +353,8 @@ class _Evaluator:
         norms = np.sqrt(gF @ self.expand.T)  # (b, r, 5)
         dn = norms - 1.0
         root_w = np.sqrt(w * w + h.epsilon)
-        wm, wh, ff, cc, dd = (
-            np.matmul(u.reshape(b, 1, -1), v.reshape(b, -1, 1))[:, 0, 0]  # row dots
-            for u, v in ((W, m1), (wtw, hbc), (f2, f2), (cv, cv), (dn, dn)))
+        wm, wh, ff, cc, dd = (_dots(u.reshape(b, -1), v.reshape(b, -1))
+                              for u, v in ((W, m1), (wtw, hbc), (f2, f2), (cv, cv), (dn, dn)))
         q = h.gamma * (self.x1_sq - 2.0 * wm + wh + ff)
         q += h.xi * cc
         q += h.beta * root_w.sum(axis=1)
@@ -379,7 +379,7 @@ class _Evaluator:
         core1 = hbc @ W
         core1 -= m1
         gw = g[:, nf:]
-        gw[:, :r] = _pair_dots(A, core1)
+        gw[:, :r] = _dots(A, core1)
         core1 *= g2w[:, :r]
         gA += core1
         # T = W^T X1_(1) in the rows of kr_cb, which m1 no longer needs.  Its
@@ -396,7 +396,7 @@ class _Evaluator:
         cv *= 2.0 * h.xi
         gC += cv
         core2 = V @ f2.transpose(0, 2, 1)  # (b, r, I4): shared by U and sigma
-        gw[:, r:] = _pair_dots(U, core2)
+        gw[:, r:] = _dots(U, core2)
         core2 *= g2w[:, r:]
         gU += core2
         model = us @ f2  # (b, r, I3)
@@ -412,9 +412,14 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ m.transpose(0, 2, 1)
 
 
-def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(b, r)`` dot products of the rows of two ``(b, r, n)`` stacks."""
-    return (a[:, :, None, :] @ b[..., None])[:, :, 0, 0]
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the last-axis rows of two stacks of equal shape.
+
+    The stacked ``matmul`` of 1 x n by n x 1 blocks takes each row's dot
+    product with the BLAS routine that ``a[k] @ b[k]`` uses, so a row's
+    value is that of its own 1-D product, whatever else is in the stack.
+    """
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 def _evaluate(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams, need_grad: bool):
@@ -444,16 +449,6 @@ def acmtf_gradient(s: CoupledSample, f: AcmtfFactors, h: AcmtfHyperParams) -> np
 # ---------------------------------------------------------------------------
 # Strong-Wolfe line search and the conjugate-gradient loop
 # ---------------------------------------------------------------------------
-
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of two C-contiguous ``(b, n)`` blocks.
-
-    The stacked ``matmul`` of 1 x n by n x 1 blocks takes each row's dot
-    product with the BLAS routine that ``a[k] @ b[k]`` uses, so a row's
-    value is that of its own 1-D product, whatever else is in the block.
-    """
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
 
 # Phase of a line search.
 _BRACKET, _ZOOM, _FALLBACK = 0, 1, 2
@@ -589,14 +584,8 @@ class _LineSearch:
 def _initial_point(dims, rank: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     i1, i2, i3, i4 = dims
-    blocks = []
-    for d in (i1, i2, i3, i4, i3):
-        f = rng.standard_normal((d, rank))
-        f /= np.linalg.norm(f, axis=0)
-        blocks.append(f)
-    blocks.append(np.ones(rank))
-    blocks.append(np.ones(rank))
-    return pack(blocks)
+    units = [_normalize_columns(rng.standard_normal((d, rank)))[0] for d in (i1, i2, i3, i4, i3)]
+    return pack((*units, np.ones(rank), np.ones(rank)))
 
 
 def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
@@ -649,7 +638,7 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
     def steepest(k):
         # Row k's direction becomes steepest descent; returns its slope.
         D[k] = -G[k]
-        return _row_dot(G[k:k + 1], D[k:k + 1]).item()
+        return _dots(G[k:k + 1], D[k:k + 1]).item()
 
     def begin(k, norm, dphi, decrease):
         # Start row k's next iteration, from the norm of its gradient and
@@ -666,8 +655,8 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
         searches[k] = _LineSearch(histories[k][-1], dphi, init)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norms = np.sqrt(_row_dot(G, G)).tolist()
-        for k, (norm, dphi) in enumerate(zip(norms, _row_dot(G, D).tolist())):
+        norms = np.sqrt(_dots(G, G)).tolist()
+        for k, (norm, dphi) in enumerate(zip(norms, _dots(G, D).tolist())):
             begin(k, norm, dphi, None)
         while True:
             if stopped:
@@ -679,8 +668,8 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
                 stopped.clear()
                 if not rows:
                     return results
-                X, D, G = X[rows], D[rows], G[rows]
-                P = np.empty_like(X)
+                X, D, G = _keep_rows((X, D, G), rows)
+                P = P[:len(rows)]
                 ids, histories, searches = (
                     [v[k] for k in rows] for v in (ids, histories, searches))
                 ev.keep(rows)
@@ -692,7 +681,7 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
             rounds += 1
             move = []
             for k, (ls, value, slope) in enumerate(
-                    zip(searches, q.tolist(), _row_dot(g, D).tolist())):
+                    zip(searches, q.tolist(), _dots(g, D).tolist())):
                 if not ls.advance(value, slope):
                     continue
                 if ls.best[1] < ls.f0:
@@ -713,15 +702,15 @@ def _conjugate_gradient(ev: _Evaluator, x: np.ndarray, h: AcmtfHyperParams):
             # Hestenes-Stiefel: with y = g_new - g, beta = g_new.y / d.y and
             # d_new = beta d - g_new, or steepest descent at a small d.y.
             y = g_new - G[rows]
-            denom = _row_dot(d_new, y)
-            d_new *= (_row_dot(g_new, y) / denom)[:, None]
+            denom = _dots(d_new, y)
+            d_new *= (_dots(g_new, y) / denom)[:, None]
             d_new -= g_new
             guard = np.abs(denom) < HS_DENOM_GUARD
             if guard.any():
                 d_new[guard] = -g_new[guard]
             D[rows], G[rows] = d_new, g_new
-            norms = np.sqrt(_row_dot(g_new, g_new)).tolist()
-            for k, norm, dphi in zip(move, norms, _row_dot(g_new, d_new).tolist()):
+            norms = np.sqrt(_dots(g_new, g_new)).tolist()
+            for k, norm, dphi in zip(move, norms, _dots(g_new, d_new).tolist()):
                 ls = searches[k]
                 step, value = ls.best
                 history = histories[k]

@@ -99,6 +99,7 @@ def gen_case(case: int, n_per_class: int, seed: int) -> list[CoupledSample]:
     the case's normals; the tensor is the rank-3 sum of outer products and
     the matrix shares the third-mode draws as its column factors.
     """
+    _integer("case", case, 1)
     if case not in SIM_CASES:
         raise ValueError(f"unknown case id {case}; valid: {sorted(SIM_CASES)}")
     _integer("n_per_class", n_per_class, 1)
@@ -410,25 +411,21 @@ def _fixed_kernel(cfg: ExperimentConfig) -> KernelSpec:
                       cfg.kernel_degree, cfg.kernel_offset)
 
 
-def _kernel_for(cfg: ExperimentConfig, train):
-    """The configured kernel of a training part, coupled for ACMTF factors
-    and one spec per mode for Kruskal tensors."""
-    coupled = isinstance(train[0], AcmtfFactors)
-    if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
-        return default_coupled_spec(train) if coupled else default_cp_specs(train)
-    k = _fixed_kernel(cfg)
-    return CoupledKernelSpec(k, k, k, k) if coupled else (k,) * train[0].order
-
-
 def _candidates(train, cfg: ExperimentConfig):
     """``(specs, grams)``: one method's candidate kernels on a training part
-    and their Grams.  A CP kernel is one candidate.  C-STM's are the
-    configured weights, or the simplex grid under ``tune_weights``: the coupled
-    kernel is linear in its weights, so each candidate's Gram is a weighted sum
-    of three part Grams, equal to :func:`gram_matrix` of its spec bit for bit.
+    and their Grams: coupled for ACMTF factors, else one spec per mode, and
+    a CP kernel is one candidate.  C-STM's are the configured weights, or the
+    simplex grid under ``tune_weights``: the coupled kernel is linear in its
+    weights, so each candidate's Gram is a weighted sum of three part Grams,
+    equal to :func:`gram_matrix` of its spec bit for bit.
     """
-    base = _kernel_for(cfg, train)
-    if not isinstance(base, CoupledKernelSpec):
+    coupled = isinstance(train[0], AcmtfFactors)
+    if cfg.kernel_kind == "rbf" and cfg.kernel_bandwidth is None:
+        base = default_coupled_spec(train) if coupled else default_cp_specs(train)
+    else:
+        k = _fixed_kernel(cfg)
+        base = CoupledKernelSpec(k, k, k, k) if coupled else (k,) * train[0].order
+    if not coupled:
         return [base], [cp_gram(train, base)]
     parts = [gram_matrix(train, replace(base, weights=m))
              for m in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]

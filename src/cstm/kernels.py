@@ -188,7 +188,7 @@ def _role_kernel(xa: list[np.ndarray], xb: list[np.ndarray], terms) -> np.ndarra
     return prod
 
 
-def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np.ndarray:
+def _gram(a: Sequence, b: Sequence, modes, roles) -> np.ndarray:
     """K[i, j] = sum over roles of weight * sum over component pairs of the
     product of per-mode kernel values between a[i] and b[j].
 
@@ -198,9 +198,10 @@ def _gram(a: Sequence, b: Sequence, modes, roles, symmetric: bool = False) -> np
     segment-summed to sample pairs with ``np.add.reduceat``, rows first, at
     the first stacked column of each sample that has components.  A rank-0
     sample owns no segment: it is left out of the index, so its row and
-    column stay 0.  The symmetric form (``b`` is ``a``) mirrors the lower
-    triangle, so the result is exactly symmetric.
+    column stay 0.  Where ``b`` is ``a``, the columns are stacked once and
+    the lower triangle is mirrored, so the result is exactly symmetric.
     """
+    symmetric = b is a
     ra, xa = _columns(a, modes)
     rb, xb = (ra, xa) if symmetric else _columns(b, modes)
     ia, ib = np.flatnonzero(ra), np.flatnonzero(rb)
@@ -221,7 +222,7 @@ def _coupled_modes(f: AcmtfFactors) -> tuple[np.ndarray, ...]:
     return (f.u1.factors[0], f.u1.factors[1], f.shared, f.u2.factors[0])
 
 
-def _coupled_gram(a, b, spec: CoupledKernelSpec, symmetric: bool = False) -> np.ndarray:
+def _coupled_gram(a, b, spec: CoupledKernelSpec) -> np.ndarray:
     _check_dims(a, b, lambda f: f.dims)
     w1, w2, w3 = spec.weights
     roles = (
@@ -229,15 +230,15 @@ def _coupled_gram(a, b, spec: CoupledKernelSpec, symmetric: bool = False) -> np.
         (w2, ((2, spec.k2),)),
         (w3, ((3, spec.k3),)),
     )
-    return _gram(a, b, _coupled_modes, roles, symmetric)
+    return _gram(a, b, _coupled_modes, roles)
 
 
-def _cp_gram(a, b, specs: Sequence[KernelSpec], symmetric: bool = False) -> np.ndarray:
+def _cp_gram(a, b, specs: Sequence[KernelSpec]) -> np.ndarray:
     _check_dims(a, b, lambda t: t.shape)
     if len(specs) != a[0].order:
         raise ValueError(f"need {a[0].order} kernel specs, got {len(specs)}")
     roles = ((1.0, tuple(enumerate(specs))),)
-    return _gram(a, b, lambda t: t.factors, roles, symmetric)
+    return _gram(a, b, lambda t: t.factors, roles)
 
 
 def cp_kernel(
@@ -271,14 +272,14 @@ def gram_matrix(
     factors: Sequence[AcmtfFactors], spec: CoupledKernelSpec
 ) -> np.ndarray:
     """Symmetric Gram matrix of pairwise coupled-kernel values."""
-    return _coupled_gram(factors, factors, spec, symmetric=True)
+    return _coupled_gram(factors, factors, spec)
 
 
 def cp_gram(
     tensors: Sequence[KruskalTensor], specs: Sequence[KernelSpec]
 ) -> np.ndarray:
     """Symmetric Gram matrix of pairwise CP tensor-kernel values."""
-    return _cp_gram(tensors, tensors, specs, symmetric=True)
+    return _cp_gram(tensors, tensors, specs)
 
 
 def cp_gram_cross(
@@ -316,18 +317,19 @@ def median_bandwidth(columns: np.ndarray) -> float:
     return float((np.sqrt(d[mid - 1]) + np.sqrt(d[mid:].min())) / 2.0)
 
 
+def _median_specs(samples: Sequence, modes) -> tuple[KernelSpec, ...]:
+    """Per-mode rbf kernels, median-heuristic bandwidths on the stacked columns."""
+    if len(samples) == 0:
+        raise ValueError("factor list must be nonempty")
+    _, columns = _columns(samples, modes)
+    return tuple(KernelSpec("rbf", median_bandwidth(c)) for c in columns)
+
+
 def default_coupled_spec(factors: Sequence[AcmtfFactors]) -> CoupledKernelSpec:
     """Equal-weight rbf kernels, median-heuristic bandwidths fit on training factors."""
-    if len(factors) == 0:
-        raise ValueError("factor list must be nonempty")
-    _, roles = _columns(factors, _coupled_modes)
-    k1, k2, ks, km = (KernelSpec("rbf", median_bandwidth(r)) for r in roles)
-    return CoupledKernelSpec(k1, k2, ks, km)
+    return CoupledKernelSpec(*_median_specs(factors, _coupled_modes))
 
 
 def default_cp_specs(tensors: Sequence[KruskalTensor]) -> tuple[KernelSpec, ...]:
     """Per-mode rbf kernels with median-heuristic bandwidths."""
-    if len(tensors) == 0:
-        raise ValueError("tensor list must be nonempty")
-    _, modes = _columns(tensors, lambda t: t.factors)
-    return tuple(KernelSpec("rbf", median_bandwidth(m)) for m in modes)
+    return _median_specs(tensors, lambda t: t.factors)

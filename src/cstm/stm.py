@@ -534,6 +534,7 @@ def _cv_lambda(
         _check_dual_data(gram, y)
     _check_two_classes(y)
     grid = _check_grid(grid)
+    _integer("k", k, 2)
     k = min(k, int(np.sum(y > 0)), int(np.sum(y < 0)))
     acc = np.full((len(grams), len(grid)), -1.0)
     if k < 2:
@@ -568,12 +569,13 @@ def select_lambda(
 ) -> float:
     """Pick lambda from ``grid`` by stratified k-fold CV accuracy.
 
-    k is capped at the smaller class count, so every training fold keeps
-    both classes; when a class has only one sample, the first grid value is
-    returned.  Ties take the first value that ``grid`` lists.  The Gram matrix
-    covers the training samples only.  Raises ``ValueError`` for a grid that
-    :func:`_check_grid` rejects, a Gram matrix that is not square,
-    finite and symmetric, or labels that are not +-1 of both classes.  It
-    is :func:`_cv_lambda` with one candidate, fold duals at ``CV_TOL``.
+    k, an integer >= 2 (k = 1 raises ``ValueError``), is capped at the
+    smaller class count, so every training fold keeps both classes; when a
+    class has only one sample, the first grid value is returned.  Ties take
+    the first value that ``grid`` lists.  The Gram matrix covers the training
+    samples only.  Raises ``ValueError`` for a grid that :func:`_check_grid`
+    rejects, a Gram matrix that is not square, finite and symmetric, or
+    labels that are not +-1 of both classes.  It is :func:`_cv_lambda` with
+    one candidate, fold duals at ``CV_TOL``.
     """
     return grid[int(np.argmax(_cv_lambda([gram], labels, grid, k, seed)[0]))]

@@ -13,10 +13,10 @@ from cstm.acmtf import (
     SolveStats,
     _BRACKET,
     _FALLBACK,
+    _dots,
     _Evaluator,
     _frobenius,
     _LineSearch,
-    _row_dot,
     acmtf_decompose,
     acmtf_decompose_many,
     acmtf_gradient,
@@ -378,11 +378,11 @@ def wolfe_search(fg, x, direction, f0, g0, init_step=1.0):
     ``(f0, g0)``.
     """
     d = direction[None]
-    ls = _LineSearch(f0, _row_dot(g0[None], d)[0], init_step)
+    ls = _LineSearch(f0, _dots(g0[None], d)[0], init_step)
     done = False
     while not done:
         value, grad = fg(x + ls.step * direction)
-        done = ls.advance(value, _row_dot(np.asarray(grad)[None], d)[0])
+        done = ls.advance(value, _dots(np.asarray(grad)[None], d)[0])
     step, value = ls.best
     if step == 0.0:
         return Search(0.0, f0, g0, False)

@@ -136,6 +136,7 @@ class TestGramEngine:
         g = gram_matrix(a, spec)
         assert close(g, ref_gram(a, a, kern))
         assert_symmetric_psd(g)
+        assert gram_cross(a, a, spec).tobytes() == g.tobytes()
         assert close(coupled_kernel(a[0], b[0], spec), kern(a[0], b[0]))
 
     @PROPS
@@ -149,6 +150,7 @@ class TestGramEngine:
             g = cp_gram(a, s)
             assert close(g, ref_gram(a, a, kern))
             assert_symmetric_psd(g)
+            assert cp_gram_cross(a, a, s).tobytes() == g.tobytes()
             assert close(cp_kernel(a[0], b[0], s), kern(a[0], b[0]))
 
 

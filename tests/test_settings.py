@@ -21,6 +21,7 @@ from cstm.tensor_core import cp_als_many
 
 TENSOR = np.arange(24.0).reshape(2, 3, 4)
 PROBLEM = QpProblem(np.eye(2), np.array([1.0, -1.0]), 0.1)
+LABELS = np.array([1.0, -1.0] * 4)
 
 # (setting name, call with the value put in for that setting)
 INTEGER_SITES = {
@@ -37,16 +38,19 @@ INTEGER_SITES = {
     "cp_als_many.rank": ("rank", lambda v: cp_als_many([TENSOR], v, [0])),
     "cp_als_many.max_iter": ("max_iter", lambda v: cp_als_many([TENSOR], 2, [0], max_iter=v)),
     "solve_qp_many.max_passes": ("max_passes", lambda v: solve_qp_many([PROBLEM], max_passes=v)),
+    "gen_case.case": ("case", lambda v: gen_case(v, 2, 0)),
     "gen_case.n_per_class": ("n_per_class", lambda v: gen_case(3, v, 0)),
+    "select_lambda.k": ("k", lambda v: select_lambda(np.eye(8), LABELS, k=v)),
     "matrix_to_kruskal.rank": ("rank", lambda v: matrix_to_kruskal(np.eye(3), v)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["float", "integral float", "bool"])
 @pytest.mark.parametrize("site", sorted(INTEGER_SITES))
 def test_integer_setting_must_be_an_integer(site, value):
     # Without the rule a float or a bool passed these sites and failed
-    # later (a numpy TypeError, a NaN kernel value) or ran as 1.
+    # later (a numpy TypeError, a NaN kernel value) or ran as the integer
+    # it equals: gen_case ran case 1 for True and case 3 for 3.0.
     name, call = INTEGER_SITES[site]
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         call(value)
@@ -63,9 +67,12 @@ def test_numpy_and_python_integers_pass(value):
     ("ExperimentConfig.n_per_class", "n_per_class", 1),
     ("ExperimentConfig.cv_folds", "cv_folds", 2),
     ("KernelSpec.degree", "polynomial degree", 1),
+    ("gen_case.case", "case", 1),
     ("matrix_to_kruskal.rank", "rank", 1),
+    ("select_lambda.k", "k", 2),
 ])
 def test_integer_setting_below_its_least(site, name, least):
+    # select_lambda with k = 1 returned the first grid value.
     with pytest.raises(ValueError, match=re.escape(f"{name} must be >= {least}, got {least - 1}")):
         INTEGER_SITES[site][1](least - 1)
 
